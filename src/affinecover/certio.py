@@ -25,7 +25,7 @@ from importlib import metadata
 
 from .drawing import CoverWitness, Drawing
 from .drawing import verify_cover_witness, verify_crossing_free
-from .geometry import CanonLine, CanonPlane
+from .geometry import CanonLine, CanonPlane, is_canonical
 from .graphs import Graph, parse_graph, to_graph6
 
 __all__ = [
@@ -141,6 +141,10 @@ def _encode_assignment(witness: CoverWitness) -> dict:
     return out
 
 
+def _canonical_json(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
 def emit_certificate(cert: CertificateFile) -> bytes:
     """Serialize to canonical bytes (stable across emits)."""
     payload = {
@@ -157,7 +161,7 @@ def emit_certificate(cert: CertificateFile) -> bytes:
         },
         "meta": cert.meta,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    return _canonical_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +216,16 @@ def _decode_object(v) -> object:
             raise ValueError(f"line dimension must be 2 or 3, got {dim!r}")
         direction = tuple(_decode_int(c) for c in _expect_list(v["direction"], dim))
         base = tuple(_decode_frac(c) for c in _expect_list(v["base"], dim))
-        return CanonLine(dim, direction, base)
-    if v["type"] == "plane":
+        obj = CanonLine(dim, direction, base)
+    elif v["type"] == "plane":
         _expect_keys(v, {"normal", "offset", "type"}, "plane object")
         normal = tuple(_decode_int(c) for c in _expect_list(v["normal"], 3))
-        return CanonPlane(normal, _decode_frac(v["offset"]))
-    raise ValueError(f"unknown witness object type {v['type']!r}")
+        obj = CanonPlane(normal, _decode_frac(v["offset"]))
+    else:
+        raise ValueError(f"unknown witness object type {v['type']!r}")
+    if not is_canonical(obj):
+        raise ValueError(f"witness {v['type']} is not in canonical form: {obj}")
+    return obj
 
 
 def _expect_list(v, length: int) -> list:
@@ -266,6 +274,8 @@ def parse_certificate(data: bytes) -> CertificateFile:
         payload = json.loads(data, parse_float=_no_floats)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    if _canonical_json(payload) != (data.encode() if isinstance(data, str) else data):
+        raise ValueError("certificate JSON is not canonical: key order, spacing or escapes")
     _expect_keys(
         payload, {"version", "graph", "drawing", "witness", "meta"}, "certificate"
     )

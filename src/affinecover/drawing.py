@@ -19,6 +19,8 @@ ever verified.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,16 +30,14 @@ from .geometry import (
     canon_line,
     canon_plane,
     canonical_plane_through_segment,
+    collinear,
+    forbidden_contact,
     integerize,
+    is_canonical,
     line_contains_point,
+    orient,
     plane_contains_point,
     qpoint,
-)
-from .geometry import (
-    _collinear,
-    _segments_intersect_2d,
-    _segments_intersect_3d,
-    point_strictly_inside_segment,
 )
 from .graphs import Graph, es_count
 
@@ -154,10 +154,38 @@ def _distinct_edge_lines(d: Drawing) -> dict:
     return lines
 
 
-def _ess_checks(d: Drawing) -> EssRecord:
+def _edge_line_total(ipts: list, edges: Iterable) -> int:
+    """Number of distinct lines through the edges of integer points.
+
+    A line's key is (primitive direction d, moment p x d) for any point
+    p on it: moving p along d leaves p x d unchanged.  Integer keys give
+    the count of :func:`_distinct_edge_lines` without building a
+    rational canonical line per edge.
+    """
+    keys = set()
+    for u, v in edges:
+        p, q = ipts[u], ipts[v]
+        d = [b - a for a, b in zip(p, q)]
+        g = math.gcd(*d)
+        if next(x for x in d if x) < 0:
+            g = -g
+        d = [x // g for x in d]
+        if len(p) == 2:
+            moment = p[0] * d[1] - p[1] * d[0]
+        else:
+            moment = (
+                p[1] * d[2] - p[2] * d[1],
+                p[2] * d[0] - p[0] * d[2],
+                p[0] * d[1] - p[1] * d[0],
+            )
+        keys.add((tuple(d), moment))
+    return len(keys)
+
+
+def _ess_checks(d: Drawing, ipts: list) -> EssRecord:
     g = d.graph
     es = es_count(g)
-    count = len(_distinct_edge_lines(d))
+    count = _edge_line_total(ipts, g.edges)
     ok_a = 2 * es <= count * (count - 1)
     if g.m >= g.n >= 1:
         ok_b = g.n * count * count > g.m * (g.m - g.n)
@@ -175,48 +203,77 @@ def _ess_checks(d: Drawing) -> EssRecord:
 def verify_crossing_free(d: Drawing) -> Drawing:
     """Certify crossing-freeness; returns a copy with the verified flag.
 
-    Checks, in deterministic order: every pair of distinct edges
-    (lexicographic) classifies as disjoint (no shared vertex) or
-    shared_endpoint_only (adjacent edges); then no vertex point lies
-    strictly inside any non-incident edge (vertex-major order).  Raises
-    :class:`DrawingViolation` carrying the first offending pair.
+    Two checks run on the integerized points.  No two distinct edges
+    may meet, except adjacent edges in their one shared endpoint; and
+    no vertex point may lie inside an edge it is not an end of.
+
+    Only pairs whose bounding boxes overlap can meet.  The edges are
+    sorted by the low x of their boxes; each edge is paired with the
+    later edges whose low x is at most its high x, and those that also
+    overlap it in y (and z) go to the exact integer test
+    :func:`~affinecover.geometry.forbidden_contact`.  Once no two edges
+    meet, a vertex with an edge cannot lie inside another edge, so only
+    the isolated vertices are then tested, each against the edges whose
+    x-interval holds its x (bisection over those vertices sorted by x).
+
+    Raises :class:`DrawingViolation` carrying the first offending pair
+    in the order of the pairwise loop this replaces: every
+    ("edge_edge", e, f) pair before any ("vertex_edge", v, e) pair,
+    edge pairs ordered by ``sorted(edges)`` with e < f, vertex pairs
+    vertex-major.  The sweep finds all offending pairs and reports the
+    least.
     """
     g = d.graph
     ipts, _ = integerize(d.points)
-    dim = d.dim
-    intersect = _segments_intersect_2d if dim == 2 else _segments_intersect_3d
     edges = sorted(g.edges)
-    boxes = []
-    for u, v in edges:
-        p, q = ipts[u], ipts[v]
-        boxes.append(tuple((min(a, b), max(a, b)) for a, b in zip(p, q)))
-    for i in range(len(edges)):
-        e = edges[i]
-        be = boxes[i]
-        for j in range(i + 1, len(edges)):
-            f = edges[j]
-            shared = len(set(e) & set(f))
-            if shared == 0:
-                bf = boxes[j]
-                if any(be[k][1] < bf[k][0] or bf[k][1] < be[k][0] for k in range(dim)):
-                    continue
-            rel = intersect(ipts[e[0]], ipts[e[1]], ipts[f[0]], ipts[f[1]])
-            expected = "shared_endpoint_only" if shared else "disjoint"
-            if rel != expected:
-                raise DrawingViolation(("edge_edge", e, f))
-    for v in range(g.n):
-        p = ipts[v]
-        for i, e in enumerate(edges):
-            if v in e:
+    ends = [(ipts[u], ipts[v]) for u, v in edges]
+
+    def extent(axis: int) -> tuple:
+        if axis == d.dim:  # 2D boxes get z = 0
+            return [0] * len(ends), [0] * len(ends)
+        return [min(p[axis], q[axis]) for p, q in ends], [max(p[axis], q[axis]) for p, q in ends]
+
+    # box of edge i: [lx, hx] x [ly, hy] x [lz, hz]
+    (lx, hx), (ly, hy), (lz, hz) = extent(0), extent(1), extent(2)
+
+    first = None
+    order = sorted(range(len(edges)), key=lx.__getitem__)
+    starts = [lx[i] for i in order]
+    for k, i in enumerate(order):
+        p, q = ends[i]
+        li_y, hi_y, li_z, hi_z = ly[i], hy[i], lz[i], hz[i]
+        for j in order[k + 1 : bisect_right(starts, hx[i], k + 1)]:
+            if hy[j] < li_y or hi_y < ly[j] or hz[j] < li_z or hi_z < lz[j]:
                 continue
-            be = boxes[i]
-            if any(p[k] < be[k][0] or p[k] > be[k][1] for k in range(dim)):
+            if forbidden_contact(p, q, *ends[j]):
+                pair = (i, j) if i < j else (j, i)
+                if first is None or pair < first:
+                    first = pair
+    if first is not None:
+        raise DrawingViolation(("edge_edge", edges[first[0]], edges[first[1]]))
+
+    # A vertex with an edge f inside edge e would have made f meet e
+    # outside a shared endpoint, so past the edge pairs only isolated
+    # vertices can lie inside an edge.
+    ended = {v for e in edges for v in e}
+    by_x = sorted((v for v in range(g.n) if v not in ended), key=lambda v: ipts[v][0])
+    xs = [ipts[v][0] for v in by_x]
+    for i, (a, b) in enumerate(ends):
+        for v in by_x[bisect_left(xs, lx[i]) : bisect_right(xs, hx[i])]:
+            p = ipts[v]
+            if not ly[i] <= p[1] <= hy[i]:
                 continue
-            if point_strictly_inside_segment(p, ipts[e[0]], ipts[e[1]]):
-                raise DrawingViolation(("vertex_edge", v, e))
+            if d.dim == 3 and not lz[i] <= p[2] <= hz[i]:
+                continue
+            # inside the box and on the line: on the closed segment, and
+            # not at an end since distinct vertices have distinct points
+            if collinear(a, b, p) and (first is None or (v, i) < first):
+                first = (v, i)
+    if first is not None:
+        raise DrawingViolation(("vertex_edge", first[0], edges[first[1]]))
     out = replace(d, verified=True)
-    if dim == 3:
-        _ESS_AUDIT.append(_ess_checks(out))
+    if d.dim == 3:
+        _ESS_AUDIT.append(_ess_checks(out, ipts))
     return out
 
 
@@ -383,7 +440,7 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
         for w in range(g.n):
             if w in (u, v):
                 continue
-            if _collinear(d.points[u], d.points[v], d.points[w]):
+            if collinear(d.points[u], d.points[v], d.points[w]):
                 continue
             spanned = True
             candidates.setdefault(canon_plane(d.points[u], d.points[v], d.points[w]), set())
@@ -448,8 +505,6 @@ class KnReport:
 def _strictly_inside_triangle(x, a, b, c, normal) -> bool:
     drop = max(range(3), key=lambda i: abs(normal[i]))
     keep = [i for i in range(3) if i != drop]
-    from .geometry import orient
-
     pa, pb, pc, px = (tuple(p[k] for k in keep) for p in (a, b, c, x))
     s1 = orient(pa, pb, px)
     s2 = orient(pb, pc, px)
@@ -523,6 +578,8 @@ def verify_cover_witness(d: Drawing, w: CoverWitness) -> None:
             raise WitnessViolation("plane witness holds a non-plane object")
         if want_line and obj.dim != d.dim:
             raise WitnessViolation("line dimension does not match drawing")
+        if not is_canonical(obj):
+            raise WitnessViolation(f"witness object {obj} is not in canonical form")
     if not want_line and d.dim != 3:
         raise WitnessViolation("plane witness on a 2D drawing")
     items = set(g.edges) if w.kind.endswith("for_edges") else set(range(g.n))

@@ -87,39 +87,50 @@ def _is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def _collinear(a: QPoint, b: QPoint, c: QPoint) -> bool:
+# The predicates below assume points of one common dimension and do not
+# check it, so the verifier can call them per pair; ``orient`` and
+# ``segments_intersect`` validate their arguments.
+
+
+def collinear(a: QPoint, b: QPoint, c: QPoint) -> bool:
     """True iff the three points (2D or 3D) lie on one line."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = c[0] - a[0], c[1] - a[1]
+    if ux * vy != uy * vx:
+        return False
     if len(a) == 2:
-        return orient(a, b, c) == 0
-    return _is_zero(_cross3(_sub(b, a), _sub(c, a)))
+        return True
+    uz, vz = b[2] - a[2], c[2] - a[2]
+    return uy * vz == uz * vy and uz * vx == ux * vz
+
+
+def _span(a: QPoint, b: QPoint) -> tuple:
+    """(axis, lo, hi): the dominant axis of [a, b] and its range there."""
+    d = [abs(x - y) for x, y in zip(a, b)]
+    axis = d.index(max(d))
+    lo, hi = a[axis], b[axis]
+    return (axis, lo, hi) if lo <= hi else (axis, hi, lo)
 
 
 def point_on_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
     """Exact: p lies on the closed segment [a, b]."""
-    if not _collinear(a, b, p):
+    if not collinear(a, b, p):
         return False
-    # compare along the dominant axis of the direction
-    d = _sub(b, a)
-    axis = max(range(len(d)), key=lambda i: abs(d[i]))
-    lo, hi = sorted((a[axis], b[axis]))
+    axis, lo, hi = _span(a, b)
     return lo <= p[axis] <= hi
 
 
 def point_strictly_inside_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
     """Exact: p lies on segment [a, b] but is neither endpoint."""
-    if not _collinear(a, b, p):
+    if not collinear(a, b, p):
         return False
-    d = _sub(b, a)
-    axis = max(range(len(d)), key=lambda i: abs(d[i]))
-    lo, hi = sorted((a[axis], b[axis]))
+    axis, lo, hi = _span(a, b)
     return lo < p[axis] < hi
 
 
 def _collinear_segments_relation(a, b, c, d) -> str:
     """All four points on one line: classify by 1D interval overlap."""
-    dirv = _sub(b, a)
-    axis = max(range(len(dirv)), key=lambda i: abs(dirv[i]))
-    a1, a2 = sorted((a[axis], b[axis]))
+    axis, a1, a2 = _span(a, b)
     b1, b2 = sorted((c[axis], d[axis]))
     lo, hi = max(a1, b1), min(a2, b2)
     if lo > hi:
@@ -132,45 +143,49 @@ def _collinear_segments_relation(a, b, c, d) -> str:
 
 
 def _segments_intersect_2d(a, b, c, d) -> str:
-    d1 = orient(c, d, a)
-    d2 = orient(c, d, b)
-    d3 = orient(a, b, c)
-    d4 = orient(a, b, d)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return CROSSING  # proper interior crossing
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
+    cx, cy = c[0], c[1]
+    # d1, d2: sides of a and b relative to line cd, as orient(c, d, .)
+    ex, ey = d[0] - cx, d[1] - cy
+    d1 = ex * (ay - cy) - ey * (ax - cx)
+    d2 = ex * (by - cy) - ey * (bx - cx)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return DISJOINT  # [a, b] strictly on one side of line cd
+    # d3, d4: sides of c and d relative to line ab, as orient(a, b, .)
+    fx, fy = bx - ax, by - ay
+    d3 = fx * (cy - ay) - fy * (cx - ax)
+    d4 = fx * (d[1] - ay) - fy * (d[0] - ax)
+    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return DISJOINT
+    # now neither segment lies strictly on one side of the other's line
+    if d1 and d2:
+        return CROSSING  # they meet at a point interior to [a, b]
     if d1 == 0 and d2 == 0:
         return _collinear_segments_relation(a, b, c, d)
-    touch = None
-    if d1 == 0 and point_on_segment(a, c, d):
-        touch = a
-    elif d2 == 0 and point_on_segment(b, c, d):
-        touch = b
-    elif d3 == 0 and point_on_segment(c, a, b):
-        touch = c
-    elif d4 == 0 and point_on_segment(d, a, b):
-        touch = d
-    if touch is None:
-        return DISJOINT
-    if touch in (a, b) and touch in (c, d):
-        return SHARED_ENDPOINT_ONLY
-    return CROSSING  # an endpoint interior to the other segment
+    # exactly one of a, b lies on line cd, so on the segment [c, d]
+    touch = a if d1 == 0 else b
+    return SHARED_ENDPOINT_ONLY if touch in (c, d) else CROSSING
 
 
 def _segments_intersect_3d(a, b, c, d) -> str:
-    if orient(a, b, c, d) != 0:
+    ax, ay, az = a
+    cx, cy, cz = c
+    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
+    vx, vy, vz = d[0] - cx, d[1] - cy, d[2] - cz
+    wx, wy, wz = cx - ax, cy - ay, cz - az
+    n = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+    if n[0] * wx + n[1] * wy + n[2] * wz:
         return DISJOINT  # bounding lines are skew: no common point at all
     # coplanar: reduce to 2D by dropping the dominant axis of a plane normal
-    u = _sub(b, a)
-    v = _sub(d, c)
-    n = _cross3(u, v)
     if _is_zero(n):
-        n = _cross3(u, _sub(c, a))
+        n = (uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx)
     if _is_zero(n):
         return _collinear_segments_relation(a, b, c, d)
-    drop = max(range(3), key=lambda i: abs(n[i]))
-    keep = [i for i in range(3) if i != drop]
-    proj = lambda p: (p[keep[0]], p[keep[1]])  # noqa: E731
-    return _segments_intersect_2d(proj(a), proj(b), proj(c), proj(d))
+    mags = [abs(x) for x in n]
+    drop = mags.index(max(mags))
+    i, j = (1, 2) if drop == 0 else (0, 2) if drop == 1 else (0, 1)
+    return _segments_intersect_2d((a[i], a[j]), (b[i], b[j]), (c[i], c[j]), (d[i], d[j]))
 
 
 def segments_intersect(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> str:
@@ -190,6 +205,29 @@ def segments_intersect(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> str:
     if dim == 2:
         return _segments_intersect_2d(a, b, c, d)
     return _segments_intersect_3d(a, b, c, d)
+
+
+def forbidden_contact(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> bool:
+    """Integer kernel of the crossing verifier.
+
+    True iff ``segments_intersect(a, b, c, d) == "crossing"``: the
+    segments meet anywhere but in one common endpoint.  The arguments
+    are not validated; they must be proper segments in one dimension,
+    and a common endpoint must be the identical point.  Segments
+    [s, p] and [s, q] with a common endpoint s meet elsewhere exactly
+    when p - s and q - s point the same way: their cross product is
+    zero and their dot product positive.
+    """
+    if a == c or a == d or b == c or b == d:
+        s, p = (a, b) if a == c or a == d else (b, a)
+        q = d if c == s else c
+        dot = (p[0] - s[0]) * (q[0] - s[0]) + (p[1] - s[1]) * (q[1] - s[1])
+        if len(s) == 3:
+            dot += (p[2] - s[2]) * (q[2] - s[2])
+        return dot > 0 and collinear(s, p, q)
+    if len(a) == 2:
+        return _segments_intersect_2d(a, b, c, d) != DISJOINT
+    return _segments_intersect_3d(a, b, c, d) != DISJOINT
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +257,35 @@ class CanonPlane(NamedTuple):
 
     normal: tuple
     offset: Fraction
+
+
+def _is_primitive(v) -> bool:
+    """Integer vector with gcd 1 and its first nonzero component positive."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+        return False
+    return math.gcd(*v) == 1 and next(x for x in v if x) > 0
+
+
+def is_canonical(obj) -> bool:
+    """True iff a line or plane record equals its own canonical form.
+
+    A line's direction is primitive (so nonzero) with its first nonzero
+    component positive, and its base is 0 on that pivot axis; a plane's
+    normal is primitive with its first nonzero component positive.  Any
+    other record is not the output of :func:`canon_line` or
+    :func:`canon_plane`; a zero direction or normal would contain every
+    point.
+    """
+    if isinstance(obj, CanonLine):
+        if obj.dim not in (2, 3) or len(obj.direction) != obj.dim or len(obj.base) != obj.dim:
+            return False
+        if not _is_primitive(obj.direction):
+            return False
+        pivot = next(i for i, x in enumerate(obj.direction) if x)
+        return obj.base[pivot] == 0
+    if isinstance(obj, CanonPlane):
+        return len(obj.normal) == 3 and _is_primitive(obj.normal)
+    return False
 
 
 def _primitive_int_vector(v: Sequence[Fraction]) -> tuple:

@@ -418,8 +418,70 @@ def from_networkx(ng: "nx.Graph") -> Graph:
     return Graph(len(nodes), ((idx[u], idx[v]) for u, v in ng.edges()))
 
 
+# graph6 (McKay): a size prefix N(n), then the upper triangle of the
+# adjacency matrix column by column -- bit k stands for the pair (i, j)
+# with i < j and k = j(j-1)/2 + i -- six bits per byte, most significant
+# first, padded with zeros; every 6-bit value v is written as v + 63.
+# N(n) is one byte for n <= 62, byte 126 plus three for n <= 258047, and
+# two bytes 126 plus six up to 2**36 - 1.
+_G6_MAX_N = 2**36 - 1
+
+
 def to_graph6(g: Graph) -> bytes:
-    return nx.to_graph6_bytes(to_networkx(g), header=False).strip()
+    """graph6 bytes of ``g``, without header or trailing newline."""
+    n = g.n
+    if n <= 62:
+        head = [n]
+    elif n <= 258047:
+        head = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    elif n <= _G6_MAX_N:
+        head = [63, 63, *(n >> shift & 63 for shift in range(30, -1, -6))]
+    else:
+        raise ValueError(f"graph6 holds at most {_G6_MAX_N} vertices, got {n}")
+    body = bytearray(-(-n * (n - 1) // 12))
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return bytes(x + 63 for x in head) + bytes(x + 63 for x in body)
+
+
+def _from_graph6(data: bytes) -> Graph:
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    if not data:
+        raise ValueError("empty graph6 string")
+    if any(not 63 <= c <= 126 for c in data):
+        raise ValueError("graph6 bytes must lie in range(63, 127)")
+    vals = [c - 63 for c in data]
+    if vals[0] < 63:
+        digits, body = vals[:1], vals[1:]
+    elif len(vals) >= 4 and vals[1] < 63:
+        digits, body = vals[1:4], vals[4:]
+    elif len(vals) >= 8 and vals[1] == 63:
+        digits, body = vals[2:8], vals[8:]
+    else:
+        raise ValueError("graph6 size prefix is truncated")
+    n = 0
+    for x in digits:
+        n = n << 6 | x
+    # the length check comes first: a hostile n allocates nothing
+    pairs = n * (n - 1) // 2
+    if len(body) != -(-pairs // 6):
+        raise ValueError(f"graph6 for n={n} needs {-(-pairs // 6)} data bytes, got {len(body)}")
+    edges = []
+    j, start = 1, 0  # column j holds the pairs k in [start, start + j)
+    for pos, x in enumerate(body):
+        if not x:
+            continue
+        for r in range(6):
+            k = 6 * pos + r
+            if not x & 32 >> r or k >= pairs:
+                continue  # a zero bit, or padding
+            while k >= start + j:
+                start += j
+                j += 1
+            edges.append((k - start, j))
+    return Graph(n, edges)
 
 
 def _parse_edge_list(text: bytes) -> Graph:
@@ -456,10 +518,9 @@ def parse_graph(text: bytes, format: str) -> Graph:
         text = text.encode("utf-8")
     if format == "graph6":
         try:
-            ng = nx.from_graph6_bytes(text.strip())
-        except Exception as exc:
-            raise ValueError(f"malformed graph6 input: {exc}") from exc
-        return from_networkx(ng)
+            return _from_graph6(text.strip())
+        except ValueError as exc:
+            raise ValueError(f"malformed graph6 input: {exc}") from None
     if format == "edge_list":
         return _parse_edge_list(text)
     raise ValueError(f"unknown graph format {format!r}")

@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinecover.certio import (
     CERT_VERSION,
@@ -170,3 +172,69 @@ def test_non_canonical_graph6_rejected():
     obj["graph"] = ">>graph6<<" + obj["graph"]
     with pytest.raises(ValueError):
         parse_certificate(_canonical_bytes(obj))
+
+
+def _forged(kind: str, objects: list, assignment: dict) -> bytes:
+    """pi13(K6)'s certificate with its witness replaced."""
+    obj = json.loads(emit_certificate(certificate_from_result(pi13_drawing(complete_graph(6)), "pi13")))
+    obj["witness"] = {"assignment": assignment, "exact": True, "kind": kind, "objects": objects}
+    return _canonical_bytes(obj)
+
+
+FORGED = {
+    # one zero-direction line "holding" all six vertices
+    "zero-direction line": _forged(
+        "lines_for_vertices",
+        [{"base": [[0, 1]] * 3, "dim": 3, "direction": [0, 0, 0], "type": "line"}],
+        {str(v): 0 for v in range(6)},
+    ),
+    # one zero-normal plane "holding" all fifteen edges
+    "zero-normal plane": _forged(
+        "planes_for_edges",
+        [{"normal": [0, 0, 0], "offset": [0, 1], "type": "plane"}],
+        {f"{u},{v}": 0 for u in range(6) for v in range(u + 1, 6)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_forged_witness_rejected(name):
+    with pytest.raises(ValueError, match="canonical form"):
+        parse_certificate(FORGED[name])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"base": [[0, 1], [0, 1]], "dim": 2, "direction": [0, -1], "type": "line"},
+        {"base": [[0, 1], [1, 1]], "dim": 2, "direction": [0, 2], "type": "line"},
+        {"base": [[1, 1], [0, 1]], "dim": 2, "direction": [1, 1], "type": "line"},
+        {"normal": [0, -1, 0], "offset": [0, 1], "type": "plane"},
+        {"normal": [2, 2, 0], "offset": [0, 1], "type": "plane"},
+    ],
+)
+def test_non_canonical_objects_rejected(obj):
+    payload = json.loads(emit_certificate(certificate_from_result(k2q_optimal(2), "k2q")))
+    payload["witness"]["objects"][0] = obj
+    with pytest.raises(ValueError, match="canonical form"):
+        parse_certificate(_canonical_bytes(payload))
+
+
+_FUZZ_BASE = emit_certificate(certificate_from_result(binary_tree_grid(2), "binary_tree_grid"))
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_BASE) - 1), st.integers(32, 126)), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_mutated_certificate_bytes(edits):
+    # Every mutant either round-trips byte for byte and verifies, or is
+    # rejected with one of the three documented errors.
+    data = bytearray(_FUZZ_BASE)
+    for pos, byte in edits:
+        data[pos] = byte
+    data = bytes(data)
+    try:
+        cert = parse_certificate(data)
+        assert emit_certificate(cert) == data
+        verify_certificate(cert)
+    except (ValueError, DrawingViolation, WitnessViolation):
+        pass

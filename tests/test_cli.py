@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 import json
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +364,34 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "9" in proc.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list:
+    """Every `affinecover ...` or `printf ...` line of the README's sh blocks."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.splitlines():
+            line = line.removeprefix("$ ")
+            words = shlex.split(line, comments=True)
+            if words and words[0] in ("affinecover", "printf"):
+                lines.append(line)
+    return lines
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    # the two commands the README once got wrong
+    assert any("export tree.json --format svg2d" in c for c in commands)
+    assert any("--edges path.txt" in c for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        if line.startswith("printf"):
+            subprocess.run(line, shell=True, check=True, cwd=tmp_path)
+        else:
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    assert (tmp_path / "path.json").is_file()
+    assert (tmp_path / "tree.json").is_file()
+    assert "<svg" in capsys.readouterr().out

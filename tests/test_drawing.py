@@ -1,15 +1,19 @@
 """Tests for drawings, the crossing-free verifier, and drawing measurements.
 
 Derived oracles: set-cover minima are cross-checked by brute-force
-subset enumeration; segment/slope counts by hand enumeration.
+subset enumeration; segment/slope counts by hand enumeration; the sweep
+verifier by the pairwise loop it replaced (``reference_verify``).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinecover.drawing import (
     CoverWitness,
@@ -26,7 +30,15 @@ from affinecover.drawing import (
     verify_cover_witness,
     verify_crossing_free,
 )
-from affinecover.geometry import canon_line, qpoint
+from affinecover.geometry import (
+    CanonLine,
+    CanonPlane,
+    canon_line,
+    integerize,
+    point_strictly_inside_segment,
+    qpoint,
+    segments_intersect,
+)
 from affinecover.graphs import Graph, complete_graph, path_graph
 
 
@@ -330,3 +342,199 @@ def test_ess_audit_records_3d_drawings():
     assert rec.label == "k4-3d" and rec.n == 4 and rec.m == 6 and rec.es == 4
     assert rec.ok  # both checks hold: 2*4 <= 6*5 and 4*36 > 6*2
     assert rec.line_count == 6
+
+
+def test_ess_line_count_from_integer_keys():
+    from affinecover.constructions import (
+        binary_tree_grid,
+        kn_small_plane_cover,
+        kpq_plane_book,
+        nested_squares_two_lines,
+        parallel_kpq_lines,
+        pi13_drawing,
+        prism_stack_3d,
+    )
+    from affinecover.drawing import _distinct_edge_lines, _edge_line_total
+
+    drawings = [
+        k4_triangle_center_2d(),
+        make(complete_graph(4), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        make(Graph(6, [(0, 1), (2, 3), (4, 5)]), [(i, 0) for i in range(6)]),
+        make(Graph(4, [(0, 1), (2, 3)]), [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]),
+        make(Graph(4, [(0, 2), (0, 3), (1, 3)]), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
+        make(path_graph(4), [(0, 0), (1, 0), (2, 1), (3, 1)]),
+        make(complete_graph(6), [(t, t * t, t * t * t) for t in range(1, 7)]),
+    ]
+    for res in (
+        pi13_drawing(complete_graph(6)),
+        kn_small_plane_cover(7),
+        kpq_plane_book(3, 5),
+        parallel_kpq_lines(3, 4),
+        prism_stack_3d(6),
+        binary_tree_grid(4),
+        nested_squares_two_lines(5),
+    ):
+        drawings.append(res.drawing)
+    for d in drawings:
+        ipts, _ = integerize(d.points)
+        assert _edge_line_total(ipts, d.graph.edges) == len(_distinct_edge_lines(d))
+
+
+# ---------------------------------------------------------------------------
+# canonical witness objects
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        CanonLine(3, (0, 0, 0), (Fraction(0),) * 3),  # zero direction
+        CanonLine(3, (0, 0, 2), (Fraction(0),) * 3),  # not primitive
+        CanonLine(3, (0, 0, -1), (Fraction(0),) * 3),  # leading component negative
+        CanonLine(3, (0, 0, 1), (Fraction(0), Fraction(0), Fraction(1))),  # base off pivot 0
+        CanonPlane((0, 0, 0), Fraction(0)),  # zero normal
+        CanonPlane((0, 2, 4), Fraction(0)),  # not primitive
+        CanonPlane((-1, 0, 0), Fraction(0)),  # leading component negative
+    ],
+)
+def test_witness_rejects_non_canonical_objects(obj):
+    pts = [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
+    d = verify_crossing_free(make(Graph(3, [(0, 1)]), pts))
+    if isinstance(obj, CanonLine):
+        w = CoverWitness("lines_for_vertices", (obj,), {v: 0 for v in range(3)})
+    else:
+        w = CoverWitness("planes_for_edges", (obj,), {(0, 1): 0})
+    with pytest.raises(WitnessViolation, match="canonical"):
+        verify_cover_witness(d, w)
+
+
+def test_attached_forged_witness_rejected():
+    from affinecover.bounds import bound_report
+    from affinecover.constructions import pi13_drawing
+
+    res = pi13_drawing(complete_graph(6))
+    forged = CanonLine(3, (0, 0, 0), (Fraction(0),) * 3)
+    w = CoverWitness("lines_for_vertices", (forged,), {v: 0 for v in range(6)})
+    with pytest.raises(WitnessViolation):
+        bound_report(res.drawing.graph, constructions=[replace(res, witness=w)])
+
+
+# ---------------------------------------------------------------------------
+# sweep verifier against the pairwise reference
+# ---------------------------------------------------------------------------
+
+
+def reference_verify(d):
+    """The pairwise loop the sweep replaced: every edge pair in sorted
+    order, then every vertex against every edge; raises on the first
+    offending pair."""
+    ipts, _ = integerize(d.points)
+    dim = d.dim
+    edges = sorted(d.graph.edges)
+    boxes = []
+    for u, v in edges:
+        p, q = ipts[u], ipts[v]
+        boxes.append(tuple((min(a, b), max(a, b)) for a, b in zip(p, q)))
+    for i in range(len(edges)):
+        e = edges[i]
+        be = boxes[i]
+        for j in range(i + 1, len(edges)):
+            f = edges[j]
+            shared = len(set(e) & set(f))
+            if shared == 0:
+                bf = boxes[j]
+                if any(be[k][1] < bf[k][0] or bf[k][1] < be[k][0] for k in range(dim)):
+                    continue
+            rel = segments_intersect(ipts[e[0]], ipts[e[1]], ipts[f[0]], ipts[f[1]])
+            expected = "shared_endpoint_only" if shared else "disjoint"
+            if rel != expected:
+                raise DrawingViolation(("edge_edge", e, f))
+    for v in range(d.graph.n):
+        p = ipts[v]
+        for i, e in enumerate(edges):
+            if v in e:
+                continue
+            be = boxes[i]
+            if any(p[k] < be[k][0] or p[k] > be[k][1] for k in range(dim)):
+                continue
+            if point_strictly_inside_segment(p, ipts[e[0]], ipts[e[1]]):
+                raise DrawingViolation(("vertex_edge", v, e))
+
+
+def outcome(verify, d):
+    """None when ``verify`` accepts ``d``, else the violation it reports."""
+    try:
+        verify(d)
+    except DrawingViolation as exc:
+        return exc.violation
+    return None
+
+
+@st.composite
+def grid_drawings(draw, dim):
+    """Small drawings on a coarse grid, so that collinear overlaps,
+    axis-parallel (vertical) edges, vertices inside edges, shared
+    endpoints and coplanar 3D pairs are common; then moved by one
+    affine map that keeps every incidence (a shift past 2**61, a large
+    scale, a denominator), so huge and rational coordinates are covered
+    too."""
+    span = draw(st.sampled_from([1, 2, 4]))
+    axes = [range(span + 1)] * 2
+    if dim == 3:
+        # 3D points often lie on one or two planes z = const
+        axes.append(range(draw(st.sampled_from([0, 1, span])) + 1))
+    grid = list(itertools.product(*axes))
+    n = draw(st.integers(1, min(9, len(grid))))
+    pts = draw(st.permutations(grid))[:n]
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.2, 0.4]))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        # isolated vertices at midpoints of edges
+        a, b = rng.choice(edges)
+        mid = tuple(Fraction(x + y, 2) for x, y in zip(pts[a], pts[b]))
+        if mid not in pts:
+            pts.append(mid)
+    shift = draw(st.sampled_from([0, 2**61 + 3, -(2**62)]))
+    scale = draw(st.sampled_from([1, 3, 2**60 + 1]))
+    den = draw(st.sampled_from([1, 7]))
+    pts = [tuple((c * scale + shift) / Fraction(den) for c in p) for p in pts]
+    return make(Graph(len(pts), edges), pts)
+
+
+@given(grid_drawings(2))
+@settings(max_examples=250, deadline=None)
+def test_sweep_matches_reference_2d(d):
+    assert outcome(verify_crossing_free, d) == outcome(reference_verify, d)
+
+
+@given(grid_drawings(3))
+@settings(max_examples=250, deadline=None)
+def test_sweep_matches_reference_3d(d):
+    assert outcome(verify_crossing_free, d) == outcome(reference_verify, d)
+
+
+def test_sweep_matches_reference_on_tampered_constructions():
+    # Valid layouts with many edges, then one vertex moved onto the
+    # midpoint of an edge: many offending pairs, and the sweep must name
+    # the one the pairwise loop meets first.
+    import random
+
+    from affinecover.constructions import binary_tree_grid, kpq_plane_book, prism_stack_3d
+
+    rng = random.Random(5)
+    for res in (binary_tree_grid(4), kpq_plane_book(4, 5), prism_stack_3d(5)):
+        d = res.drawing
+        assert outcome(verify_crossing_free, d) is None is outcome(reference_verify, d)
+        edges = sorted(d.graph.edges)
+        for _ in range(8):
+            a, b = rng.choice(edges)
+            v = rng.choice([w for w in range(d.graph.n) if w not in (a, b)])
+            mid = tuple((x + y) / 2 for x, y in zip(d.points[a], d.points[b]))
+            if mid in d.points:
+                continue
+            pts = list(d.points)
+            pts[v] = mid
+            moved = Drawing(d.graph, tuple(pts))
+            found = outcome(verify_crossing_free, moved)
+            assert found is not None and found == outcome(reference_verify, moved)

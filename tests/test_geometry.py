@@ -2,7 +2,9 @@
 
 Oracle notes: orientation results are cross-checked against an
 independent cofactor expansion (different row order) inside the tests;
-segment classification examples are small enough to verify by hand.
+segment classification examples are small enough to verify by hand,
+and random small-grid segments are checked against a parametric
+solution of the intersection (``classify_oracle``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from affinecover.geometry import (
     canon_line,
     canon_plane,
     canonical_plane_through_segment,
+    collinear,
+    forbidden_contact,
     integerize,
+    is_canonical,
     line_contains_point,
     orient,
     plane_contains_point,
@@ -55,6 +60,34 @@ def det3_oracle(a, b, c, d):
 
     val = rows[0][2] * minor(0) - rows[1][2] * minor(1) + rows[2][2] * minor(2)
     return (val > 0) - (val < 0)
+
+
+def classify_oracle(a, b, c, d):
+    """segments_intersect by solving a + t(b - a) = c + s(d - c) exactly.
+
+    Non-parallel segments meet in at most one point, found from the
+    parameters t and s; parallel ones meet only on a common line, where
+    c and d become parameters along [a, b] and the overlap of [0, 1]
+    with [t_c, t_d] decides.
+    """
+    a, b, c, d = ([Fraction(x) for x in p] + [Fraction(0)] * (3 - len(p)) for p in (a, b, c, d))
+    sub = lambda p, q: [x - y for x, y in zip(p, q)]  # noqa: E731
+    dot = lambda p, q: sum(x * y for x, y in zip(p, q))  # noqa: E731
+    cross = lambda p, q: [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]  # noqa: E731
+    u, v, w = sub(b, a), sub(d, c), sub(c, a)
+    n = cross(u, v)
+    if any(n):
+        t = dot(cross(w, v), n) / dot(n, n)
+        s = dot(cross(w, u), n) / dot(n, n)
+        p = [x + t * y for x, y in zip(a, u)]
+        if p != [x + s * y for x, y in zip(c, v)] or not (0 <= t <= 1 and 0 <= s <= 1):
+            return "disjoint"  # skew lines, or the crossing point is off a segment
+        return "shared_endpoint_only" if t in (0, 1) and s in (0, 1) else "crossing"
+    if any(cross(u, w)):
+        return "disjoint"  # parallel, on different lines
+    tc, td = sorted((dot(w, u) / dot(u, u), dot(sub(d, a), u) / dot(u, u)))
+    lo, hi = max(0, tc), min(1, td)
+    return "disjoint" if lo > hi else "crossing" if lo < hi else "shared_endpoint_only"
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +367,81 @@ def test_integerize_preserves_predicates():
     assert orient(*pts) == orient(*[qpoint(*p) for p in ints])
     for p, ip in zip(pts, ints):
         assert [x * scale for x in p] == list(ip)
+
+
+# ---------------------------------------------------------------------------
+# the verifier's kernel and canonical records
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(-2, 2), min_size=8, max_size=8), st.sampled_from([1, 2**61 + 1]))
+@settings(max_examples=300)
+def test_forbidden_contact_is_crossing_2d(v, scale):
+    # a coarse grid makes shared endpoints and collinear overlaps common
+    a, b, c, d = (tuple(x * scale for x in v[k : k + 2]) for k in range(0, 8, 2))
+    if a == b or c == d:
+        return
+    assert forbidden_contact(a, b, c, d) == (segments_intersect(a, b, c, d) == "crossing")
+
+
+@given(st.lists(st.integers(-1, 1), min_size=12, max_size=12), st.sampled_from([1, 2**61 + 1]))
+@settings(max_examples=300)
+def test_forbidden_contact_is_crossing_3d(v, scale):
+    a, b, c, d = (tuple(x * scale for x in v[k : k + 3]) for k in range(0, 12, 3))
+    if a == b or c == d:
+        return
+    assert forbidden_contact(a, b, c, d) == (segments_intersect(a, b, c, d) == "crossing")
+
+
+@given(st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+@settings(max_examples=400)
+def test_segments_match_parametric_oracle_2d(v):
+    a, b, c, d = (qpoint(*v[k : k + 2]) for k in range(0, 8, 2))
+    if a == b or c == d:
+        return
+    assert segments_intersect(a, b, c, d) == classify_oracle(a, b, c, d)
+
+
+@given(st.lists(st.integers(-1, 1), min_size=12, max_size=12))
+@settings(max_examples=400)
+def test_segments_match_parametric_oracle_3d(v):
+    a, b, c, d = (qpoint(*v[k : k + 3]) for k in range(0, 12, 3))
+    if a == b or c == d:
+        return
+    assert segments_intersect(a, b, c, d) == classify_oracle(a, b, c, d)
+
+
+def test_forbidden_contact_shared_endpoint_rays():
+    s, p = (0, 0), (2, 0)
+    assert not forbidden_contact(s, p, s, (-1, 0))  # opposite rays: only s
+    assert forbidden_contact(s, p, (1, 0), s)  # same ray: overlap
+    assert not forbidden_contact(s, p, s, (0, 5))  # an angle
+    s3 = (0, 0, 0)
+    assert forbidden_contact((2, 2, 2), s3, s3, (1, 1, 1))
+    assert not forbidden_contact(s3, (2, 2, 2), (-1, -1, -1), s3)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+def test_collinear_agrees_with_orient(v):
+    a, b, c = (qpoint(*v[k : k + 3]) for k in range(0, 9, 3))
+    assert collinear(a, b, c) == all(
+        orient(*(tuple(p[i] for i in keep) for p in (a, b, c))) == 0
+        for keep in ((0, 1), (0, 2), (1, 2))
+    )
+
+
+def test_is_canonical():
+    line = canon_line(qpoint(1, 2, 3), qpoint(-3, 0, 7))
+    plane = canon_plane(qpoint(1, 0, 0), qpoint(0, 2, 0), qpoint(0, 0, 3))
+    assert is_canonical(line) and is_canonical(plane)
+    assert is_canonical(canon_line(qpoint(0, 5), qpoint(0, 9)))
+    assert not is_canonical(line._replace(direction=(0, 0, 0)))
+    assert not is_canonical(line._replace(direction=tuple(2 * x for x in line.direction)))
+    assert not is_canonical(line._replace(direction=tuple(-x for x in line.direction)))
+    assert not is_canonical(line._replace(base=(Fraction(1),) + line.base[1:]))
+    assert not is_canonical(line._replace(dim=2))
+    assert not is_canonical(plane._replace(normal=(0, 0, 0)))
+    assert not is_canonical(plane._replace(normal=tuple(-x for x in plane.normal)))
+    assert not is_canonical(plane._replace(normal=tuple(3 * x for x in plane.normal)))
+    assert not is_canonical(plane._replace(normal=(True, 0, 0)))
+    assert not is_canonical((1, 0, 0))

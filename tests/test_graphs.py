@@ -8,6 +8,7 @@ the networkx reference codec.
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -294,3 +295,43 @@ def test_parse_edge_list_errors():
 def test_networkx_round_trip():
     g = build_family(FamilySpec("nested_squares", (3,)))
     assert from_networkx(to_networkx(g)).edges == g.edges
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 255, 300])
+def test_graph6_codec_matches_networkx(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.05, 0.5, 1.0):
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        data = to_graph6(g)
+        assert data == nx.to_graph6_bytes(to_networkx(g), header=False).strip()
+        assert parse_graph(data, "graph6") == g
+        assert from_networkx(nx.from_graph6_bytes(data)) == g
+
+
+def test_graph6_long_size_prefixes():
+    # n = 5 written with the 4- and 8-byte size prefixes decodes as networkx does
+    body = to_graph6(complete_graph(5))[1:]
+    for head in (b"~??D", b"~~?????D"):
+        ref = from_networkx(nx.from_graph6_bytes(head + body))
+        assert parse_graph(head + body, "graph6") == ref == complete_graph(5)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"",
+        b"~",  # truncated 4-byte size prefix
+        b"~??",
+        b"~~????",  # truncated 8-byte size prefix
+        b"A__",  # n = 2 wants one data byte, not two
+        b"D~",  # n = 5 wants two data bytes
+        b"D~{?",  # one data byte too many
+        b"@\x10",  # byte below 63
+        b"D~\x7f",  # byte above 126
+        b"~~~~~~~~",  # n = 2**36 - 1 with no data: rejected before allocating
+        b"~??~",  # n = 63 with no data
+    ],
+)
+def test_graph6_malformed_raises_value_error(text):
+    with pytest.raises(ValueError):
+        parse_graph(text, "graph6")
