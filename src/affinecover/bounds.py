@@ -31,7 +31,7 @@ from .constructions import (
     spiral_two_lines,
 )
 from .drawing import verify_cover_witness, verify_crossing_free
-from .graphs import Graph, es_count, nested_triangles
+from .graphs import Graph, complete_bipartite_shape, es_count, nested_triangles
 from .planar import dual_circumference_bound, tree_tracks
 from .solvers import (
     bisection_width_exact,
@@ -322,34 +322,8 @@ def _rule_complete(g: Graph) -> list:
     return out
 
 
-def _complete_bipartite_shape(g: Graph):
-    """Return (p, q) with p <= q if g is a complete bipartite graph."""
-    if g.n < 2 or g.m < 1:
-        return None
-    colour = [-1] * g.n
-    sides = [0, 0]
-    for start in range(g.n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            sides[colour[u]] += 1
-            for w in g.adj[u]:
-                if colour[w] < 0:
-                    colour[w] = 1 - colour[u]
-                    stack.append(w)
-                elif colour[w] == colour[u]:
-                    return None
-    a, b = sides
-    if g.m != a * b:  # complete bipartite iff every cross pair is an edge
-        return None
-    return (min(a, b), max(a, b))
-
-
 def _rule_bipartite(g: Graph) -> list:
-    shape = _complete_bipartite_shape(g)
+    shape = complete_bipartite_shape(g)
     if shape is None:
         return []
     p, q = shape
@@ -379,11 +353,9 @@ def _rule_dual_circumference(g: Graph) -> list:
 
 
 def _rule_tree_layout(g: Graph) -> list:
-    if g.n < 1 or g.m != g.n - 1 or not g.is_connected():
-        return []
     try:
         res = spiral_two_lines(g, tree_tracks(g, 0))
-    except (ConstructionError, ValueError):
+    except (ConstructionError, ValueError):  # not a tree, or no layout
         return []
     return [_upper("pi12", res.witness.count, "tree-two-lines")]
 

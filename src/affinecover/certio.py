@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import metadata
 
-from .drawing import CoverWitness, Drawing
+from .drawing import EDGE_KINDS, WITNESS_KINDS, CoverWitness, Drawing
 from .drawing import verify_cover_witness, verify_crossing_free
 from .geometry import CanonLine, CanonPlane, is_canonical
 from .graphs import Graph, parse_graph, to_graph6
@@ -45,18 +45,6 @@ CERT_VERSION = 1
 #: JSON numbers above this magnitude are not exactly representable by
 #: every consumer; such integers are serialized as decimal strings.
 _INT_LIMIT = 2**53
-
-_WITNESS_KINDS = frozenset(
-    {
-        "lines_for_vertices",
-        "planes_for_vertices",
-        "lines_for_edges",
-        "planes_for_edges",
-        "parallel_lines",
-    }
-)
-
-_EDGE_KINDS = frozenset({"lines_for_edges", "planes_for_edges"})
 
 _DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
 
@@ -132,7 +120,7 @@ def _encode_object(obj) -> dict:
 def _encode_assignment(witness: CoverWitness) -> dict:
     out = {}
     for item, index in witness.assignment.items():
-        if witness.kind in _EDGE_KINDS:
+        if witness.kind in EDGE_KINDS:
             u, v = item
             key = f"{u},{v}"
         else:
@@ -243,7 +231,7 @@ def _decode_assignment(v, kind: str, g: Graph, object_count: int) -> dict:
             raise ValueError(f"assignment value {index!r} is not an index")
         if not 0 <= index < object_count:
             raise ValueError(f"assignment index {index} out of range")
-        if kind in _EDGE_KINDS:
+        if kind in EDGE_KINDS:
             parts = key.split(",")
             if len(parts) != 2:
                 raise ValueError(f"edge key must be 'u,v', got {key!r}")
@@ -279,7 +267,7 @@ def parse_certificate(data: bytes) -> CertificateFile:
     _expect_keys(
         payload, {"version", "graph", "drawing", "witness", "meta"}, "certificate"
     )
-    if payload["version"] != CERT_VERSION:
+    if type(payload["version"]) is not int or payload["version"] != CERT_VERSION:
         raise ValueError(f"unsupported certificate version {payload['version']!r}")
     if not isinstance(payload["graph"], str):
         raise ValueError("graph must be a graph6 string")
@@ -303,7 +291,7 @@ def parse_certificate(data: bytes) -> CertificateFile:
 
     w = payload["witness"]
     _expect_keys(w, {"assignment", "exact", "kind", "objects"}, "witness")
-    if w["kind"] not in _WITNESS_KINDS:
+    if w["kind"] not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {w['kind']!r}")
     if not isinstance(w["exact"], bool):
         raise ValueError("witness exact flag must be a boolean")

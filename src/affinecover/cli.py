@@ -43,7 +43,7 @@ from .constructions import (
     prism_stack_3d,
     spiral_two_lines,
 )
-from .drawing import DrawingViolation, WitnessViolation
+from .drawing import EDGE_KINDS, DrawingViolation, WitnessViolation
 from .geometry import CanonLine
 from .graphs import (
     FAMILY_KINDS,
@@ -51,6 +51,7 @@ from .graphs import (
     Graph,
     brute_force_isomorphic,
     build_family,
+    complete_bipartite_shape,
     complete_graph,
     parse_graph,
     to_graph6,
@@ -150,29 +151,6 @@ def _complete_order(g: Graph) -> int | None:
     return g.n if g.m == g.n * (g.n - 1) // 2 else None
 
 
-def _complete_bipartite_shape(g: Graph) -> tuple[int, int] | None:
-    """(p, q) with p <= q when g is exactly a complete bipartite graph."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    a = color.count(0)
-    b = g.n - a
-    if a == 0 or b == 0 or g.m != a * b:
-        return None
-    return (a, b) if a <= b else (b, a)
-
-
 def _resolve_budget(args) -> int | None:
     if args.budget_n is not None:
         return args.budget_n
@@ -207,9 +185,11 @@ def _run_target(
     if target == "pi23":
         return pi23_drawing(g, seed=seed), "pi23_drawing", seed
     if target == "two_lines":
-        if g.n < 1 or g.m != g.n - 1 or not g.is_connected():
-            raise UsageError("target two_lines needs a tree")
-        return spiral_two_lines(g, tree_tracks(g, 0)), "spiral_two_lines", None
+        try:
+            tracks = tree_tracks(g, 0)
+        except ValueError:
+            raise UsageError("target two_lines needs a tree") from None
+        return spiral_two_lines(g, tracks), "spiral_two_lines", None
     if target == "rho23_kn":
         n = _complete_order(g)
         if n is None:
@@ -218,17 +198,17 @@ def _run_target(
             raise UsageError("rho23_kn layouts are shipped for n = 4..8 only")
         return kn_small_plane_cover(n), "kn_small_plane_cover", None
     if target == "rho23_kpq":
-        shape = _complete_bipartite_shape(g)
+        shape = complete_bipartite_shape(g)
         if shape is None:
             raise UsageError("target rho23_kpq needs a complete bipartite graph")
         return kpq_plane_book(*shape), "kpq_plane_book", None
     if target == "parallel_kpq":
-        shape = _complete_bipartite_shape(g)
+        shape = complete_bipartite_shape(g)
         if shape is None:
             raise UsageError("target parallel_kpq needs a complete bipartite graph")
         return parallel_kpq_lines(*shape), "parallel_kpq_lines", None
     if target == "k2q":
-        shape = _complete_bipartite_shape(g)
+        shape = complete_bipartite_shape(g)
         if shape is None or shape[0] != 2:
             raise UsageError("target k2q needs a complete bipartite graph with p = 2")
         return k2q_optimal(shape[1]), "k2q_optimal", None
@@ -406,40 +386,19 @@ def _svg_document(width, height, body: list) -> str:
 
 
 def _edge_color(witness, edge) -> str:
-    if witness.kind.endswith("_for_edges") and edge in witness.assignment:
+    if witness.kind in EDGE_KINDS and edge in witness.assignment:
         return _PALETTE[witness.assignment[edge] % len(_PALETTE)]
     return "#333333"
 
 
 def _vertex_color(witness, v) -> str:
-    if not witness.kind.endswith("_for_edges") and v in witness.assignment:
+    if witness.kind not in EDGE_KINDS and v in witness.assignment:
         return _PALETTE[witness.assignment[v] % len(_PALETTE)]
     return "#111111"
 
 
-def _render_svg2d(cert: CertificateFile) -> str:
-    d = cert.drawing
-    pts = [(float(x), float(y)) for x, y in d.points]
-    to_svg, lo, hi, width, height = _svg_canvas(pts)
-    body = []
-    for i, obj in enumerate(cert.witness.objects):
-        if not isinstance(obj, CanonLine):
-            continue
-        base = tuple(float(c) for c in obj.base)
-        direction = tuple(float(c) for c in obj.direction)
-        seg = _clip_line(base, direction, lo, hi)
-        if seg is None:
-            continue
-        color = _PALETTE[i % len(_PALETTE)]
-        body.append(_svg_line(to_svg(seg[0]), to_svg(seg[1]), color, dashed=True))
-    for u, v in sorted(d.graph.edges):
-        body.append(_svg_line(to_svg(pts[u]), to_svg(pts[v]), _edge_color(cert.witness, (u, v))))
-    for v, p in enumerate(pts):
-        x, y = to_svg(p)
-        body.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{_vertex_color(cert.witness, v)}"/>'
-        )
-    return _svg_document(width, height, body)
+def _float_point(point) -> tuple:
+    return tuple(float(c) for c in point)
 
 
 def _iso_project(point) -> tuple:
@@ -447,19 +406,19 @@ def _iso_project(point) -> tuple:
     return ((x - y) * math.sqrt(3.0) / 2.0, (x + y) / 2.0 - z)
 
 
-def _render_svg_iso3d(cert: CertificateFile) -> str:
+def _render_svg(cert: CertificateFile, project) -> str:
+    """SVG of a drawing whose points ``project`` maps (linearly) to 2D."""
     d = cert.drawing
-    pts = [_iso_project(p) for p in d.points]
+    pts = [project(p) for p in d.points]
     to_svg, lo, hi, width, height = _svg_canvas(pts)
     body = []
     for i, obj in enumerate(cert.witness.objects):
         if not isinstance(obj, CanonLine):
             continue
-        base = _iso_project(obj.base)
-        direction = _iso_project(obj.direction)
-        if direction == (0.0, 0.0):
+        direction = project(obj.direction)
+        if direction == (0.0, 0.0):  # a line seen end-on
             continue
-        seg = _clip_line(base, direction, lo, hi)
+        seg = _clip_line(project(obj.base), direction, lo, hi)
         if seg is None:
             continue
         color = _PALETTE[i % len(_PALETTE)]
@@ -489,17 +448,13 @@ def cmd_export(args) -> int:
     cert = load_certificate(Path(args.file))
     verify_certificate(cert)
     fmt = args.format.replace("_", "-")
-    dim = cert.drawing.dim
-    if fmt == "svg2d":
-        if dim != 2:
-            raise UsageError("svg2d needs a 2-dimensional drawing")
-        data = _render_svg2d(cert)
-    elif fmt == "svg-iso3d":
-        if dim != 3:
-            raise UsageError("svg-iso3d needs a 3-dimensional drawing")
-        data = _render_svg_iso3d(cert)
-    else:
+    if fmt == "obj":
         data = _render_obj(cert)
+    else:
+        dim, project = (2, _float_point) if fmt == "svg2d" else (3, _iso_project)
+        if cert.drawing.dim != dim:
+            raise UsageError(f"{fmt} needs a {dim}-dimensional drawing")
+        data = _render_svg(cert, project)
     if args.out:
         Path(args.out).write_text(data, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -11,18 +11,20 @@ supporting line); vertex line covers and edge plane covers are genuine
 set-cover problems, solved exactly within budget and greedily above it,
 with the result flagged accordingly.
 
-Every successfully verified 3D drawing is appended to a module-level
-audit log together with its exact edge-separator arithmetic checks, so
-a test sweep can assert the invariants over everything the test session
-ever verified.
+The verifier has no side effects: it returns a verified copy or raises.
+:func:`ess_record` gives the exact edge-separator arithmetic of a
+verified drawing, for callers that audit the drawings they build.
+
+``WITNESS_KINDS`` is the one table of cover witness kinds; ``EDGE_KINDS``
+cover edges (the rest cover vertices) and ``LINE_KINDS`` use lines (the
+rest use planes).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import (
     CanonLine,
@@ -49,8 +51,8 @@ WITNESS_KINDS = (
     "parallel_lines",
 )
 
-_VERTEX_KINDS = ("lines_for_vertices", "planes_for_vertices", "parallel_lines")
-_LINE_KINDS = ("lines_for_edges", "lines_for_vertices", "parallel_lines")
+EDGE_KINDS = ("lines_for_edges", "planes_for_edges")
+LINE_KINDS = ("lines_for_edges", "lines_for_vertices", "parallel_lines")
 
 
 class DrawingViolation(Exception):
@@ -119,7 +121,7 @@ class CoverWitness:
 
 
 class EssRecord(NamedTuple):
-    """Audit entry: exact edge-separator arithmetic on a 3D drawing."""
+    """Exact edge-separator arithmetic of one drawing; see :func:`ess_record`."""
 
     label: str
     n: int
@@ -134,17 +136,6 @@ class EssRecord(NamedTuple):
         return self.ok_a and self.ok_b
 
 
-_ESS_AUDIT: list = []
-
-
-def ess_audit_log() -> tuple:
-    return tuple(_ESS_AUDIT)
-
-
-def reset_ess_audit() -> None:
-    _ESS_AUDIT.clear()
-
-
 def _distinct_edge_lines(d: Drawing) -> dict:
     """Map canonical line -> sorted list of edges lying on it."""
     lines = {}
@@ -152,47 +143,6 @@ def _distinct_edge_lines(d: Drawing) -> dict:
         u, v = e
         lines.setdefault(canon_line(d.points[u], d.points[v]), []).append(e)
     return lines
-
-
-def _edge_line_total(ipts: list, edges: Iterable) -> int:
-    """Number of distinct lines through the edges of integer points.
-
-    A line's key is (primitive direction d, moment p x d) for any point
-    p on it: moving p along d leaves p x d unchanged.  Integer keys give
-    the count of :func:`_distinct_edge_lines` without building a
-    rational canonical line per edge.
-    """
-    keys = set()
-    for u, v in edges:
-        p, q = ipts[u], ipts[v]
-        d = [b - a for a, b in zip(p, q)]
-        g = math.gcd(*d)
-        if next(x for x in d if x) < 0:
-            g = -g
-        d = [x // g for x in d]
-        if len(p) == 2:
-            moment = p[0] * d[1] - p[1] * d[0]
-        else:
-            moment = (
-                p[1] * d[2] - p[2] * d[1],
-                p[2] * d[0] - p[0] * d[2],
-                p[0] * d[1] - p[1] * d[0],
-            )
-        keys.add((tuple(d), moment))
-    return len(keys)
-
-
-def _ess_checks(d: Drawing, ipts: list) -> EssRecord:
-    g = d.graph
-    es = es_count(g)
-    count = _edge_line_total(ipts, g.edges)
-    ok_a = 2 * es <= count * (count - 1)
-    if g.m >= g.n >= 1:
-        ok_b = g.n * count * count > g.m * (g.m - g.n)
-    else:
-        ok_b = True
-    label = str(d.meta.get("label", d.meta.get("construction", "")))
-    return EssRecord(label, g.n, g.m, es, count, ok_a, ok_b)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +221,7 @@ def verify_crossing_free(d: Drawing) -> Drawing:
                 first = (v, i)
     if first is not None:
         raise DrawingViolation(("vertex_edge", first[0], edges[first[1]]))
-    out = replace(d, verified=True)
-    if d.dim == 3:
-        _ESS_AUDIT.append(_ess_checks(out, ipts))
-    return out
+    return replace(d, verified=True)
 
 
 def _require_verified(d: Drawing) -> None:
@@ -299,6 +246,27 @@ def edge_line_count(d: Drawing) -> tuple:
     index = {line: i for i, line in enumerate(objects)}
     assignment = {e: index[line] for line, es in lines.items() for e in es}
     return len(objects), CoverWitness("lines_for_edges", objects, assignment)
+
+
+def ess_record(d: Drawing) -> EssRecord:
+    """Exact edge-separator arithmetic of a verified drawing.
+
+    With c the number of distinct edge lines, ``ok_a`` checks that the
+    essential vertices fit the c(c-1)/2 pairwise line intersections and
+    ``ok_b`` the degree-density floor n*c^2 > m(m-n).  Both are floors of
+    every line cover of the edges, so a failure on a verified drawing
+    means a kernel bug.
+    """
+    g = d.graph
+    es = es_count(g)
+    count, _ = edge_line_count(d)
+    ok_a = 2 * es <= count * (count - 1)
+    if g.m >= g.n >= 1:
+        ok_b = g.n * count * count > g.m * (g.m - g.n)
+    else:
+        ok_b = True
+    label = str(d.meta.get("label", d.meta.get("construction", "")))
+    return EssRecord(label, g.n, g.m, es, count, ok_a, ok_b)
 
 
 def greedy_set_cover(masks: Sequence[int], full: int) -> list:
@@ -570,7 +538,7 @@ def verify_cover_witness(d: Drawing, w: CoverWitness) -> None:
     if w.kind not in WITNESS_KINDS:
         raise WitnessViolation(f"unknown witness kind {w.kind!r}")
     g = d.graph
-    want_line = w.kind in _LINE_KINDS
+    want_line = w.kind in LINE_KINDS
     for obj in w.objects:
         if want_line and not isinstance(obj, CanonLine):
             raise WitnessViolation("line witness holds a non-line object")
@@ -582,14 +550,14 @@ def verify_cover_witness(d: Drawing, w: CoverWitness) -> None:
             raise WitnessViolation(f"witness object {obj} is not in canonical form")
     if not want_line and d.dim != 3:
         raise WitnessViolation("plane witness on a 2D drawing")
-    items = set(g.edges) if w.kind.endswith("for_edges") else set(range(g.n))
+    items = set(g.edges) if w.kind in EDGE_KINDS else set(range(g.n))
     if set(w.assignment.keys()) != items:
         raise WitnessViolation("assignment does not cover every item exactly")
     for item, idx in w.assignment.items():
         if not 0 <= idx < len(w.objects):
             raise WitnessViolation(f"object index {idx} out of range")
         obj = w.objects[idx]
-        if w.kind.endswith("for_edges"):
+        if w.kind in EDGE_KINDS:
             u, v = item
             pts = (d.points[u], d.points[v])
         else:

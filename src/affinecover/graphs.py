@@ -346,6 +346,33 @@ def is_linear_forest(g: Graph, part: Iterable[int]) -> bool:
     return True
 
 
+def complete_bipartite_shape(g: Graph) -> tuple[int, int] | None:
+    """(p, q) with p <= q when g is exactly K_{p,q} with p >= 1, else None.
+
+    A proper 2-colouring with sides of a and b vertices leaves at most
+    a*b cross pairs, so g is complete bipartite iff it has a*b edges.
+    """
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    a = color.count(0)
+    b = g.n - a
+    if a == 0 or b == 0 or g.m != a * b:
+        return None
+    return (a, b) if a <= b else (b, a)
+
+
 def bfs_layers(g: Graph, root: int) -> list:
     """Distance from root for each vertex in root's component (-1 outside)."""
     dist = [-1] * g.n

@@ -29,10 +29,9 @@ from affinecover.constructions import (
 )
 from affinecover.drawing import (
     edge_line_count,
-    ess_audit_log,
+    ess_record,
     kn_structural_checks,
     min_edge_plane_cover,
-    reset_ess_audit,
     segment_slope_count,
 )
 from affinecover.graphs import (
@@ -119,15 +118,17 @@ def _corpus12() -> list:
 @pytest.fixture(scope="module")
 def suite():
     """Build every drawing corpus once; criteria assert over the results."""
-    reset_ess_audit()
     rng = random.Random(SEED)
     pairs = []  # (label, graph, parameter, verified witness size)
+    audits = []  # edge-separator records of the 3D drawings
 
     def record(label, res):
         param = PARAM_OF[(res.witness.kind, res.drawing.dim)]
         pairs.append((label, res.drawing.graph, param, res.witness.count))
+        if res.drawing.dim == 3:
+            audits.append(ess_record(res.drawing))
 
-    data = {"pairs": pairs}
+    data = {"pairs": pairs, "audits": audits}
 
     t0 = time.time()
     kn = {}
@@ -423,12 +424,12 @@ def test_criterion_09_lower_bounds_never_exceed_witnesses(suite):
 
 
 def test_criterion_05_edge_separator_audit(suite):
-    log = ess_audit_log()
+    log = suite["audits"]
     bad = [rec for rec in log if not rec.ok]
     ok = len(log) >= 300 and not bad
     _finish(
         5,
         ok,
-        f"{len(log)} verified 3D drawings audited against both exact "
+        f"{len(log)} 3D drawings of the suite audited against both exact "
         f"edge-separator floors, {len(bad)} violations",
     )

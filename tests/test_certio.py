@@ -144,6 +144,8 @@ def _valid_payload():
     "mutate",
     [
         lambda o: o.__setitem__("version", 2),
+        lambda o: o.__setitem__("version", True),  # True == 1 in Python
+        lambda o: o["witness"].__setitem__("kind", ["lines_for_edges"]),  # unhashable
         lambda o: o.__setitem__("surprise", True),
         lambda o: o.pop("witness"),
         lambda o: o["drawing"][0].__setitem__(0, [2, 4]),  # unreduced

@@ -289,6 +289,26 @@ def test_export_obj(tmp_path):
     assert sum(1 for l in lines if l.startswith("l ")) == 15
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "draw_args, fmt, golden",
+    [
+        # the README's certificates: a 2D edge-line witness and a 3D
+        # vertex-line witness, whose dashed cover lines are projected
+        (("--target", "binary_tree", "--family", "complete_binary_tree:3"), "svg2d", "binary_tree_h3.svg"),
+        (("--target", "pi13", "--family", "complete:6"), "svg-iso3d", "pi13_k6_iso3d.svg"),
+    ],
+)
+def test_export_svg_bytes_pinned(tmp_path, draw_args, fmt, golden):
+    rc, cert_path = _draw(tmp_path, *draw_args)
+    assert rc == 0
+    out = tmp_path / "out.svg"
+    assert main(["export", str(cert_path), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_export_underscore_format_spelling(tmp_path):
     rc, cert_path = _draw(tmp_path, "--family", "complete:6", "--target", "rho23_kn")
     assert rc == 0

@@ -21,11 +21,10 @@ from affinecover.drawing import (
     DrawingViolation,
     WitnessViolation,
     edge_line_count,
-    ess_audit_log,
+    ess_record,
     kn_structural_checks,
     min_edge_plane_cover,
     min_vertex_line_cover,
-    reset_ess_audit,
     segment_slope_count,
     verify_cover_witness,
     verify_crossing_free,
@@ -332,52 +331,14 @@ def test_witness_parallel_requires_same_direction():
 
 
 def test_ess_audit_records_3d_drawings():
-    reset_ess_audit()
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    verify_crossing_free(make(complete_graph(4), pts, {"label": "k4-3d"}))
-    verify_crossing_free(make(path_graph(3), [(0, 0), (1, 0), (1, 1)]))  # 2D: not logged
-    log = ess_audit_log()
-    assert len(log) == 1
-    rec = log[0]
+    d = verify_crossing_free(make(complete_graph(4), pts, {"label": "k4-3d"}))
+    rec = ess_record(d)
     assert rec.label == "k4-3d" and rec.n == 4 and rec.m == 6 and rec.es == 4
     assert rec.ok  # both checks hold: 2*4 <= 6*5 and 4*36 > 6*2
     assert rec.line_count == 6
-
-
-def test_ess_line_count_from_integer_keys():
-    from affinecover.constructions import (
-        binary_tree_grid,
-        kn_small_plane_cover,
-        kpq_plane_book,
-        nested_squares_two_lines,
-        parallel_kpq_lines,
-        pi13_drawing,
-        prism_stack_3d,
-    )
-    from affinecover.drawing import _distinct_edge_lines, _edge_line_total
-
-    drawings = [
-        k4_triangle_center_2d(),
-        make(complete_graph(4), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
-        make(Graph(6, [(0, 1), (2, 3), (4, 5)]), [(i, 0) for i in range(6)]),
-        make(Graph(4, [(0, 1), (2, 3)]), [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]),
-        make(Graph(4, [(0, 2), (0, 3), (1, 3)]), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
-        make(path_graph(4), [(0, 0), (1, 0), (2, 1), (3, 1)]),
-        make(complete_graph(6), [(t, t * t, t * t * t) for t in range(1, 7)]),
-    ]
-    for res in (
-        pi13_drawing(complete_graph(6)),
-        kn_small_plane_cover(7),
-        kpq_plane_book(3, 5),
-        parallel_kpq_lines(3, 4),
-        prism_stack_3d(6),
-        binary_tree_grid(4),
-        nested_squares_two_lines(5),
-    ):
-        drawings.append(res.drawing)
-    for d in drawings:
-        ipts, _ = integerize(d.points)
-        assert _edge_line_total(ipts, d.graph.edges) == len(_distinct_edge_lines(d))
+    with pytest.raises(ValueError):
+        ess_record(make(complete_graph(4), pts))  # not verified
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from affinecover.graphs import (
     build_family,
     cartesian_product,
     complete_bipartite,
+    complete_bipartite_shape,
     complete_graph,
     cycle_graph,
     es_count,
@@ -249,6 +250,42 @@ def test_is_linear_forest():
     assert is_linear_forest(star, {0, 1})
     assert is_linear_forest(star, {1, 2, 3})  # independent set
     assert is_linear_forest(p4, set())
+
+
+def _bipartite_shape_oracle(g: Graph):
+    """(p, q) from the first split of the vertices into sides of p <= q
+    vertices, both nonempty, with every cross pair an edge and no edge
+    inside a side; None when there is no such split."""
+    for p in range(1, g.n // 2 + 1):
+        for side in itertools.combinations(range(g.n), p):
+            a, b = set(side), set(range(g.n)) - set(side)
+            cross = all((min(u, v), max(u, v)) in g.edges for u in a for v in b)
+            inside = any((u in a) == (v in a) for u, v in g.edges)
+            if cross and not inside:
+                return (p, g.n - p)
+    return None
+
+
+def test_complete_bipartite_shape_matches_oracle_on_all_small_graphs():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            assert complete_bipartite_shape(g) == _bipartite_shape_oracle(g), sorted(g.edges)
+
+
+def test_complete_bipartite_shape_edge_cases():
+    assert complete_bipartite_shape(Graph(0)) is None
+    assert complete_bipartite_shape(Graph(1)) is None
+    assert complete_bipartite_shape(Graph(4)) is None  # edgeless
+    assert complete_bipartite_shape(complete_bipartite(1, 1)) == (1, 1)
+    larger_side_first = Graph(7, [(i, j) for i in range(5) for j in (5, 6)])
+    assert complete_bipartite_shape(larger_side_first) == (2, 5)
+    k23_plus_isolated = Graph(6, complete_bipartite(2, 3).edges)
+    assert complete_bipartite_shape(k23_plus_isolated) is None
+    assert complete_bipartite_shape(cycle_graph(4)) == (2, 2)
+    assert complete_bipartite_shape(cycle_graph(6)) is None
+    assert complete_bipartite_shape(complete_graph(3)) is None
 
 
 # ---------------------------------------------------------------------------
