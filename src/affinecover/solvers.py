@@ -247,12 +247,15 @@ def _lva_feasible(g: Graph):
 def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Minimum partition of V into classes inducing linear forests.
 
-    Over budget, reuses the exact colouring partition (independent sets
-    are linear forests), flagged as a possibly non-optimal upper bound.
+    Over budget, falls back to the colouring partition that
+    ``chromatic_number`` returns under the same ``budget_n`` (independent
+    sets are linear forests), flagged as a possibly non-optimal upper
+    bound.  With the default budgets that colouring is still exact for
+    21 <= n <= 24; with an explicit ``budget_n`` it is first-fit.
     """
     budget = DEFAULT_BUDGETS["lva"] if budget_n is None else budget_n
     if g.n > budget:
-        res = chromatic_number(g)
+        res = chromatic_number(g, budget_n)
         part = Partition(res.partition.classes, "lva")
         return PartitionResult(res.value, part, exact=False)
     k, classes = _min_partition(g, _lva_feasible(g))
@@ -265,8 +268,68 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
 # ---------------------------------------------------------------------------
 
 
+def _count_verdict(adj: dict) -> bool | None:
+    """Planarity of the simple graph ``adj`` (vertex -> set of neighbours)
+    when its edge count decides it, else ``None``: at most 8 edges is
+    planar (K3,3 has 9, K5 has 10), more than 3k - 6 edges on k vertices
+    is not (Euler; k >= 5 once there are 9 edges)."""
+    m = sum(map(len, adj.values())) // 2
+    if m <= 8:
+        return True
+    if m > 3 * len(adj) - 6:
+        return False
+    return None
+
+
+def _reduce(adj: dict) -> dict:
+    """Delete vertices of degree <= 1 and suppress vertices of degree 2
+    (join their two neighbours, dropping a parallel edge) until none is
+    left, in place.  Both steps preserve planarity in either direction."""
+    # no step raises a degree, so a stacked vertex still has degree <= 2
+    stack = [u for u, nb in adj.items() if len(nb) <= 2]
+    while stack:
+        u = stack.pop()
+        nb = adj.pop(u, None)
+        if nb is None:
+            continue
+        for w in nb:
+            adj[w].discard(u)
+        if len(nb) == 2:
+            x, y = nb
+            adj[x].add(y)
+            adj[y].add(x)
+        stack.extend(w for w in nb if len(adj[w]) <= 2)
+    return adj
+
+
+def _stays_planar(g: Graph, member_set: set, v: int, tested: dict) -> bool:
+    """Whether the planar class ``member_set`` plus ``v`` induces a planar
+    subgraph of ``g``; ``tested`` keeps ``planarity_test`` answers by
+    vertex set."""
+    if len(g.adj[v] & member_set) <= 1:
+        return True
+    verts = member_set | {v}
+    adj = {u: verts & g.adj[u] for u in verts}
+    verdict = _count_verdict(adj)
+    if verdict is None:
+        verdict = _count_verdict(_reduce(adj))
+    if verdict is None:
+        key = frozenset(verts)
+        verdict = tested.get(key)
+        if verdict is None:
+            verdict = tested[key] = planarity_test(g.induced(verts)) is not None
+    return verdict
+
+
 def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Minimum partition of V into classes inducing planar subgraphs.
+
+    Whether a vertex may join a class is first decided by exact rules: a
+    vertex with at most one neighbour in the class keeps it planar, and
+    edge counts are tried on the class plus the vertex and on its
+    reduction (degree <= 1 deleted, degree 2 suppressed).  Only undecided
+    vertex sets reach ``planarity_test``, once each per call.  The rules
+    agree with ``planarity_test``, so value and classes are unchanged.
 
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
@@ -277,10 +340,10 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
         part = Partition(tuple(frozenset(c) for c in classes), "vertex_thickness")
         return PartitionResult(len(classes), part, exact=False)
 
+    tested: dict = {}
+
     def feasible(members, member_set, v):
-        if len(members) < 4:
-            return True
-        return planarity_test(g.induced(members + [v])) is not None
+        return _stays_planar(g, member_set, v, tested)
 
     k, classes = _min_partition(g, feasible)
     part = Partition(tuple(frozenset(c) for c in classes), "vertex_thickness")
@@ -400,6 +463,14 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
 def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionResult:
     """Minimum edge cut over all ⌈n/2⌉ / ⌊n/2⌋ vertex bipartitions.
 
+    Vertices are placed in index order, side A first, with the sides as
+    bitmasks.  A node is pruned when its cut plus, for each unplaced
+    vertex, the fewer of its placed neighbours on either side reaches
+    the best cut; every edge is charged once, to its unplaced end, so no
+    better leaf is pruned.  The witness is the prefix split or the first
+    strictly better leaf in depth-first order, as in a search without
+    the bound.
+
     Over budget, reports the cut of the index-prefix split (valid upper
     bound, flagged).
     """
@@ -413,34 +484,34 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     if n <= 1:
         return BisectionResult(0, True, tuple(range(n)))
 
+    low = [0] * n  # low[v]: neighbours of v with a smaller index
+    for u, v in g.edges:
+        low[v] |= 1 << u
     best = prefix_cut
-    best_side = tuple(sorted(prefix))
-    side = [-1] * n
+    best_a = (1 << size_a) - 1
 
-    def dfs(v: int, cnt_a: int, cnt_b: int, cut: int) -> None:
-        nonlocal best, best_side
-        if cut >= best:
-            return
+    def dfs(v: int, a: int, b: int, cnt_a: int, cut: int) -> None:
+        nonlocal best, best_a
         if v == n:
-            best = cut
-            best_side = tuple(i for i in range(n) if side[i] == 0)
+            if cut < best:
+                best, best_a = cut, a
             return
-        for s in (0, 1):
-            if s == 0 and cnt_a == size_a:
-                continue
-            if s == 1 and cnt_b == n - size_a:
-                continue
-            if v == 0 and s == 1 and n % 2 == 0:
-                continue  # sides are exchangeable when equally sized
-            side[v] = s
-            extra = sum(
-                1 for w in g.adj[v] if w < v and side[w] != s
-            )
-            dfs(v + 1, cnt_a + (s == 0), cnt_b + (s == 1), cut + extra)
-            side[v] = -1
+        bound = cut
+        for lu in low[v:]:
+            in_a = (lu & a).bit_count()
+            in_b = (lu & b).bit_count()
+            bound += in_a if in_a < in_b else in_b
+        if bound >= best:
+            return
+        bit = 1 << v
+        if cnt_a < size_a:
+            dfs(v + 1, a | bit, b, cnt_a + 1, cut + (low[v] & b).bit_count())
+        # sides are exchangeable when equally sized, so vertex 0 stays in A
+        if v - cnt_a < n - size_a and (v or n % 2):
+            dfs(v + 1, a, b | bit, cnt_a, cut + (low[v] & a).bit_count())
 
-    dfs(0, 0, 0, 0)
-    return BisectionResult(best, True, best_side)
+    dfs(0, 0, 0, 0, 0)
+    return BisectionResult(best, True, tuple(v for v in range(n) if best_a >> v & 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ against a second route, not against themselves.
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -27,6 +28,10 @@ from affinecover.graphs import (
 )
 from affinecover.planar import planarity_test
 from affinecover.solvers import (
+    BisectionResult,
+    _count_verdict,
+    _reduce,
+    _stays_planar,
     bisection_width_exact,
     chromatic_number,
     clique_cover_exact,
@@ -97,6 +102,75 @@ def brute_bisection(g: Graph) -> int:
     return best
 
 
+def reference_bisection(g: Graph) -> BisectionResult:
+    """The plain bisection search the bitset search replaced: index order,
+    side A first, vertex 0 fixed to A when n is even, pruned only by
+    ``cut >= best``."""
+    n = g.n
+    size_a = (n + 1) // 2
+    prefix = set(range(size_a))
+    prefix_cut = sum(1 for u, v in g.edges if (u in prefix) != (v in prefix))
+    if n <= 1:
+        return BisectionResult(0, True, tuple(range(n)))
+    best = prefix_cut
+    best_side = tuple(sorted(prefix))
+    side = [-1] * n
+
+    def dfs(v, cnt_a, cnt_b, cut):
+        nonlocal best, best_side
+        if cut >= best:
+            return
+        if v == n:
+            best = cut
+            best_side = tuple(i for i in range(n) if side[i] == 0)
+            return
+        for s in (0, 1):
+            if s == 0 and cnt_a == size_a:
+                continue
+            if s == 1 and cnt_b == n - size_a:
+                continue
+            if v == 0 and s == 1 and n % 2 == 0:
+                continue
+            side[v] = s
+            extra = sum(1 for w in g.adj[v] if w < v and side[w] != s)
+            dfs(v + 1, cnt_a + (s == 0), cnt_b + (s == 1), cut + extra)
+            side[v] = -1
+
+    dfs(0, 0, 0, 0)
+    return BisectionResult(best, True, best_side)
+
+
+def reference_vertex_thickness(g: Graph) -> tuple:
+    """The plain vertex-thickness search the pre-checks speed up: classes
+    tried in index order, every class of five or more vertices tested
+    with ``planarity_test``.  Returns (value, classes)."""
+    n = g.n
+    if n == 0:
+        return 0, ()
+    for k in range(1, n + 1):
+        members = [[] for _ in range(k)]
+
+        def feasible(cls, v):
+            if len(cls) < 4:
+                return True
+            return planarity_test(g.induced(cls + [v])) is not None
+
+        def dfs(v, used):
+            if v == n:
+                return True
+            for c in range(min(used + 1, k)):
+                if feasible(members[c], v):
+                    members[c].append(v)
+                    if dfs(v + 1, max(used, c + 1)):
+                        return True
+                    members[c].pop()
+            return False
+
+        if dfs(0, 0):
+            return k, tuple(frozenset(c) for c in members)
+    raise AssertionError("a partition into singletons always exists")
+
+
 def small_graph_strategy(max_n=6):
     def build(n, mask):
         pairs = list(itertools.combinations(range(n), 2))
@@ -107,6 +181,23 @@ def small_graph_strategy(max_n=6):
         lambda n: st.builds(
             build, st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1)
         )
+    )
+
+
+def density_graph_strategy(max_n):
+    """Graphs on 2..max_n vertices whose edges are kept with a drawn
+    probability of 0.1 to 1, so dense graphs occur as often as sparse."""
+
+    def build(n, density, seed):
+        rng = random.Random(seed)
+        pairs = itertools.combinations(range(n), 2)
+        return Graph(n, [e for e in pairs if rng.random() < density / 10])
+
+    return st.builds(
+        build,
+        st.sampled_from(range(2, max_n + 1)),
+        st.sampled_from(range(1, 11)),
+        st.integers(0, 2**32),
     )
 
 
@@ -160,6 +251,17 @@ def test_lva_complete_graphs():
         assert lva_exact(complete_graph(n)).value == (n + 1) // 2
 
 
+def test_lva_fallback_honours_budget():
+    # the crown graph K3,3 minus a perfect matching, ordered a1 b1 a2 b2
+    # a3 b3: bipartite, but first-fit colouring needs three colours
+    crown = Graph(6, [(2 * i, 2 * j + 1) for i in range(3) for j in range(3) if i != j])
+    assert chromatic_number(crown).value == 2
+    res = lva_exact(crown, budget_n=2)
+    assert res.value == 3 and not res.exact
+    validate_partition(crown, res.partition)
+    assert lva_exact(crown).value == 2  # a 6-cycle
+
+
 def test_lva_budget_fallback_is_coloring():
     res = lva_exact(complete_graph(5), budget_n=3)
     assert not res.exact
@@ -192,8 +294,141 @@ def test_vertex_thickness_examples():
 
 
 def test_vertex_thickness_complete():
-    for n in range(1, 13):
+    for n in range(1, 17):
         assert vertex_thickness_exact(complete_graph(n)).value == -(-n // 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(density_graph_strategy(12))
+def test_vertex_thickness_matches_reference(g):
+    res = vertex_thickness_exact(g)
+    assert res.exact
+    assert (res.value, res.partition.classes) == reference_vertex_thickness(g)
+
+
+def test_vertex_thickness_tests_each_set_once(monkeypatch):
+    import affinecover.solvers as solvers
+
+    seen = []
+
+    def counting(h):
+        seen.append(h.edges)
+        return planarity_test(h)
+
+    # the search calls planarity_test through the module name, which is
+    # also where the benchmark tracer hooks it
+    monkeypatch.setattr(solvers, "planarity_test", counting)
+    g = from_networkx(nx.petersen_graph())
+    res = vertex_thickness_exact(g)
+    assert res.value == 2 and res.exact
+    assert seen and len(seen) == len(set(seen))
+
+
+def adjacency(g: Graph) -> dict:
+    return {u: set(g.adj[u]) for u in range(g.n)}
+
+
+def graph_of(adj: dict) -> Graph:
+    idx = {u: i for i, u in enumerate(sorted(adj))}
+    return Graph(len(idx), [(idx[u], idx[w]) for u in adj for w in adj[u]])
+
+
+def check_planarity_prechecks(g: Graph, planar: bool) -> None:
+    assert _count_verdict(adjacency(g)) in (None, planar)
+    reduced = _reduce(adjacency(g))
+    assert all(len(nb) >= 3 and u not in nb for u, nb in reduced.items())
+    assert all(u in reduced[w] for u, nb in reduced.items() for w in nb)
+    assert (planarity_test(graph_of(reduced)) is not None) == planar
+    assert _count_verdict(reduced) in (None, planar)
+    tested: dict = {}
+    for v in range(g.n):
+        rest = set(range(g.n)) - {v}
+        if planarity_test(g.induced(rest)) is not None:
+            assert _stays_planar(g, rest, v, tested) == planar
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_graph_strategy(9))
+def test_planarity_prechecks_match_planarity_test(g):
+    check_planarity_prechecks(g, planarity_test(g) is not None)
+
+
+def subdivide(g: Graph, times: int) -> Graph:
+    """Every edge of ``g`` replaced by a path through ``times`` new vertices."""
+    n, edges = g.n, []
+    for u, v in sorted(g.edges):
+        path = [u, *range(n, n + times), v]
+        n += times
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
+def with_pendant_path(g: Graph, at: int, length: int) -> Graph:
+    path = [at, *range(g.n, g.n + length)]
+    return Graph(g.n + length, [*g.edges, *zip(path, path[1:])])
+
+
+K33 = complete_bipartite(3, 3)
+K5 = complete_graph(5)
+K4_DOUBLED = Graph(
+    10, [*complete_graph(4).edges, *subdivide(complete_graph(4), 1).edges]
+)
+HARD_CASES = {
+    "K5 subdivided once": (subdivide(K5, 1), False),
+    "K5 subdivided twice": (subdivide(K5, 2), False),
+    "K3,3 subdivided once": (subdivide(K33, 1), False),
+    "K3,3 subdivided twice": (subdivide(K33, 2), False),
+    "Petersen": (from_networkx(nx.petersen_graph()), False),
+    "K5 minus an edge": (Graph(5, K5.edges - {(0, 1)}), True),
+    "K3,3 with pendant paths": (
+        with_pendant_path(with_pendant_path(K33, 0, 3), 4, 2),
+        False,
+    ),
+    "wheel with a 6-cycle rim": (
+        Graph(7, [*((i, (i + 1) % 6) for i in range(6)), *((i, 6) for i in range(6))]),
+        True,
+    ),
+    "triangle with a pendant path": (with_pendant_path(cycle_graph(3), 2, 3), True),
+    "K4 with every edge doubled by a 2-path": (K4_DOUBLED, True),
+}
+
+
+@pytest.mark.parametrize("name", HARD_CASES)
+def test_planarity_prechecks_hard_cases(name):
+    g, planar = HARD_CASES[name]
+    assert (planarity_test(g) is not None) == planar
+    check_planarity_prechecks(g, planar)
+
+
+def test_reduction_on_hard_cases():
+    # suppressing a triangle vertex makes a parallel edge, which is
+    # dropped, and then the whole graph strips away
+    assert _reduce(adjacency(HARD_CASES["triangle with a pendant path"][0])) == {}
+    # suppressing the midpoints gives K4 with every edge doubled: a
+    # reduction that counted the parallel edges would find 12 > 3*4 - 6
+    # and call this planar graph non-planar
+    reduced = _reduce(adjacency(K4_DOUBLED))
+    assert reduced == adjacency(complete_graph(4))
+    assert _count_verdict(reduced) is True
+    # subdivisions reduce to their branch graphs
+    assert _reduce(adjacency(HARD_CASES["K5 subdivided twice"][0])) == adjacency(K5)
+    assert _count_verdict(adjacency(K5)) is False
+    assert _reduce(adjacency(HARD_CASES["K3,3 subdivided twice"][0])) == adjacency(K33)
+    assert _count_verdict(adjacency(K33)) is None  # left to planarity_test
+    assert _reduce(adjacency(HARD_CASES["K3,3 with pendant paths"][0])) == adjacency(K33)
+
+
+def test_stays_planar_decides_by_reduction(monkeypatch):
+    import affinecover.solvers as solvers
+
+    def refuse(h):
+        raise AssertionError("planarity_test called on a reducible set")
+
+    monkeypatch.setattr(solvers, "planarity_test", refuse)
+    for name in ("K5 subdivided twice", "K4 with every edge doubled by a 2-path"):
+        g, planar = HARD_CASES[name]
+        # the last vertex subdivides an edge; the rest of the graph is planar
+        assert _stays_planar(g, set(range(g.n - 1)), g.n - 1, {}) == planar
 
 
 def test_vertex_thickness_budget_fallback():
@@ -252,6 +487,20 @@ def test_bisection_examples():
 def test_bisection_matches_brute_force(g):
     res = bisection_width_exact(g)
     assert res.exact and res.value == brute_bisection(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_graph_strategy(12))
+def test_bisection_matches_reference(g):
+    assert bisection_width_exact(g) == reference_bisection(g)
+
+
+def test_bisection_small_and_fixed_cases():
+    for n in (0, 1):
+        assert bisection_width_exact(Graph(n)) == reference_bisection(Graph(n))
+    petersen = from_networkx(nx.petersen_graph())
+    for g in (petersen, complete_graph(9), cycle_graph(11), complete_bipartite(5, 6)):
+        assert bisection_width_exact(g) == reference_bisection(g)
 
 
 def test_bisection_budget_flag():
@@ -368,3 +617,9 @@ def test_solvers_deterministic():
     assert chromatic_number(g) == chromatic_number(g)
     assert lva_exact(g) == lva_exact(g)
     assert treewidth_exact(g) == treewidth_exact(g)
+    assert bisection_width_exact(g) == bisection_width_exact(g)
+    k14 = complete_graph(14)
+    res = vertex_thickness_exact(k14)
+    assert res == vertex_thickness_exact(k14)
+    assert res.value == 4 and res.exact
+    validate_partition(k14, res.partition)
