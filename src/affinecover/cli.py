@@ -153,14 +153,18 @@ def _complete_order(g: Graph) -> int | None:
 
 def _resolve_budget(args) -> int | None:
     if args.budget_n is not None:
-        return args.budget_n
-    env = os.environ.get(BUDGET_ENV)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+        budget, source = args.budget_n, "--budget-n"
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if env is None:
+            return None
+        try:
+            budget, source = int(env), BUDGET_ENV
+        except ValueError:
+            raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise UsageError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 def _fmt(value) -> str:

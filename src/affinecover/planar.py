@@ -1,6 +1,9 @@
 """Planarity testing, straight-line grid drawings, and dual-graph bounds.
 
-Planarity and the shift-method coordinates are obtained from networkx;
+``is_planar`` decides planarity without an embedding: edge counts, a
+reduction that keeps planarity, and Kuratowski's theorem on six
+vertices settle most graphs, and only the rest go to networkx.
+Embeddings and the shift-method coordinates are obtained from networkx;
 every drawing produced here is re-certified from scratch by the exact
 rational verifier before being returned, so the external library is
 never trusted for correctness claims.
@@ -21,6 +24,7 @@ __all__ = [
     "PlaneEmbedding",
     "TrackAssignment",
     "DualBoundResult",
+    "is_planar",
     "planarity_test",
     "validate_embedding",
     "grid_drawing",
@@ -72,6 +76,86 @@ class DualBoundResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # planarity
 # ---------------------------------------------------------------------------
+
+
+def _count_verdict(adj: dict) -> bool | None:
+    """Planarity of the simple graph ``adj`` (vertex -> set of neighbours)
+    when its edge count decides it, else ``None``: at most 8 edges is
+    planar (K3,3 has 9, K5 has 10), more than 3k - 6 edges on k vertices
+    is not (Euler; k >= 5 once there are 9 edges)."""
+    m = sum(map(len, adj.values())) // 2
+    if m <= 8:
+        return True
+    if m > 3 * len(adj) - 6:
+        return False
+    return None
+
+
+def _reduce(adj: dict) -> dict:
+    """Delete vertices of degree <= 1 and suppress vertices of degree 2
+    (join their two neighbours, dropping a parallel edge) until none is
+    left, in place.  Both steps preserve planarity in either direction."""
+    # no step raises a degree, so a stacked vertex still has degree <= 2
+    stack = [u for u, nb in adj.items() if len(nb) <= 2]
+    while stack:
+        u = stack.pop()
+        nb = adj.pop(u, None)
+        if nb is None:
+            continue
+        for w in nb:
+            adj[w].discard(u)
+        if len(nb) == 2:
+            x, y = nb
+            adj[x].add(y)
+            adj[y].add(x)
+        stack.extend(w for w in nb if len(adj[w]) <= 2)
+    return adj
+
+
+#: The ten vertex triples of {0..5} that hold vertex 0: one side of each
+#: split of six vertices into two triples.
+_TRIPLES = tuple(t for t in range(64) if t & 1 and t.bit_count() == 3)
+
+
+def _six_vertex_planar(adj: dict) -> bool:
+    """Planarity of a graph on six vertices with minimum degree 3 and at
+    most 12 edges: it is planar iff it has no K3,3 subgraph.
+
+    By Kuratowski's theorem a non-planar graph contains a subdivision of
+    K5 or K3,3; on six vertices that is K3,3, K5, or K5 with an edge ab
+    subdivided by a vertex s.  K5 plus a vertex of degree 3 has 13
+    edges.  The vertex s has a third neighbour c, and {a, b, c} with the
+    other three vertices spans K3,3.
+    """
+    index = {u: i for i, u in enumerate(adj)}
+    rows = [sum(1 << index[w] for w in adj[u]) for u in adj]
+    for a in _TRIPLES:
+        b = 63 ^ a
+        if all(rows[i] & b == b for i in range(6) if a >> i & 1):
+            return False
+    return True
+
+
+def is_planar(adj: dict) -> bool:
+    """Whether the simple graph ``adj`` (vertex -> set of neighbours) is
+    planar; ``adj`` is consumed (reduced in place).
+
+    Edge counts decide first, then again after ``_reduce``.  A reduced
+    graph has minimum degree 3, so one the counts leave open has five
+    vertices and nine edges (K5 minus an edge, planar), or six vertices
+    and 9 to 12 edges (``_six_vertex_planar``), or more and goes to
+    ``nx.check_planarity``, which is asked for no embedding.
+    """
+    verdict = _count_verdict(adj)
+    if verdict is None:
+        verdict = _count_verdict(_reduce(adj))
+    if verdict is not None:
+        return verdict
+    if len(adj) <= 6:
+        return len(adj) < 6 or _six_vertex_planar(adj)
+    h = nx.Graph()
+    h.add_edges_from((u, w) for u, nb in adj.items() for w in nb if u < w)
+    return nx.check_planarity(h)[0]
 
 
 def _faces_from_nx(g: Graph, emb: nx.PlanarEmbedding) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import Graph, is_linear_forest
-from .planar import planarity_test
+from .planar import is_planar, planarity_test
 
 __all__ = [
     "Partition",
@@ -268,68 +268,28 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
 # ---------------------------------------------------------------------------
 
 
-def _count_verdict(adj: dict) -> bool | None:
-    """Planarity of the simple graph ``adj`` (vertex -> set of neighbours)
-    when its edge count decides it, else ``None``: at most 8 edges is
-    planar (K3,3 has 9, K5 has 10), more than 3k - 6 edges on k vertices
-    is not (Euler; k >= 5 once there are 9 edges)."""
-    m = sum(map(len, adj.values())) // 2
-    if m <= 8:
-        return True
-    if m > 3 * len(adj) - 6:
-        return False
-    return None
-
-
-def _reduce(adj: dict) -> dict:
-    """Delete vertices of degree <= 1 and suppress vertices of degree 2
-    (join their two neighbours, dropping a parallel edge) until none is
-    left, in place.  Both steps preserve planarity in either direction."""
-    # no step raises a degree, so a stacked vertex still has degree <= 2
-    stack = [u for u, nb in adj.items() if len(nb) <= 2]
-    while stack:
-        u = stack.pop()
-        nb = adj.pop(u, None)
-        if nb is None:
-            continue
-        for w in nb:
-            adj[w].discard(u)
-        if len(nb) == 2:
-            x, y = nb
-            adj[x].add(y)
-            adj[y].add(x)
-        stack.extend(w for w in nb if len(adj[w]) <= 2)
-    return adj
-
-
 def _stays_planar(g: Graph, member_set: set, v: int, tested: dict) -> bool:
     """Whether the planar class ``member_set`` plus ``v`` induces a planar
-    subgraph of ``g``; ``tested`` keeps ``planarity_test`` answers by
-    vertex set."""
+    subgraph of ``g``; ``tested`` keeps ``is_planar`` answers by vertex
+    set."""
     if len(g.adj[v] & member_set) <= 1:
         return True
     verts = member_set | {v}
-    adj = {u: verts & g.adj[u] for u in verts}
-    verdict = _count_verdict(adj)
+    key = frozenset(verts)
+    verdict = tested.get(key)
     if verdict is None:
-        verdict = _count_verdict(_reduce(adj))
-    if verdict is None:
-        key = frozenset(verts)
-        verdict = tested.get(key)
-        if verdict is None:
-            verdict = tested[key] = planarity_test(g.induced(verts)) is not None
+        verdict = tested[key] = is_planar({u: verts & g.adj[u] for u in verts})
     return verdict
 
 
 def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Minimum partition of V into classes inducing planar subgraphs.
 
-    Whether a vertex may join a class is first decided by exact rules: a
-    vertex with at most one neighbour in the class keeps it planar, and
-    edge counts are tried on the class plus the vertex and on its
-    reduction (degree <= 1 deleted, degree 2 suppressed).  Only undecided
-    vertex sets reach ``planarity_test``, once each per call.  The rules
-    agree with ``planarity_test``, so value and classes are unchanged.
+    A vertex with at most one neighbour in a class keeps it planar;
+    otherwise ``planar.is_planar`` decides the class plus the vertex,
+    once per vertex set and call.  It answers as ``planarity_test``
+    does, so value and classes are those of a search that tests every
+    class with ``planarity_test``.
 
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
@@ -387,6 +347,14 @@ def _greedy_elimination_width(g: Graph) -> int:
 def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
     """Exact treewidth via branch-and-bound over elimination orders.
 
+    The search carries the elimination graph of the remaining vertices
+    as bitmask rows: eliminating ``v`` joins its neighbours into a
+    clique, and a degree is a bit count.  Vertices are tried by
+    increasing degree, except that a simplicial vertex (neighbourhood a
+    clique) is eliminated alone, which is safe (Bodlaender & Koster
+    2006).  Remaining sets already searched with no larger width so far
+    are skipped.
+
     Over budget, reports the sandwich (degeneracy lower bound, greedy
     elimination upper bound); this pair is still exact if it collapses.
     """
@@ -401,42 +369,26 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
     if n > budget:
         return TreewidthResult(lower, upper, False)
 
-    adj_bits = [0] * n
+    rows0 = [0] * n
     for u, v in g.edges:
-        adj_bits[u] |= 1 << v
-        adj_bits[v] |= 1 << u
-    full = (1 << n) - 1
+        rows0[u] |= 1 << v
+        rows0[v] |= 1 << u
     best = upper
     seen: dict = {}
 
-    def contracted_degree(remaining: int, v: int) -> int:
-        # neighbours of v once the eliminated vertices are contracted away
-        reached = 1 << v
-        stack = [v]
-        cnt = 0
-        while stack:
-            u = stack.pop()
-            new = adj_bits[u] & ~reached
-            reached |= new
-            while new:
-                b = new & -new
-                new ^= b
-                w = b.bit_length() - 1
-                if remaining & b:
-                    cnt += 1
-                else:
-                    stack.append(w)
-        return cnt
+    def simplicial(nb: int, rows: list) -> bool:
+        rest = nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if nb & ~rows[b.bit_length() - 1] != b:
+                return False
+        return True
 
-    def dfs(remaining: int, cur: int) -> None:
+    def dfs(remaining: int, rows: list, cur: int) -> None:
         nonlocal best
-        if cur >= best:
-            return
         if remaining == 0:
             best = cur
-            return
-        prev = seen.get(remaining)
-        if prev is not None and prev <= cur:
             return
         seen[remaining] = cur
         cand = []
@@ -445,13 +397,32 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
             b = rem & -rem
             rem ^= b
             v = b.bit_length() - 1
-            cand.append((contracted_degree(remaining, v), v))
+            cand.append((rows[v].bit_count(), v))
         cand.sort()
         for dg, v in cand:
-            if max(cur, dg) < best:
-                dfs(remaining & ~(1 << v), max(cur, dg))
+            if simplicial(rows[v], rows):
+                cand = [(dg, v)]
+                break
+        for dg, v in cand:
+            width = max(cur, dg)
+            if width >= best:
+                break
+            bit = 1 << v
+            left = remaining & ~bit
+            prev = seen.get(left)
+            if prev is not None and prev <= width:
+                continue
+            nb = rows[v]
+            child = rows.copy()
+            rest = nb
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                u = b.bit_length() - 1
+                child[u] = (child[u] | nb) & ~b & ~bit
+            dfs(left, child, width)
 
-    dfs(full, 0)
+    dfs((1 << n) - 1, rows0, 0)
     return TreewidthResult(best, best, True)
 
 

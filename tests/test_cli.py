@@ -184,6 +184,49 @@ def test_bounds_bad_env_without_flag(monkeypatch):
     assert main(["bounds", "--family", "complete:6"]) == 2
 
 
+def test_bounds_negative_budget_flag(capsys):
+    assert main(["bounds", "--family", "complete:6", "--budget-n", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget-n must not be negative, got -3\n"
+
+
+def test_bounds_negative_budget_env(monkeypatch, capsys):
+    monkeypatch.setenv("AFFINECOVER_BUDGET_N", "-3")
+    assert main(["bounds", "--family", "complete:6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: AFFINECOVER_BUDGET_N must not be negative, got -3\n"
+
+
+def test_bounds_zero_budget_is_accepted(capsys):
+    # every solver falls back, which is what a budget of 0 asks for
+    assert main(["bounds", "--family", "complete:6", "--budget-n", "0"]) == 0
+    assert "rho13" in capsys.readouterr().out
+
+
+#: ``affinecover bounds`` stdout written by the search before the
+#: planarity and treewidth fast paths; G(n, 0.5) samples for n = 14..16.
+BOUNDS_GOLDEN = {
+    "complete_9": ("--family", "complete:9"),
+    "complete_binary_tree_6": ("--family", "complete_binary_tree:6"),
+    "c4_prism_stack_5": ("--family", "c4_prism_stack:5"),
+    "nested_squares_4": ("--family", "nested_squares:4"),
+    "nested_triangles_4": ("--family", "nested_triangles:4"),
+    "complete_bipartite_3_3": ("--family", "complete_bipartite:3,3"),
+    "gnp_14": ("--graph6", "MhZcxlIigyy`Fmw}_"),
+    "gnp_15": ("--graph6", "NZ_CRk\\@RrzR~t\\OTeG"),
+    "gnp_16": ("--graph6", "OveHVtGfMJy}z^^tSYZcv"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDS_GOLDEN)
+def test_bounds_output_pinned(name, capsys):
+    assert main(["bounds", *BOUNDS_GOLDEN[name]]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "bounds" / f"{name}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

@@ -18,19 +18,22 @@ from hypothesis import strategies as st
 
 from affinecover.graphs import (
     Graph,
+    cartesian_product,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     from_networkx,
     is_linear_forest,
     path_graph,
+    to_networkx,
     triangulated_square_wheel,
 )
-from affinecover.planar import planarity_test
+from affinecover.planar import _count_verdict, _reduce, is_planar, planarity_test
 from affinecover.solvers import (
     BisectionResult,
-    _count_verdict,
-    _reduce,
+    TreewidthResult,
+    _degeneracy,
+    _greedy_elimination_width,
     _stays_planar,
     bisection_width_exact,
     chromatic_number,
@@ -171,6 +174,65 @@ def reference_vertex_thickness(g: Graph) -> tuple:
     raise AssertionError("a partition into singletons always exists")
 
 
+def reference_treewidth(g: Graph) -> TreewidthResult:
+    """The treewidth search the elimination-graph rows replaced: every
+    remaining vertex tried by increasing degree, each degree found by a
+    search through the eliminated vertices, and a memo keyed by the
+    remaining set; no simplicial rule."""
+    n = g.n
+    if n <= 1:
+        return TreewidthResult(0, 0, True)
+    lower = _degeneracy(g)
+    upper = _greedy_elimination_width(g)
+    if lower == upper:
+        return TreewidthResult(lower, upper, True)
+    adj_bits = [0] * n
+    for u, v in g.edges:
+        adj_bits[u] |= 1 << v
+        adj_bits[v] |= 1 << u
+    best = upper
+    seen: dict = {}
+
+    def contracted_degree(remaining: int, v: int) -> int:
+        # neighbours of v once the eliminated vertices are contracted away
+        reached = 1 << v
+        stack = [v]
+        cnt = 0
+        while stack:
+            u = stack.pop()
+            new = adj_bits[u] & ~reached
+            reached |= new
+            while new:
+                b = new & -new
+                new ^= b
+                if remaining & b:
+                    cnt += 1
+                else:
+                    stack.append(b.bit_length() - 1)
+        return cnt
+
+    def dfs(remaining: int, cur: int) -> None:
+        nonlocal best
+        if cur >= best:
+            return
+        if remaining == 0:
+            best = cur
+            return
+        prev = seen.get(remaining)
+        if prev is not None and prev <= cur:
+            return
+        seen[remaining] = cur
+        cand = sorted(
+            (contracted_degree(remaining, v), v) for v in range(n) if remaining >> v & 1
+        )
+        for dg, v in cand:
+            if max(cur, dg) < best:
+                dfs(remaining & ~(1 << v), max(cur, dg))
+
+    dfs((1 << n) - 1, 0)
+    return TreewidthResult(best, best, True)
+
+
 def small_graph_strategy(max_n=6):
     def build(n, mask):
         pairs = list(itertools.combinations(range(n), 2))
@@ -307,21 +369,22 @@ def test_vertex_thickness_matches_reference(g):
 
 
 def test_vertex_thickness_tests_each_set_once(monkeypatch):
-    import affinecover.solvers as solvers
-
     seen = []
+    check_planarity = nx.check_planarity
 
-    def counting(h):
-        seen.append(h.edges)
-        return planarity_test(h)
+    def counting(h, *args, **kwargs):
+        seen.append(frozenset(h.edges))
+        return check_planarity(h, *args, **kwargs)
 
-    # the search calls planarity_test through the module name, which is
-    # also where the benchmark tracer hooks it
-    monkeypatch.setattr(solvers, "planarity_test", counting)
-    g = from_networkx(nx.petersen_graph())
+    # the networkx fallback of is_planar; the rook's graph K4 x K3 has
+    # classes that reduce to seven or more vertices, and its search asks
+    # about some of those vertex sets twice
+    monkeypatch.setattr(nx, "check_planarity", counting)
+    g = cartesian_product(complete_graph(4), complete_graph(3))
     res = vertex_thickness_exact(g)
     assert res.value == 2 and res.exact
     assert seen and len(seen) == len(set(seen))
+    assert min(len({u for e in edges for u in e}) for edges in seen) >= 7
 
 
 def adjacency(g: Graph) -> dict:
@@ -334,6 +397,7 @@ def graph_of(adj: dict) -> Graph:
 
 
 def check_planarity_prechecks(g: Graph, planar: bool) -> None:
+    assert is_planar(adjacency(g)) == planar
     assert _count_verdict(adjacency(g)) in (None, planar)
     reduced = _reduce(adjacency(g))
     assert all(len(nb) >= 3 and u not in nb for u, nb in reduced.items())
@@ -418,13 +482,43 @@ def test_reduction_on_hard_cases():
     assert _reduce(adjacency(HARD_CASES["K3,3 with pendant paths"][0])) == adjacency(K33)
 
 
+def nx_planar(g: Graph) -> bool:
+    return nx.check_planarity(to_networkx(g))[0]
+
+
+def six_vertex_cores() -> list:
+    """Every labelled graph on six vertices with minimum degree 3 and 9
+    to 12 edges: the graphs that reach the Kuratowski test of is_planar
+    unreduced."""
+    pairs = list(itertools.combinations(range(6), 2))
+    graphs = []
+    for mask in range(1 << len(pairs)):
+        if 9 <= mask.bit_count() <= 12:
+            g = Graph(6, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if min(map(len, g.adj)) >= 3:
+                graphs.append(g)
+    return graphs
+
+
+def test_is_planar_on_every_six_vertex_core():
+    graphs = six_vertex_cores()
+    assert len(graphs) == 1737
+    verdicts = [is_planar(adjacency(g)) for g in graphs]
+    assert verdicts == [nx_planar(g) for g in graphs]
+    assert 0 < sum(verdicts) < len(graphs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graph_strategy(6))
+def test_is_planar_matches_networkx_small(g):
+    assert is_planar(adjacency(g)) == nx_planar(g)
+
+
 def test_stays_planar_decides_by_reduction(monkeypatch):
-    import affinecover.solvers as solvers
+    def refuse(h, *args, **kwargs):
+        raise AssertionError("networkx called on a reducible set")
 
-    def refuse(h):
-        raise AssertionError("planarity_test called on a reducible set")
-
-    monkeypatch.setattr(solvers, "planarity_test", refuse)
+    monkeypatch.setattr(nx, "check_planarity", refuse)
     for name in ("K5 subdivided twice", "K4 with every edge doubled by a 2-path"):
         g, planar = HARD_CASES[name]
         # the last vertex subdivides an edge; the rest of the graph is planar
@@ -454,8 +548,6 @@ def test_treewidth_examples():
 def test_treewidth_budget_pair():
     # 6x6 grid: degeneracy 2 but actual treewidth 6, so over budget the
     # solver must report an honest (lower, upper) pair, not an exact value
-    from affinecover.graphs import cartesian_product
-
     g = cartesian_product(path_graph(6), path_graph(6))
     res = treewidth_exact(g)
     assert not res.exact
@@ -463,10 +555,28 @@ def test_treewidth_budget_pair():
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_graph_strategy(5))
+@given(small_graph_strategy(7))
 def test_treewidth_matches_brute_force(g):
     res = treewidth_exact(g)
     assert res.exact and res.value == brute_treewidth(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_graph_strategy(12))
+def test_treewidth_matches_reference(g):
+    assert treewidth_exact(g) == reference_treewidth(g)
+
+
+def test_treewidth_fixed_cases_match_reference():
+    petersen = from_networkx(nx.petersen_graph())
+    for g in (
+        petersen,
+        cartesian_product(path_graph(4), path_graph(4)),
+        cartesian_product(complete_graph(4), complete_graph(3)),
+        triangulated_square_wheel(),
+        complete_bipartite(4, 5),
+    ):
+        assert treewidth_exact(g) == reference_treewidth(g)
 
 
 # ---------------------------------------------------------------------------
