@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import hashlib
 import json
 import re
 import shlex
@@ -109,6 +110,49 @@ def test_draw_edges_file_input(tmp_path):
     rc, out = _draw(tmp_path, "--edges", str(edges), "--target", "two_lines")
     assert rc == 0
     assert load_certificate(out).graph == path_graph(4)
+
+
+#: sha256 of ``affinecover draw`` stdout, one benchmark-style input per
+#: target (two for prism3d), with ``meta.tool`` blanked: it reads
+#: "affinecover unknown" in a source tree and the version when installed.
+DRAW_PINS = [
+    (("pi13", "--graph6", "HTZoGi]"),
+     "a0d27d8d44c329b68d627cd8b72cfbb214b740ef72af8cae6f42f8c77cc8c7f3"),
+    (("pi23", "--family", "complete:8", "--seed", "7"),
+     "5beebedafdde8fbe1834b1d836f511a683beb348db33aea1058f62a9109bb5f1"),
+    (("rho23_kn", "--family", "complete:8"),
+     "f51a3cb2a7b2ea814f3dc5569a95796c89c9bb023e83e6c8765fed4341194c1a"),
+    (("rho23_kpq", "--family", "complete_bipartite:3,4"),
+     "20e480250f10523220018fe0a3b2de7648bc62c3fc41f60ed328cdb15982dd57"),
+    (("two_lines", "--family", "complete_binary_tree:5"),
+     "36f7755785324d971ac683fd0f3784a5f8fe25c2a0f0484e3314bfa818ba53e1"),
+    (("parallel_kpq", "--family", "complete_bipartite:3,6"),
+     "a99b7c919c818e65c2ad2067af6ff08e28675eb39627f47193f784821d898467"),
+    (("binary_tree", "--family", "complete_binary_tree:5"),
+     "a1fc822417540c74d6efcdc45b32e10ff80af80d9ef31d8a009d4ee8f6cadb77"),
+    (("k2q", "--family", "complete_bipartite:2,7"),
+     "5e06694a538b5ca3e16fbd1b5ca0abe845276dc9eb21550583a7120b84db219e"),
+    (("prism3d", "--family", "c4_prism_stack:8"),
+     "d12e05cb3c293380378b0b3a2b076068af79fd8695062f438b801ab9439a78ee"),
+    (("prism3d", "--family", "nested_triangles:4"),
+     "8f5c16610bb7cd69aec5424dff0b95af769acc6ca6d9335a61e393d18ae187e2"),
+    (("nested_squares", "--family", "nested_squares:8"),
+     "4bbb0c72ed197d05db7f73dde697b78e8f3634ce4f0ba7c51ab3d52d4dc6211e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DRAW_PINS, ids=[" ".join(a) for a, _ in DRAW_PINS])
+def test_draw_output_pinned(argv, digest, capsys):
+    target, *graph = argv
+    assert main(["draw", "--target", target, *graph]) == 0
+    data = re.sub(rb'"tool":"[^"]*"', b'"tool":""', capsys.readouterr().out.encode())
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_draw_pins_cover_every_target():
+    from affinecover.cli import _TARGETS
+
+    assert {argv[0] for argv, _ in DRAW_PINS} == set(_TARGETS)
 
 
 def test_draw_conflicting_inputs(tmp_path):
