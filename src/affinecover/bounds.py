@@ -31,7 +31,7 @@ from .constructions import (
     spiral_two_lines,
 )
 from .drawing import verify_cover_witness, verify_crossing_free
-from .graphs import Graph, complete_bipartite_shape, es_count, nested_triangles
+from .graphs import Graph, complete_bipartite_shape, es_count, is_complete, nested_triangles
 from .planar import dual_circumference_bound, tree_tracks
 from .solvers import (
     bisection_width_exact,
@@ -58,57 +58,6 @@ INF = math.inf
 #: Tracked cover parameters.  The digits are (line-or-plane dimension,
 #: ambient dimension); "pibar" is the parallel-line variant.
 PARAMETERS = ("pi12", "pi13", "pibar13", "pi23", "rho12", "rho13", "rho23")
-
-#: Registry of every rule id a report may cite, with a one-line
-#: description of the argument behind it.
-RULES = {
-    "essential-intersections": "vertices of degree >= 3 or on a triangle "
-    "each need their own pairwise line intersection",
-    "degree-density": "quadratic counting inequality n*c^2 > m(m-n) for "
-    "edge covers by c lines",
-    "bisection-width": "a balanced cut bounds the number of cover lines "
-    "from below",
-    "treewidth-third": "edge covers by c lines force treewidth <= 3c",
-    "chromatic-envelope": "vertex line covers sit between half the "
-    "chromatic number and the chromatic number (quarter for planes)",
-    "forest-partition": "covering vertices by lines in 3-space is exactly "
-    "partitioning into induced linear forests",
-    "planar-partition": "covering vertices by planes in 3-space is exactly "
-    "partitioning into induced planar subgraphs",
-    "linear-arboricity-floor": "every line carries at most n-1 edges",
-    "max-degree-half": "the lines through one vertex cover at most two of "
-    "its edges each",
-    "edge-count": "one line per edge always suffices in 3-space",
-    "complete-segments": "in a complete graph no line may carry two edges, "
-    "so exactly one line per vertex pair",
-    "clique-cover-quads": "every plane of a complete-graph edge cover "
-    "carries a clique on at most 4 vertices",
-    "clique-cover-triangles": "a cover of the pairs by triangles places "
-    "each block in its own plane",
-    "steiner-counting": "pair-counting floor ceil(n(n-1)/12) for covering "
-    "all pairs by 4-blocks",
-    "table-asserted": "recorded best published plane-cover values for "
-    "small complete graphs (provenance only, never folded)",
-    "bipartite-plane-pairs": "complete bipartite graphs need and admit "
-    "exactly ceil(p/2) planes for their edges",
-    "bipartite-segments": "edge covers of complete bipartite graphs by "
-    "lines sit between pq/2 and pq",
-    "parallel-tracks": "complete bipartite graphs with q >= 3 need and "
-    "admit exactly p+1 parallel cover lines",
-    "planar-bipartite-segments": "plane edge covers of K_{2,q} need and "
-    "admit exactly ceil((3n-7)/2) lines",
-    "dual-circumference": "line covers of a triangulation's vertices are "
-    "bounded below via the longest cycle of its dual",
-    "tree-two-lines": "trees admit a measured crossing-free layout on two "
-    "crossing lines",
-    "shipped-certificate": "bundled machine-verified plane-cover drawing "
-    "for a small complete graph",
-    "construction": "caller-attached machine-verified drawing witness",
-    "monotone": "tightening along the monotone relations between "
-    "parameters",
-    "nested-triangles-cut": "cut argument giving ceil(n/2) cover lines for "
-    "the nested-triangles family in the plane",
-}
 
 #: Relations ``small <= large`` that always hold between parameters:
 #: restricting to fewer directions or a lower ambient dimension never
@@ -197,7 +146,7 @@ def _upper(param, value, rule, exact=True, source="machine", fold=True):
 # ---------------------------------------------------------------------------
 
 
-def _rule_essential(g: Graph) -> list:
+def _rule_essential(g: Graph, **_) -> list:
     es = es_count(g)
     c = 0
     while c * (c - 1) < 2 * es:
@@ -205,7 +154,7 @@ def _rule_essential(g: Graph) -> list:
     return [_lower("rho13", c, "essential-intersections")]
 
 
-def _rule_degree_density(g: Graph) -> list:
+def _rule_degree_density(g: Graph, **_) -> list:
     if not g.m >= g.n >= 1:
         return []
     target = g.m * (g.m - g.n) + 1
@@ -215,7 +164,7 @@ def _rule_degree_density(g: Graph) -> list:
     return [_lower("rho13", c, "degree-density")]
 
 
-def _rule_bisection(g: Graph, budget) -> list:
+def _rule_bisection(g: Graph, budget, **_) -> list:
     if g.n < 2:
         return []
     res = bisection_width_exact(g, budget_n=budget)
@@ -226,7 +175,7 @@ def _rule_bisection(g: Graph, budget) -> list:
     return [_lower("rho13", res.value, "bisection-width")]
 
 
-def _rule_treewidth(g: Graph, budget) -> list:
+def _rule_treewidth(g: Graph, budget, **_) -> list:
     if g.n < 1:
         return []
     res = treewidth_exact(g, budget_n=budget)
@@ -234,47 +183,38 @@ def _rule_treewidth(g: Graph, budget) -> list:
     return [_lower("rho13", Fraction(res.lower, 3), "treewidth-third", res.exact)]
 
 
-def _rule_chromatic(g: Graph, budget) -> list:
+#: Solver-backed vertex partitions: (rule id, solver, divisor per parameter).
+#: Every class of the partition fits on one line or plane, so the solver's
+#: value bounds each parameter from above; an exact value divided by the
+#: parameter's divisor bounds it from below.  The lambdas look the solver up
+#: when called, so a wrapper installed on the module attribute (as the
+#: benchmark tracer does) sees the call.
+_PARTITIONS = (
+    ("chromatic-envelope", lambda g, b: chromatic_number(g, budget_n=b), {"pi13": 2, "pi23": 4}),
+    ("forest-partition", lambda g, b: lva_exact(g, budget_n=b), {"pi13": 1}),
+    ("planar-partition", lambda g, b: vertex_thickness_exact(g, budget_n=b), {"pi23": 1}),
+)
+
+
+def _rule_partitions(g: Graph, budget, **_) -> list:
     if g.n < 1:
         return []
-    res = chromatic_number(g, budget_n=budget)
-    out = [
-        _upper("pi13", res.value, "chromatic-envelope", res.exact),
-        _upper("pi23", res.value, "chromatic-envelope", res.exact),
-    ]
-    if res.exact:
-        out.append(_lower("pi13", Fraction(res.value, 2), "chromatic-envelope"))
-        out.append(_lower("pi23", Fraction(res.value, 4), "chromatic-envelope"))
+    out = []
+    for rule, solve, divisors in _PARTITIONS:
+        res = solve(g, budget)
+        out += [_upper(param, res.value, rule, res.exact) for param in divisors]
+        if res.exact:
+            out += [_lower(param, Fraction(res.value, d), rule) for param, d in divisors.items()]
     return out
 
 
-def _rule_forest_partition(g: Graph, budget) -> list:
-    if g.n < 1:
-        return []
-    res = lva_exact(g, budget_n=budget)
-    out = [_upper("pi13", res.value, "forest-partition", res.exact)]
-    if res.exact:
-        out.append(_lower("pi13", res.value, "forest-partition"))
-    return out
-
-
-def _rule_planar_partition(g: Graph, budget) -> list:
-    if g.n < 1:
-        return []
-    res = vertex_thickness_exact(g, budget_n=budget)
-    out = [_upper("pi23", res.value, "planar-partition", res.exact)]
-    if res.exact:
-        out.append(_lower("pi23", res.value, "planar-partition"))
-    return out
-
-
-def _rule_arboricity_floor(g: Graph) -> list:
+def _rule_arboricity_floor(g: Graph, **_) -> list:
     if g.n < 2:
         return []
     return [_lower("rho13", _ceil(Fraction(g.m, g.n - 1)), "linear-arboricity-floor")]
 
 
-def _rule_degree_edges(g: Graph) -> list:
+def _rule_degree_edges(g: Graph, **_) -> list:
     out = []
     if g.n >= 1:
         out.append(_lower("rho13", _ceil(Fraction(g.max_degree(), 2)), "max-degree-half"))
@@ -282,32 +222,23 @@ def _rule_degree_edges(g: Graph) -> list:
     return out
 
 
-def _rule_complete(g: Graph) -> list:
+def _rule_complete(g: Graph, **_) -> list:
     n = g.n
-    if n < 2 or g.m != n * (n - 1) // 2:
+    if n < 2 or not is_complete(g):
         return []
     out = []
     pairs = Fraction(n * (n - 1), 2)
     out.append(_lower("rho13", pairs, "complete-segments"))
     out.append(_upper("rho13", pairs, "complete-segments"))
-    if n >= 3:
-        if n <= 8:
-            quad = clique_cover_exact(n, 4)
-            out.append(
-                _lower("rho23", quad.lower, "clique-cover-quads", quad.lower_exhaustive)
-            )
-        elif n == 9:
-            # capping the search keeps the exhaustion over 4-blocks feasible
-            quad = clique_cover_exact(9, 4, max_value=6)
-            out.append(
-                _lower("rho23", quad.lower, "clique-cover-quads", quad.lower_exhaustive)
-            )
-        else:
-            counting, _ = steiner_bounds(n, 4)
-            out.append(_lower("rho23", counting, "steiner-counting"))
-        if n <= 9:
-            tri = clique_cover_exact(n, 3)
-            out.append(_upper("rho23", tri.upper, "clique-cover-triangles", tri.exact))
+    if 3 <= n <= 9:
+        # at n = 9 capping the search keeps the exhaustion over 4-blocks feasible
+        quad = clique_cover_exact(n, 4, max_value=6 if n == 9 else None)
+        out.append(_lower("rho23", quad.lower, "clique-cover-quads", quad.lower_exhaustive))
+        tri = clique_cover_exact(n, 3)
+        out.append(_upper("rho23", tri.upper, "clique-cover-triangles", tri.exact))
+    elif n >= 10:
+        counting, _ = steiner_bounds(n, 4)
+        out.append(_lower("rho23", counting, "steiner-counting"))
     if 4 <= n <= 8:
         cert = kn_small_plane_cover(n)
         out.append(_upper("rho23", cert.witness.count, "shipped-certificate"))
@@ -322,7 +253,7 @@ def _rule_complete(g: Graph) -> list:
     return out
 
 
-def _rule_bipartite(g: Graph) -> list:
+def _rule_bipartite(g: Graph, **_) -> list:
     shape = complete_bipartite_shape(g)
     if shape is None:
         return []
@@ -344,7 +275,7 @@ def _rule_bipartite(g: Graph) -> list:
     return out
 
 
-def _rule_dual_circumference(g: Graph) -> list:
+def _rule_dual_circumference(g: Graph, **_) -> list:
     try:
         res = dual_circumference_bound(g)
     except ValueError:  # not a triangulation
@@ -352,7 +283,7 @@ def _rule_dual_circumference(g: Graph) -> list:
     return [_lower("pi12", res.lower_bound, "dual-circumference", res.exact)]
 
 
-def _rule_tree_layout(g: Graph) -> list:
+def _rule_tree_layout(g: Graph, **_) -> list:
     try:
         res = spiral_two_lines(g, tree_tracks(g, 0))
     except (ConstructionError, ValueError):  # not a tree, or no layout
@@ -360,7 +291,7 @@ def _rule_tree_layout(g: Graph) -> list:
     return [_upper("pi12", res.witness.count, "tree-two-lines")]
 
 
-def _rule_family(g: Graph, family) -> list:
+def _rule_family(g: Graph, family, **_) -> list:
     if family != "nested_triangles":
         return []
     if g.n < 3 or g.n % 3 != 0 or g != nested_triangles(g.n // 3):
@@ -368,7 +299,7 @@ def _rule_family(g: Graph, family) -> list:
     return [_lower("rho12", _ceil(Fraction(g.n, 2)), "nested-triangles-cut", source="paper")]
 
 
-def _rule_attached(g: Graph, constructions: Iterable[ConstructionResult]) -> list:
+def _rule_attached(g: Graph, constructions: Iterable[ConstructionResult], **_) -> list:
     out = []
     for res in constructions:
         if res.drawing.graph != g:
@@ -384,6 +315,90 @@ def _rule_attached(g: Graph, constructions: Iterable[ConstructionResult]) -> lis
             _upper(param, res.witness.count, "construction", bool(res.witness.exact))
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+# ---------------------------------------------------------------------------
+
+#: Every rule in the order ``bound_report`` runs it, with each id it may
+#: cite and the argument behind that id.  A rule is called as
+#: ``rule(g, budget=..., family=..., constructions=...)`` and takes the
+#: inputs it needs by name.
+_RULE_TABLE = (
+    (_rule_essential, {
+        "essential-intersections": "vertices of degree >= 3 or on a triangle each need "
+        "their own pairwise line intersection",
+    }),
+    (_rule_degree_density, {
+        "degree-density": "quadratic counting inequality n*c^2 > m(m-n) for edge covers "
+        "by c lines",
+    }),
+    (_rule_bisection, {
+        "bisection-width": "a balanced cut bounds the number of cover lines from below",
+    }),
+    (_rule_treewidth, {"treewidth-third": "edge covers by c lines force treewidth <= 3c"}),
+    (_rule_partitions, {
+        "chromatic-envelope": "vertex line covers sit between half the chromatic number "
+        "and the chromatic number (quarter for planes)",
+        "forest-partition": "covering vertices by lines in 3-space is exactly "
+        "partitioning into induced linear forests",
+        "planar-partition": "covering vertices by planes in 3-space is exactly "
+        "partitioning into induced planar subgraphs",
+    }),
+    (_rule_arboricity_floor, {
+        "linear-arboricity-floor": "every line carries at most n-1 edges",
+    }),
+    (_rule_degree_edges, {
+        "max-degree-half": "the lines through one vertex cover at most two of its edges "
+        "each",
+        "edge-count": "one line per edge always suffices in 3-space",
+    }),
+    (_rule_complete, {
+        "complete-segments": "in a complete graph no line may carry two edges, so "
+        "exactly one line per vertex pair",
+        "clique-cover-quads": "every plane of a complete-graph edge cover carries a "
+        "clique on at most 4 vertices",
+        "steiner-counting": "pair-counting floor ceil(n(n-1)/12) for covering all pairs "
+        "by 4-blocks",
+        "clique-cover-triangles": "a cover of the pairs by triangles places each block "
+        "in its own plane",
+        "shipped-certificate": "bundled machine-verified plane-cover drawing for a small "
+        "complete graph",
+        "table-asserted": "recorded best published plane-cover values for small "
+        "complete graphs (provenance only, never folded)",
+    }),
+    (_rule_bipartite, {
+        "bipartite-plane-pairs": "complete bipartite graphs need and admit exactly "
+        "ceil(p/2) planes for their edges",
+        "bipartite-segments": "edge covers of complete bipartite graphs by lines sit "
+        "between pq/2 and pq",
+        "parallel-tracks": "complete bipartite graphs with q >= 3 need and admit exactly "
+        "p+1 parallel cover lines",
+        "planar-bipartite-segments": "plane edge covers of K_{2,q} need and admit "
+        "exactly ceil((3n-7)/2) lines",
+    }),
+    (_rule_dual_circumference, {
+        "dual-circumference": "line covers of a triangulation's vertices are bounded "
+        "below via the longest cycle of its dual",
+    }),
+    (_rule_tree_layout, {
+        "tree-two-lines": "trees admit a measured crossing-free layout on two crossing "
+        "lines",
+    }),
+    (_rule_family, {
+        "nested-triangles-cut": "cut argument giving ceil(n/2) cover lines for the "
+        "nested-triangles family in the plane",
+    }),
+    (_rule_attached, {"construction": "caller-attached machine-verified drawing witness"}),
+)
+
+#: Every rule id a report may cite, with a one-line description of the
+#: argument behind it: the table's ids plus the closure's.
+RULES = {
+    **{rule: text for _, ids in _RULE_TABLE for rule, text in ids.items()},
+    "monotone": "tightening along the monotone relations between parameters",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +475,6 @@ def bound_report(
     family, checked structurally before use.
     """
     entries = []
-    entries += _rule_essential(g)
-    entries += _rule_degree_density(g)
-    entries += _rule_bisection(g, budget)
-    entries += _rule_treewidth(g, budget)
-    entries += _rule_chromatic(g, budget)
-    entries += _rule_forest_partition(g, budget)
-    entries += _rule_planar_partition(g, budget)
-    entries += _rule_arboricity_floor(g)
-    entries += _rule_degree_edges(g)
-    entries += _rule_complete(g)
-    entries += _rule_bipartite(g)
-    entries += _rule_dual_circumference(g)
-    entries += _rule_tree_layout(g)
-    entries += _rule_family(g, family)
-    entries += _rule_attached(g, constructions)
+    for rule, _ids in _RULE_TABLE:
+        entries += rule(g, budget=budget, family=family, constructions=constructions)
     return monotone_closure(BoundReport(graph=g, params=_fold(entries)))

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .drawing import (
     CoverWitness,
@@ -29,24 +30,30 @@ from .drawing import (
     verify_crossing_free,
 )
 from .graphs import (
+    FamilySpec,
     Graph,
     balanced_multipartite,
     c4_prism_stack,
     complete_binary_tree,
     complete_bipartite,
+    complete_bipartite_shape,
     complete_graph,
+    is_complete,
     multipartite_classes,
     nested_squares,
     nested_triangles,
 )
-from .planar import TrackAssignment, grid_drawing
+from .planar import TrackAssignment, grid_drawing, tree_tracks
 from .solvers import lva_exact, vertex_thickness_exact
 
 __all__ = [
+    "DRAW_TARGETS",
     "PRISM_LINE_CONSTANT",
     "ConstructionError",
     "ConstructionResult",
+    "DrawTarget",
     "binary_tree_grid",
+    "draw_target",
     "k2q_optimal",
     "kn_small_plane_cover",
     "kpq_plane_book",
@@ -505,6 +512,12 @@ def k2q_optimal(q: int) -> ConstructionResult:
 
 _SPIRAL_RAYS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
+#: The two diagonal lines y = x and y = -x through the origin.
+_DIAGONALS = (
+    canon_line(qpoint(0, 0), qpoint(1, 1)),
+    canon_line(qpoint(0, 0), qpoint(1, -1)),
+)
+
 
 def spiral_two_lines(g: Graph, tracks: TrackAssignment) -> ConstructionResult:
     """Draw ``g`` on the two diagonal lines y = x and y = -x.
@@ -550,13 +563,9 @@ def spiral_two_lines(g: Graph, tracks: TrackAssignment) -> ConstructionResult:
             radius = Fraction(2**j * (size + i), size)
             points[v] = qpoint(radius * dx, radius * dy)
             raw_assignment[v] = j % 2
-    diagonals = (
-        canon_line(qpoint(0, 0), qpoint(1, 1)),
-        canon_line(qpoint(0, 0), qpoint(1, -1)),
-    )
     used = sorted(set(raw_assignment.values()))
     remap = {line: i for i, line in enumerate(used)}
-    objects = tuple(diagonals[i] for i in used)
+    objects = tuple(_DIAGONALS[i] for i in used)
     assignment = {v: remap[raw_assignment[v]] for v in raw_assignment}
     try:
         d = _verified(
@@ -741,10 +750,104 @@ def nested_squares_two_lines(k: int) -> ConstructionResult:
         for c, (x, y) in enumerate(ring):
             points.append(qpoint(x, y))
             assignment[4 * i + c] = c % 2
-    lines = (
-        canon_line(qpoint(0, 0), qpoint(1, 1)),
-        canon_line(qpoint(0, 0), qpoint(1, -1)),
-    )
-    witness = CoverWitness("lines_for_vertices", lines, assignment)
+    witness = CoverWitness("lines_for_vertices", _DIAGONALS, assignment)
     d = _verified(g, points, {"construction": "nested_squares_two_lines", "rings": k})
     return _package(d, witness, 2)
+
+
+# ---------------------------------------------------------------------------
+# draw targets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DrawTarget:
+    """One ``affinecover draw`` target.
+
+    ``builder`` names the construction in this module.  It is looked up
+    when called, so a wrapper installed on the module attribute (as the
+    benchmark tracer does) sees the call.  ``args`` maps (graph, family
+    spec or None, seed) to the builder's arguments, or to None when the
+    target does not apply, and ``needs`` then says what it needs.
+    """
+
+    builder: str
+    args: Callable
+    needs: str = ""
+
+
+def _tree_args(g: Graph, spec, seed):
+    try:
+        return g, tree_tracks(g, 0)
+    except ValueError:  # not a tree
+        return None
+
+
+def _kpq_args(g: Graph, spec, seed):
+    return complete_bipartite_shape(g)
+
+
+def _k2q_args(g: Graph, spec, seed):
+    shape = complete_bipartite_shape(g)
+    return shape[1:] if shape is not None and shape[0] == 2 else None
+
+
+def _family_args(kinds: dict):
+    """Args for rebuilding a family's own layout: the family's size, then
+    the extra arguments ``kinds`` gives for the spec's kind."""
+
+    def args(g: Graph, spec, seed):
+        if spec is None or spec.kind not in kinds:
+            return None
+        return (spec.params[0], *kinds[spec.kind])
+
+    return args
+
+
+#: Every draw target, in the order ``affinecover draw --help`` lists them.
+DRAW_TARGETS = {
+    "pi13": DrawTarget("pi13_drawing", lambda g, spec, seed: (g,)),
+    "pi23": DrawTarget("pi23_drawing", lambda g, spec, seed: (g, seed)),
+    "rho23_kn": DrawTarget(
+        "kn_small_plane_cover",
+        lambda g, spec, seed: (g.n,) if is_complete(g) and 4 <= g.n <= 8 else None,
+        "a complete graph on 4..8 vertices",
+    ),
+    "rho23_kpq": DrawTarget("kpq_plane_book", _kpq_args, "a complete bipartite graph"),
+    "two_lines": DrawTarget("spiral_two_lines", _tree_args, "a tree"),
+    "parallel_kpq": DrawTarget("parallel_kpq_lines", _kpq_args, "a complete bipartite graph"),
+    "binary_tree": DrawTarget(
+        "binary_tree_grid",
+        _family_args({"complete_binary_tree": ()}),
+        "--family complete_binary_tree:h",
+    ),
+    "k2q": DrawTarget("k2q_optimal", _k2q_args, "a complete bipartite graph with p = 2"),
+    "prism3d": DrawTarget(
+        "prism_stack_3d",
+        _family_args({"c4_prism_stack": ("C4",), "nested_triangles": ("C3",)}),
+        "--family c4_prism_stack:k or nested_triangles:k",
+    ),
+    "nested_squares": DrawTarget(
+        "nested_squares_two_lines",
+        _family_args({"nested_squares": ()}),
+        "--family nested_squares:k",
+    ),
+}
+
+
+def draw_target(
+    target: str, g: Graph, spec: FamilySpec | None = None, seed: int = 0
+) -> ConstructionResult:
+    """Build draw target ``target`` for ``g`` (given as family ``spec``
+    when it came from one); ValueError when the target does not apply."""
+    entry = DRAW_TARGETS[target]
+    args = entry.args(g, spec, seed)
+    if args is None:
+        raise ValueError(f"target {target} needs {entry.needs}")
+    res = globals()[entry.builder](*args)
+    if res.drawing.graph != g:
+        raise ValueError(
+            f"target {target!r} rebuilds a canonical layout whose vertex "
+            "labels do not match this input; pass the graph via --family instead"
+        )
+    return res

@@ -41,7 +41,7 @@ from .geometry import (
     plane_contains_point,
     qpoint,
 )
-from .graphs import Graph, es_count
+from .graphs import Graph, es_count, is_complete
 
 WITNESS_KINDS = (
     "lines_for_edges",
@@ -491,7 +491,7 @@ def kn_structural_checks(d: Drawing, w: CoverWitness) -> KnReport:
     """
     _require_verified(d)
     g = d.graph
-    if g.m != g.n * (g.n - 1) // 2:
+    if not is_complete(g):
         raise ValueError("structural checks apply to complete graphs only")
     if w.kind != "planes_for_edges":
         raise ValueError("expected a planes_for_edges witness")

@@ -14,20 +14,6 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 
-FAMILY_KINDS = (
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "path",
-    "nested_triangles",
-    "nested_squares",
-    "c4_prism_stack",
-    "complete_binary_tree",
-    "caterpillar",
-    "balanced_multipartite",
-)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
@@ -225,31 +211,20 @@ def caterpillar(spine: int, leaf_counts: Sequence[int]) -> Graph:
     return Graph(nxt, edges)
 
 
+def multipartite_classes(r: int, n: int) -> list:
+    """The vertex classes of ``balanced_multipartite(r, n)``."""
+    base, extra = divmod(n, r)
+    starts = [i * base + min(i, extra) for i in range(r + 1)]
+    return [list(range(starts[i], starts[i + 1])) for i in range(r)]
+
+
 def balanced_multipartite(r: int, n: int) -> Graph:
     """Complete r-partite graph on n vertices, class sizes as equal as
     possible; class-major numbering with the larger classes first."""
     if r < 1 or n < r:
         raise ValueError("balanced_multipartite needs 1 <= r <= n")
-    base, extra = divmod(n, r)
-    sizes = [base + 1] * extra + [base] * (r - extra)
-    starts = [sum(sizes[:i]) for i in range(r)]
-    classes = [range(starts[i], starts[i] + sizes[i]) for i in range(r)]
-    edges = []
-    for i, j in itertools.combinations(range(r), 2):
-        edges.extend((u, v) for u in classes[i] for v in classes[j])
-    return Graph(n, edges)
-
-
-def multipartite_classes(r: int, n: int) -> list:
-    """The vertex classes matching balanced_multipartite's numbering."""
-    base, extra = divmod(n, r)
-    sizes = [base + 1] * extra + [base] * (r - extra)
-    out = []
-    at = 0
-    for s in sizes:
-        out.append(list(range(at, at + s)))
-        at += s
-    return out
+    pairs = itertools.combinations(multipartite_classes(r, n), 2)
+    return Graph(n, ((u, v) for a, b in pairs for u in a for v in b))
 
 
 def triangulated_square_wheel() -> Graph:
@@ -266,32 +241,31 @@ def triangulated_square_wheel() -> Graph:
     return Graph(9, rim + hub + chords)
 
 
+#: Family kind -> constructor called with the ``FamilySpec`` parameters.
+_FAMILIES = {
+    "complete": complete_graph,
+    "complete_bipartite": complete_bipartite,
+    "cycle": cycle_graph,
+    "path": path_graph,
+    "nested_triangles": nested_triangles,
+    "nested_squares": nested_squares,
+    "c4_prism_stack": c4_prism_stack,
+    "complete_binary_tree": complete_binary_tree,
+    "caterpillar": lambda spine, *leaf_counts: caterpillar(spine, leaf_counts),
+    "balanced_multipartite": balanced_multipartite,
+}
+
+FAMILY_KINDS = tuple(_FAMILIES)
+
+
 def build_family(spec: FamilySpec) -> Graph:
     kind, params = spec.kind, spec.params
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}")
     try:
-        if kind == "complete":
-            return complete_graph(*params)
-        if kind == "complete_bipartite":
-            return complete_bipartite(*params)
-        if kind == "cycle":
-            return cycle_graph(*params)
-        if kind == "path":
-            return path_graph(*params)
-        if kind == "nested_triangles":
-            return nested_triangles(*params)
-        if kind == "nested_squares":
-            return nested_squares(*params)
-        if kind == "c4_prism_stack":
-            return c4_prism_stack(*params)
-        if kind == "complete_binary_tree":
-            return complete_binary_tree(*params)
-        if kind == "caterpillar":
-            return caterpillar(params[0], params[1:])
-        if kind == "balanced_multipartite":
-            return balanced_multipartite(*params)
+        return _FAMILIES[kind](*params)
     except TypeError as exc:
         raise ValueError(f"bad parameter count for family {kind!r}: {params}") from exc
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +318,11 @@ def is_linear_forest(g: Graph, part: Iterable[int]) -> bool:
             return False
         parent[ru] = rv
     return True
+
+
+def is_complete(g: Graph) -> bool:
+    """True iff every pair of distinct vertices is joined by an edge."""
+    return g.m == g.n * (g.n - 1) // 2
 
 
 def complete_bipartite_shape(g: Graph) -> tuple[int, int] | None:

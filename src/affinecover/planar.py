@@ -1,4 +1,5 @@
-"""Planarity testing, straight-line grid drawings, and dual-graph bounds.
+"""Planarity testing, straight-line grid drawings, dual-graph bounds, and
+the enumeration of small triangulations.
 
 ``is_planar`` decides planarity without an embedding: edge counts, a
 reduction that keeps planarity, and Kuratowski's theorem on six
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import networkx as nx
 
 from .drawing import Drawing, verify_crossing_free
-from .graphs import Graph, bfs_layers, to_networkx
+from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph, to_networkx
 
 __all__ = [
     "PlaneEmbedding",
@@ -30,6 +31,7 @@ __all__ = [
     "grid_drawing",
     "dual_circumference_bound",
     "tree_tracks",
+    "triangulations",
     "DUAL_BUDGET_N",
 ]
 
@@ -254,6 +256,69 @@ def grid_drawing(g: Graph) -> Drawing:
     ]
     d = Drawing(graph=g, points=tuple(points), meta={"construction": "grid_drawing"})
     return verify_crossing_free(d)
+
+
+# ---------------------------------------------------------------------------
+# enumerating triangulations
+# ---------------------------------------------------------------------------
+
+
+def _iso_key(g: Graph) -> tuple:
+    """Isomorphism invariant: order, size, degree sequence, triangle count."""
+    degs = tuple(sorted(g.degree(v) for v in range(g.n)))
+    return (g.n, g.m, degs, sum(len(g.adj[u] & g.adj[v]) for u, v in g.edges) // 3)
+
+
+def _stacked_triangulation(n: int) -> Graph:
+    """Start from K4 and repeatedly subdivide the smallest triangular face."""
+    g = complete_graph(4)
+    for v in range(4, n):
+        emb = planarity_test(g)
+        face = min(f for f in emb.faces if len(f) == 3)
+        g = Graph(v + 1, set(g.edges) | {(a, v) for a in face})
+    return g
+
+
+def _flip_neighbours(g: Graph):
+    """All single diagonal flips of an edge-maximal planar graph."""
+    emb = planarity_test(g)
+    opposite: dict = {}
+    for face in emb.faces:
+        if len(face) != 3:
+            continue
+        a, b, c = face
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            key = (u, v) if u < v else (v, u)
+            opposite.setdefault(key, []).append(w)
+    for (u, v), opps in opposite.items():
+        if len(opps) != 2:
+            continue
+        a, b = opps
+        if a == b or a in g.adj[b]:
+            continue
+        edges = set(g.edges)
+        edges.discard((u, v))
+        edges.add((a, b) if a < b else (b, a))
+        yield Graph(g.n, edges)
+
+
+def triangulations(n: int) -> list:
+    """Every edge-maximal planar graph on n >= 4 vertices, one per
+    isomorphism class, found by flip search from a stacked start."""
+    start = _stacked_triangulation(n)
+    buckets = {_iso_key(start): [start]}
+    reps = [start]
+    queue = [start]
+    while queue:
+        g = queue.pop()
+        for h in _flip_neighbours(g):
+            bucket = buckets.setdefault(_iso_key(h), [])
+            if any(brute_force_isomorphic(h, r) for r in bucket):
+                continue
+            bucket.append(h)
+            reps.append(h)
+            queue.append(h)
+    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import Graph, is_linear_forest
-from .planar import is_planar, planarity_test
+from .graphs import Graph, is_linear_forest, to_graph6
+from .planar import is_planar, planarity_test, triangulations
 
 __all__ = [
     "Partition",
@@ -26,6 +26,7 @@ __all__ = [
     "validate_partition",
     "chromatic_number",
     "lva_exact",
+    "lva_sweep",
     "vertex_thickness_exact",
     "treewidth_exact",
     "bisection_width_exact",
@@ -261,6 +262,22 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     k, classes = _min_partition(g, _lva_feasible(g))
     part = Partition(tuple(frozenset(c) for c in classes), "lva")
     return PartitionResult(k, part, exact=True)
+
+
+def lva_sweep(max_n: int = 8) -> dict:
+    """Exact smallest-partition-into-linear-forests values over all planar
+    graphs on 4..max_n vertices, keyed by vertex count.
+
+    Only edge-maximal planar graphs are inspected: removing an edge never
+    raises the optimum (a partition valid for the larger graph stays valid),
+    so per-n maxima over these representatives bound every planar graph of
+    that order.  Rows are (graph6 string, exact value).
+    """
+    out = {}
+    for n in range(4, max_n + 1):
+        reps = sorted(triangulations(n), key=to_graph6)
+        out[n] = [(to_graph6(g).decode("ascii"), lva_exact(g).value) for g in reps]
+    return out
 
 
 # ---------------------------------------------------------------------------

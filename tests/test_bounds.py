@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affinecover.bounds import (
+    _RULE_TABLE,
     PARAMETERS,
     RULES,
     BoundReport,
@@ -259,6 +260,33 @@ def test_closure_idempotent():
 def test_corpus_sanity_and_rule_registry():
     for g in CORPUS:
         _check_sane(bound_report(g))
+
+
+#: (graph, bound_report keyword arguments): the corpus plus one graph for
+#: each id that only a rare input reaches.
+REGISTRY_CORPUS = [(g, {}) for g in CORPUS] + [
+    (complete_graph(10), {}),  # steiner-counting
+    (nested_triangles(3), {"family": "nested_triangles"}),  # nested-triangles-cut
+    (complete_bipartite(2, 4), {"constructions": (k2q_optimal(4),)}),  # construction
+]
+
+
+def test_rule_table_rows_cite_only_their_ids():
+    declared = [rule_id for _, ids in _RULE_TABLE for rule_id in ids]
+    assert len(declared) == len(set(declared))  # each id has one row
+    for g, kwargs in REGISTRY_CORPUS:
+        inputs = {"budget": None, "family": None, "constructions": (), **kwargs}
+        for rule, ids in _RULE_TABLE:
+            for e in rule(g, **inputs):
+                assert e.rule in ids, (rule.__name__, e.rule)
+
+
+def test_every_registered_rule_id_is_cited():
+    cited = set()
+    for g, kwargs in REGISTRY_CORPUS:
+        report = bound_report(g, **kwargs)
+        cited |= {e.rule for p in PARAMETERS for e in report[p].provenance}
+    assert cited == set(RULES)
 
 
 def test_lowers_never_exceed_verified_witnesses():

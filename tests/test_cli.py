@@ -16,11 +16,11 @@ from affinecover.certio import (
     verify_certificate,
     write_certificate,
 )
-from affinecover.cli import lva_sweep, main
-from affinecover.constructions import ConstructionResult
+from affinecover.cli import main
+from affinecover.constructions import DRAW_TARGETS, ConstructionResult
 from affinecover.drawing import Drawing, edge_line_count, verify_crossing_free
 from affinecover.graphs import from_networkx, path_graph
-from affinecover.solvers import lva_exact
+from affinecover.solvers import lva_exact, lva_sweep
 
 
 def _draw(tmp_path, *args):
@@ -150,9 +150,7 @@ def test_draw_output_pinned(argv, digest, capsys):
 
 
 def test_draw_pins_cover_every_target():
-    from affinecover.cli import _TARGETS
-
-    assert {argv[0] for argv, _ in DRAW_PINS} == set(_TARGETS)
+    assert {argv[0] for argv, _ in DRAW_PINS} == set(DRAW_TARGETS)
 
 
 def test_draw_conflicting_inputs(tmp_path):

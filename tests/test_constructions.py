@@ -8,15 +8,18 @@ the geometric claims.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from affinecover.constructions import (
+    DRAW_TARGETS,
     PRISM_LINE_CONSTANT,
     ConstructionError,
     ConstructionResult,
     binary_tree_grid,
+    draw_target,
     k2q_optimal,
     kn_small_plane_cover,
     kpq_plane_book,
@@ -39,12 +42,15 @@ from affinecover.drawing import (
 )
 from affinecover.geometry import canon_line, line_contains_point, orient, qpoint
 from affinecover.graphs import (
+    FamilySpec,
     Graph,
     balanced_multipartite,
     complete_bipartite,
     complete_binary_tree,
     complete_graph,
     cycle_graph,
+    nested_squares,
+    nested_triangles,
     path_graph,
     triangulated_square_wheel,
 )
@@ -509,3 +515,55 @@ def test_nested_squares_four_rings_minimum_is_two():
 def test_nested_squares_rejects_nonpositive():
     with pytest.raises(ValueError):
         nested_squares_two_lines(0)
+
+
+# ---------------------------------------------------------------------------
+# the draw-target table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "target, g, spec",
+    [
+        ("pi13", complete_graph(5), None),
+        ("pi23", cycle_graph(5), None),
+        ("rho23_kn", complete_graph(6), None),
+        ("rho23_kpq", complete_bipartite(3, 4), None),
+        ("parallel_kpq", complete_bipartite(2, 5), None),
+        ("k2q", complete_bipartite(2, 4), None),
+        ("two_lines", path_graph(6), None),
+        ("binary_tree", complete_binary_tree(3), FamilySpec("complete_binary_tree", (3,))),
+        ("prism3d", nested_triangles(2), FamilySpec("nested_triangles", (2,))),
+        ("nested_squares", nested_squares(3), FamilySpec("nested_squares", (3,))),
+    ],
+)
+def test_draw_target_builds_and_records_its_builder(target, g, spec):
+    res = draw_target(target, g, spec, seed=3)
+    check_result(res)
+    assert res.drawing.graph == g
+    assert res.drawing.meta["construction"] == DRAW_TARGETS[target].builder
+
+
+@pytest.mark.parametrize(
+    "target, g, spec, needs",
+    [
+        ("rho23_kn", complete_graph(9), None, "a complete graph on 4..8 vertices"),
+        ("rho23_kn", path_graph(4), None, "a complete graph on 4..8 vertices"),
+        ("rho23_kpq", cycle_graph(5), None, "a complete bipartite graph"),
+        ("k2q", complete_bipartite(3, 3), None, "a complete bipartite graph with p = 2"),
+        ("two_lines", cycle_graph(4), None, "a tree"),
+        ("binary_tree", complete_binary_tree(2), None, "--family complete_binary_tree:h"),
+        ("prism3d", cycle_graph(4), FamilySpec("cycle", (4,)), "--family c4_prism_stack:k"),
+        ("nested_squares", nested_squares(2), None, "--family nested_squares:k"),
+    ],
+)
+def test_draw_target_that_does_not_apply(target, g, spec, needs):
+    with pytest.raises(ValueError, match=f"^target {target} needs {re.escape(needs)}"):
+        draw_target(target, g, spec)
+
+
+def test_draw_target_rejects_relabelled_input():
+    # K_{2,3} with the larger side first: the book layout numbers it the other way
+    g = Graph(5, [(i, j) for i in (0, 1, 2) for j in (3, 4)])
+    with pytest.raises(ValueError, match="vertex labels do not match"):
+        draw_target("rho23_kpq", g)

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
 
 from affinecover.graphs import (
+    FAMILY_KINDS,
     FamilySpec,
     Graph,
     brute_force_isomorphic,
@@ -26,6 +28,7 @@ from affinecover.graphs import (
     es_count,
     essential_vertices,
     from_networkx,
+    is_complete,
     is_linear_forest,
     parse_graph,
     path_graph,
@@ -161,8 +164,40 @@ def test_family_invalid_params():
         build_family(FamilySpec("complete_bipartite", (3, 2)))  # requires p <= q
     with pytest.raises(ValueError):
         build_family(FamilySpec("cycle", (2,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family kind 'no_such_kind'"):
         build_family(FamilySpec("no_such_kind", (1,)))
+
+
+def test_family_kinds_listed_once_in_order():
+    assert FAMILY_KINDS == (
+        "complete",
+        "complete_bipartite",
+        "cycle",
+        "path",
+        "nested_triangles",
+        "nested_squares",
+        "c4_prism_stack",
+        "complete_binary_tree",
+        "caterpillar",
+        "balanced_multipartite",
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("complete", (3, 4)),
+        ("complete_bipartite", (3,)),
+        ("cycle", ()),
+        ("nested_squares", (2, 2)),
+        ("caterpillar", ()),
+        ("balanced_multipartite", (2, 4, 6)),
+    ],
+)
+def test_family_wrong_parameter_count(kind, params):
+    message = f"bad parameter count for family {kind!r}: {params}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_family(FamilySpec(kind, params))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +307,14 @@ def test_complete_bipartite_shape_matches_oracle_on_all_small_graphs():
         for bits in range(1 << len(pairs)):
             g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
             assert complete_bipartite_shape(g) == _bipartite_shape_oracle(g), sorted(g.edges)
+
+
+def test_is_complete():
+    assert is_complete(Graph(0)) and is_complete(Graph(1))
+    assert is_complete(complete_graph(2)) and is_complete(complete_graph(7))
+    assert not is_complete(Graph(2))
+    assert not is_complete(path_graph(3))
+    assert not is_complete(Graph(7, complete_graph(6).edges))  # plus an isolated vertex
 
 
 def test_complete_bipartite_shape_edge_cases():
