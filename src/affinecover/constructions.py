@@ -20,14 +20,18 @@ from .drawing import (
     CoverWitness,
     Drawing,
     DrawingViolation,
+    edge_line_count,
+    verify_cover_witness,
+    verify_crossing_free,
+)
+from .geometry import (
     canon_line,
     canon_plane,
     canonical_plane_through_segment,
-    edge_line_count,
-    plane_contains_point,
+    integerize,
+    key_contains,
     qpoint,
-    verify_cover_witness,
-    verify_crossing_free,
+    scaled_key,
 )
 from .graphs import (
     FamilySpec,
@@ -404,10 +408,12 @@ def kn_small_plane_cover(n: int) -> ConstructionResult:
             planes.append(canonical_plane_through_segment(pts[spec[0]], pts[spec[1]]))
         else:
             planes.append(canon_plane(pts[spec[0]], pts[spec[1]], pts[spec[2]]))
+    ipts, scale = integerize(pts)
+    keys = [scaled_key(pl, scale) for pl in planes]
     assignment = {}
     for e in sorted(g.edges):
-        for idx, pl in enumerate(planes):
-            if plane_contains_point(pl, pts[e[0]]) and plane_contains_point(pl, pts[e[1]]):
+        for idx, key in enumerate(keys):
+            if key_contains(key, ipts[e[0]]) and key_contains(key, ipts[e[1]]):
                 assignment[e] = idx
                 break
         else:

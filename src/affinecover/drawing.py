@@ -11,6 +11,13 @@ supporting line); vertex line covers and edge plane covers are genuine
 set-cover problems, solved exactly within budget and greedily above it,
 with the result flagged accordingly.
 
+Measurements and witness checks run on the integerized points: lines
+and planes are grouped by their exact integer keys
+(:func:`~affinecover.geometry.line_key`,
+:func:`~affinecover.geometry.plane_key`), containment is an integer
+comparison with a key, and a ``Fraction`` canonical record is built
+once per distinct line or plane.
+
 The verifier has no side effects: it returns a verified copy or raises.
 :func:`ess_record` gives the exact edge-separator arithmetic of a
 verified drawing, for callers that audit the drawings they build.
@@ -30,16 +37,19 @@ from .geometry import (
     CanonLine,
     CanonPlane,
     canon_line,
-    canon_plane,
     canonical_plane_through_segment,
     collinear,
     forbidden_contact,
     integerize,
     is_canonical,
-    line_contains_point,
+    key_contains,
+    line_from_key,
+    line_key,
     orient,
-    plane_contains_point,
+    plane_from_key,
+    plane_key,
     qpoint,
+    scaled_key,
 )
 from .graphs import Graph, es_count, is_complete
 
@@ -138,11 +148,11 @@ class EssRecord(NamedTuple):
 
 def _distinct_edge_lines(d: Drawing) -> dict:
     """Map canonical line -> sorted list of edges lying on it."""
+    ipts, scale = integerize(d.points)
     lines = {}
     for e in sorted(d.graph.edges):
-        u, v = e
-        lines.setdefault(canon_line(d.points[u], d.points[v]), []).append(e)
-    return lines
+        lines.setdefault(line_key(ipts[e[0]], ipts[e[1]]), []).append(e)
+    return {line_from_key(key, scale): es for key, es in lines.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +380,14 @@ def min_vertex_line_cover(d: Drawing, budget_n: int = 40) -> tuple:
         e1 = tuple(1 if i == 0 else 0 for i in range(d.dim))
         line = canon_line(p, qpoint(*(a + b for a, b in zip(p, e1))))
         return 1, CoverWitness("lines_for_vertices", (line,), {0: 0})
+    ipts, scale = integerize(d.points)
     members: dict = {}
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            line = canon_line(d.points[u], d.points[v])
-            members.setdefault(line, set()).update((u, v))
-    objects = sorted(members.keys())
-    sets = [members[line] for line in objects]
+            members.setdefault(line_key(ipts[u], ipts[v]), set()).update((u, v))
+    lines = {line_from_key(key, scale): vs for key, vs in members.items()}
+    objects = sorted(lines)
+    sets = [lines[line] for line in objects]
     masks = [sum(1 << v for v in s) for s in sets]
     full = (1 << g.n) - 1
     if g.n <= budget_n:
@@ -394,6 +405,13 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
     plane covering two or more edges always contains such a triple);
     an edge all other vertices are collinear with gets one canonical
     plane of its own.  Above the edge budget: greedy, flagged.
+
+    An edge lies on a spanned candidate exactly when it spans that
+    candidate with some third vertex (of the three non-collinear points
+    that span it, one is off the edge's line), so each candidate's edges
+    are the edges that produced its key.  If one edge has all other
+    vertices on its line, every vertex is on that line and the one
+    fallback plane holds every edge.
     """
     _require_verified(d)
     if d.dim != 3:
@@ -402,24 +420,18 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
     edges = sorted(g.edges)
     if not edges:
         return 0, CoverWitness("planes_for_edges", (), {})
-    candidates = {}
-    for u, v in edges:
-        spanned = False
-        for w in range(g.n):
-            if w in (u, v):
-                continue
-            if collinear(d.points[u], d.points[v], d.points[w]):
-                continue
-            spanned = True
-            candidates.setdefault(canon_plane(d.points[u], d.points[v], d.points[w]), set())
-        if not spanned:
-            candidates.setdefault(canonical_plane_through_segment(d.points[u], d.points[v]), set())
-    for plane, covered in candidates.items():
-        for e in edges:
-            if plane_contains_point(plane, d.points[e[0]]) and plane_contains_point(
-                plane, d.points[e[1]]
-            ):
-                covered.add(e)
+    ipts, scale = integerize(d.points)
+    keyed: dict = {}
+    for e in edges:
+        a, b = ipts[e[0]], ipts[e[1]]
+        for c in ipts:
+            key = plane_key(a, b, c)
+            if key is not None:
+                keyed.setdefault(key, set()).add(e)
+    candidates = {plane_from_key(key, scale): es for key, es in keyed.items()}
+    if not candidates:
+        u, v = edges[0]
+        candidates[canonical_plane_through_segment(d.points[u], d.points[v])] = set(edges)
     objects = sorted(candidates.keys())
     sets = [candidates[pl] for pl in objects]
     eidx = {e: i for i, e in enumerate(edges)}
@@ -520,8 +532,10 @@ def kn_structural_checks(d: Drawing, w: CoverWitness) -> KnReport:
                 violations.append(
                     (i, tuple(sorted(four_planes[i] & four_planes[j])), f"shares 3+ vertices with plane {j}")
                 )
+    ipts, scale = integerize(d.points)
     for i, plane in enumerate(w.objects):
-        on_plane = [v for v in range(g.n) if plane_contains_point(plane, d.points[v])]
+        key = scaled_key(plane, scale)
+        on_plane = [v for v in range(g.n) if key is not None and key_contains(key, ipts[v])]
         if len(on_plane) >= 5:
             violations.append((i, tuple(on_plane), "plane contains 5+ vertex points"))
     return KnReport(not violations, tuple(violations))
@@ -553,19 +567,15 @@ def verify_cover_witness(d: Drawing, w: CoverWitness) -> None:
     items = set(g.edges) if w.kind in EDGE_KINDS else set(range(g.n))
     if set(w.assignment.keys()) != items:
         raise WitnessViolation("assignment does not cover every item exactly")
+    ipts, scale = integerize(d.points)
+    keys = [scaled_key(obj, scale) for obj in w.objects]
     for item, idx in w.assignment.items():
         if not 0 <= idx < len(w.objects):
             raise WitnessViolation(f"object index {idx} out of range")
-        obj = w.objects[idx]
-        if w.kind in EDGE_KINDS:
-            u, v = item
-            pts = (d.points[u], d.points[v])
-        else:
-            pts = (d.points[item],)
-        for p in pts:
-            ok = line_contains_point(obj, p) if want_line else plane_contains_point(obj, p)
-            if not ok:
-                raise WitnessViolation(f"item {item} not contained in object {idx}")
+        key = keys[idx]
+        ends = item if w.kind in EDGE_KINDS else (item,)
+        if key is None or not all(key_contains(key, ipts[v]) for v in ends):
+            raise WitnessViolation(f"item {item} not contained in object {idx}")
     if w.kind == "parallel_lines":
         dirs = {obj.direction for obj in w.objects}
         if len(dirs) > 1:

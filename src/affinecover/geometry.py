@@ -10,7 +10,9 @@ point could not certify them.
 Canonical forms let covering objects be deduplicated: any two point
 pairs spanning the same line map to the identical :class:`CanonLine`
 record, and any two non-collinear triples spanning the same plane map
-to the identical :class:`CanonPlane` record.
+to the identical :class:`CanonPlane` record.  Both are built from an
+integer key of the object on ``integerize``d points (see the integer
+keys section), which is also what bulk grouping and containment use.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def qpoint(*coords) -> QPoint:
         coords = tuple(coords[0])
     if len(coords) not in (2, 3):
         raise ValueError(f"points must have dimension 2 or 3, got {len(coords)}")
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def _sign(x) -> int:
@@ -288,32 +290,13 @@ def is_canonical(obj) -> bool:
     return False
 
 
-def _primitive_int_vector(v: Sequence[Fraction]) -> tuple:
-    """Scale a nonzero rational vector to a primitive (gcd 1) integer
-    vector whose first nonzero component is positive."""
-    denoms = [x.denominator for x in v]
-    scale = math.lcm(*denoms)
-    ints = [int(x * scale) for x in v]
-    g = math.gcd(*(abs(x) for x in ints))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
-
-
 def canon_line(p: QPoint, q: QPoint) -> CanonLine:
     """Canonical form of the line through two distinct points."""
-    dim = _check_common_dimension((p, q))
+    _check_common_dimension((p, q))
     if p == q:
         raise ValueError("degenerate line: identical points")
-    d = _primitive_int_vector([Fraction(x) for x in _sub(q, p)])
-    pivot = next(i for i in range(dim) if d[i] != 0)
-    t = Fraction(p[pivot], d[pivot])
-    base = tuple(Fraction(p[i]) - t * d[i] for i in range(dim))
-    return CanonLine(dim, d, base)
+    (ip, iq), scale = integerize((p, q))
+    return line_from_key(line_key(ip, iq), scale)
 
 
 def canon_plane(p: QPoint, q: QPoint, r: QPoint) -> CanonPlane:
@@ -321,12 +304,11 @@ def canon_plane(p: QPoint, q: QPoint, r: QPoint) -> CanonPlane:
     dim = _check_common_dimension((p, q, r))
     if dim != 3:
         raise ValueError("planes exist only in dimension 3")
-    n = _cross3(_sub(q, p), _sub(r, p))
-    if _is_zero(n):
+    ipts, scale = integerize((p, q, r))
+    key = plane_key(*ipts)
+    if key is None:
         raise ValueError("degenerate plane: collinear points")
-    n = _primitive_int_vector([Fraction(x) for x in n])
-    offset = sum(Fraction(ni) * Fraction(pi) for ni, pi in zip(n, p))
-    return CanonPlane(n, offset)
+    return plane_from_key(key, scale)
 
 
 def line_contains_point(line: CanonLine, p: QPoint) -> bool:
@@ -365,6 +347,10 @@ def canonical_plane_through_segment(a: QPoint, b: QPoint) -> CanonPlane:
     raise ValueError("degenerate segment")
 
 
+#: Coordinate types with exact ``numerator`` and ``denominator``.
+_EXACT = (Fraction, int)
+
+
 def integerize(points: Iterable[QPoint]) -> tuple[list[tuple], int]:
     """Scale a point set by the common denominator so all coordinates are int.
 
@@ -373,9 +359,98 @@ def integerize(points: Iterable[QPoint]) -> tuple[list[tuple], int]:
     every incidence and ordering predicate, so verification can run in
     pure integer arithmetic.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    scale = 1
-    for p in pts:
-        for c in p:
-            scale = math.lcm(scale, c.denominator)
-    return [tuple(int(c * scale) for c in p) for p in pts], scale
+    pts = [tuple(c if type(c) in _EXACT else Fraction(c) for c in p) for p in points]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts], scale
+
+
+# ---------------------------------------------------------------------------
+# integer keys of lines and planes
+# ---------------------------------------------------------------------------
+#
+# On the integer points of one ``integerize`` call, a line is keyed by
+# (primitive direction d, moment p x d) and a plane by (primitive normal
+# n, n . p), with p any of its points; in 2D the moment is the integer
+# p_x d_y - p_y d_x.  Two pairs (triples) span the same line (plane)
+# exactly when their keys are equal, so grouping and containment need
+# no Fraction; ``line_from_key``/``plane_from_key`` build the canonical
+# record of a key, once per distinct object.
+
+
+def _primitive(v: tuple) -> tuple:
+    """A nonzero integer vector divided by its gcd, first nonzero component positive."""
+    g = math.gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def line_key(p: tuple, q: tuple) -> tuple:
+    """Key (direction, moment) of the line through distinct integer points."""
+    d = _primitive(tuple(b - a for a, b in zip(p, q)))
+    if len(d) == 2:
+        return d, p[0] * d[1] - p[1] * d[0]
+    return d, _cross3(p, d)
+
+
+def plane_key(p: tuple, q: tuple, r: tuple) -> tuple | None:
+    """Key (normal, offset) of the plane through three integer 3D points;
+    None when they are collinear."""
+    n = _cross3(_sub(q, p), _sub(r, p))
+    if _is_zero(n):
+        return None
+    n = _primitive(n)
+    return n, n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
+
+
+def key_contains(key: tuple, p: tuple) -> bool:
+    """Exact: the integer point p lies on the keyed line or plane."""
+    v, c = key
+    if len(v) == 2:
+        return p[0] * v[1] - p[1] * v[0] == c
+    if isinstance(c, tuple):
+        return _cross3(p, v) == c
+    return v[0] * p[0] + v[1] * p[1] + v[2] * p[2] == c
+
+
+def line_from_key(key: tuple, scale: int) -> CanonLine:
+    """The :class:`CanonLine` of a line key taken at ``scale``.
+
+    The base is the point of the line that is 0 on the direction's pivot
+    axis, solved from the moment and divided by ``scale``.
+    """
+    d, m = key
+    if len(d) == 2:
+        num = (0, -m) if d[0] else (m, 0)
+    elif d[0]:
+        num = (0, -m[2], m[1])
+    elif d[1]:
+        num = (m[2], 0, -m[0])
+    else:
+        num = (-m[1], m[0], 0)
+    den = next(x for x in d if x) * scale
+    return CanonLine(len(d), d, tuple(Fraction(x, den) for x in num))
+
+
+def plane_from_key(key: tuple, scale: int) -> CanonPlane:
+    """The :class:`CanonPlane` of a plane key taken at ``scale``."""
+    n, offset = key
+    return CanonPlane(n, Fraction(offset, scale))
+
+
+def scaled_key(obj, scale: int) -> tuple | None:
+    """Key of a canonical line or plane record on points scaled by ``scale``.
+
+    None when the scaled moment or offset is not an integer: then no
+    integer point lies on the object.
+    """
+    if isinstance(obj, CanonPlane):
+        n, c = obj.normal, obj.offset * scale
+    else:
+        n, b = obj.direction, [x * scale for x in obj.base]
+        c = b[0] * n[1] - b[1] * n[0] if obj.dim == 2 else _cross3(b, n)
+    if isinstance(c, tuple):
+        if any(x.denominator != 1 for x in c):
+            return None
+        return n, tuple(int(x) for x in c)
+    return (n, int(c)) if c.denominator == 1 else None

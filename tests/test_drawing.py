@@ -2,7 +2,9 @@
 
 Derived oracles: set-cover minima are cross-checked by brute-force
 subset enumeration; segment/slope counts by hand enumeration; the sweep
-verifier by the pairwise loop it replaced (``reference_verify``).
+verifier by the pairwise loop it replaced (``reference_verify``); the
+integer-keyed measurements and witness check by the per-pair canonical
+records and Fraction containment they replaced (``reference_*``).
 """
 
 from __future__ import annotations
@@ -16,11 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecover.drawing import (
+    EDGE_KINDS,
+    LINE_KINDS,
+    WITNESS_KINDS,
     CoverWitness,
     Drawing,
     DrawingViolation,
     WitnessViolation,
+    _cover_witness,
+    _require_verified,
     edge_line_count,
+    exact_set_cover,
+    greedy_set_cover,
     ess_record,
     kn_structural_checks,
     min_edge_plane_cover,
@@ -33,7 +42,13 @@ from affinecover.geometry import (
     CanonLine,
     CanonPlane,
     canon_line,
+    canon_plane,
+    canonical_plane_through_segment,
+    collinear,
     integerize,
+    is_canonical,
+    line_contains_point,
+    plane_contains_point,
     point_strictly_inside_segment,
     qpoint,
     segments_intersect,
@@ -499,3 +514,202 @@ def test_sweep_matches_reference_on_tampered_constructions():
             moved = Drawing(d.graph, tuple(pts))
             found = outcome(verify_crossing_free, moved)
             assert found is not None and found == outcome(reference_verify, moved)
+
+
+# ---------------------------------------------------------------------------
+# integer-keyed measurements and witness check against the Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_line_count(d):
+    """edge_line_count with one canon_line record per edge."""
+    _require_verified(d)
+    lines = {}
+    for e in sorted(d.graph.edges):
+        lines.setdefault(canon_line(d.points[e[0]], d.points[e[1]]), []).append(e)
+    objects = tuple(lines)
+    assignment = {e: i for i, es in enumerate(lines.values()) for e in es}
+    return len(objects), CoverWitness("lines_for_edges", objects, assignment)
+
+
+def reference_min_vertex_line_cover(d, budget_n=40):
+    """min_vertex_line_cover with one canon_line record per vertex pair."""
+    _require_verified(d)
+    n = d.graph.n
+    members = {}
+    for u, v in itertools.combinations(range(n), 2):
+        members.setdefault(canon_line(d.points[u], d.points[v]), set()).update((u, v))
+    objects = sorted(members)
+    sets = [members[line] for line in objects]
+    masks = [sum(1 << v for v in vs) for vs in sets]
+    full = (1 << n) - 1
+    if n <= budget_n:
+        chosen, exact = exact_set_cover(masks, full)
+    else:
+        chosen, exact = greedy_set_cover(masks, full), False
+    w = _cover_witness("lines_for_vertices", objects, sets, chosen, exact)
+    return w.count, w
+
+
+def reference_min_edge_plane_cover(d, budget_m=60):
+    """min_edge_plane_cover with one canon_plane record per edge-vertex
+    triple and a containment test of every edge in every candidate."""
+    _require_verified(d)
+    edges = sorted(d.graph.edges)
+    if not edges:
+        return 0, CoverWitness("planes_for_edges", (), {})
+    pts = d.points
+    candidates = {}
+    for u, v in edges:
+        spanned = False
+        for w in range(d.graph.n):
+            if w not in (u, v) and not collinear(pts[u], pts[v], pts[w]):
+                spanned = True
+                candidates.setdefault(canon_plane(pts[u], pts[v], pts[w]), set())
+        if not spanned:
+            candidates.setdefault(canonical_plane_through_segment(pts[u], pts[v]), set())
+    for plane, covered in candidates.items():
+        covered.update(e for e in edges if all(plane_contains_point(plane, pts[x]) for x in e))
+    objects = sorted(candidates)
+    sets = [candidates[pl] for pl in objects]
+    eidx = {e: i for i, e in enumerate(edges)}
+    masks = [sum(1 << eidx[e] for e in es) for es in sets]
+    full = (1 << len(edges)) - 1
+    if len(edges) <= budget_m:
+        chosen, exact = exact_set_cover(masks, full)
+    else:
+        chosen, exact = greedy_set_cover(masks, full), False
+    w = _cover_witness("planes_for_edges", objects, sets, chosen, exact)
+    return w.count, w
+
+
+def reference_verify_cover_witness(d, w):
+    """verify_cover_witness with its Fraction containment loop: each item's
+    points are tested against the object's record one by one."""
+    _require_verified(d)
+    if w.kind not in WITNESS_KINDS:
+        raise WitnessViolation(f"unknown witness kind {w.kind!r}")
+    want_line = w.kind in LINE_KINDS
+    for obj in w.objects:
+        if want_line and not isinstance(obj, CanonLine):
+            raise WitnessViolation("line witness holds a non-line object")
+        if not want_line and not isinstance(obj, CanonPlane):
+            raise WitnessViolation("plane witness holds a non-plane object")
+        if want_line and obj.dim != d.dim:
+            raise WitnessViolation("line dimension does not match drawing")
+        if not is_canonical(obj):
+            raise WitnessViolation(f"witness object {obj} is not in canonical form")
+    if not want_line and d.dim != 3:
+        raise WitnessViolation("plane witness on a 2D drawing")
+    items = set(d.graph.edges) if w.kind in EDGE_KINDS else set(range(d.graph.n))
+    if set(w.assignment.keys()) != items:
+        raise WitnessViolation("assignment does not cover every item exactly")
+    for item, idx in w.assignment.items():
+        if not 0 <= idx < len(w.objects):
+            raise WitnessViolation(f"object index {idx} out of range")
+        obj = w.objects[idx]
+        for v in item if w.kind in EDGE_KINDS else (item,):
+            p = d.points[v]
+            ok = line_contains_point(obj, p) if want_line else plane_contains_point(obj, p)
+            if not ok:
+                raise WitnessViolation(f"item {item} not contained in object {idx}")
+    if w.kind == "parallel_lines" and len({obj.direction for obj in w.objects}) > 1:
+        raise WitnessViolation("parallel witness uses non-parallel lines")
+
+
+def witness_outcome(check, d, w):
+    """None when ``check`` accepts the witness, else its message."""
+    try:
+        check(d, w)
+    except WitnessViolation as exc:
+        return str(exc)
+    return None
+
+
+def crossing_free(d):
+    """``d`` with offending edges dropped until the verifier accepts it."""
+    while True:
+        try:
+            return verify_crossing_free(d)
+        except DrawingViolation as exc:
+            drop = exc.violation[-1]
+            d = Drawing(Graph(d.graph.n, [e for e in d.graph.edges if e != drop]), d.points)
+
+
+def measured_witnesses(d):
+    out = [edge_line_count(d)[1], min_vertex_line_cover(d)[1]]
+    if d.dim == 3:
+        out.append(min_edge_plane_cover(d)[1])
+    return out
+
+
+@given(st.sampled_from([2, 3]).flatmap(grid_drawings))
+@settings(max_examples=150, deadline=None)
+def test_measurements_match_fraction_reference(d):
+    d = crossing_free(d)
+    assert repr(edge_line_count(d)) == repr(reference_edge_line_count(d))
+    for budget in (40, 0) if d.graph.n > 1 else ():
+        assert repr(min_vertex_line_cover(d, budget)) == repr(reference_min_vertex_line_cover(d, budget))
+    if d.dim == 3:
+        for budget in (60, 0):
+            assert repr(min_edge_plane_cover(d, budget)) == repr(reference_min_edge_plane_cover(d, budget))
+
+
+def _shifted(obj, delta):
+    """The object moved off itself by ``delta`` and still canonical: a
+    line's base moves on the axis after its pivot, a plane's offset moves."""
+    if isinstance(obj, CanonPlane):
+        return obj._replace(offset=obj.offset + delta)
+    axis = (next(i for i, x in enumerate(obj.direction) if x) + 1) % obj.dim
+    base = list(obj.base)
+    base[axis] += delta
+    return obj._replace(base=tuple(base))
+
+
+@st.composite
+def tampered_witnesses(draw):
+    d = crossing_free(draw(st.sampled_from([2, 3]).flatmap(grid_drawings)))
+    w = draw(st.sampled_from(measured_witnesses(d)))
+    rng = draw(st.randoms(use_true_random=False))
+    _, scale = integerize(d.points)
+    objects, assignment = list(w.objects), dict(w.assignment)
+    for _ in range(draw(st.integers(0, 3))):
+        how = rng.choice(("reassign", "shift", "off-grid", "parallel"))
+        if how == "reassign" and assignment:
+            item = rng.choice(sorted(assignment, key=repr))
+            assignment[item] = rng.randrange(-1, len(objects) + 1)
+        elif how in ("shift", "off-grid") and objects:
+            i = rng.randrange(len(objects))
+            # a whole step at the drawing's scale keeps the scaled base
+            # or offset an integer; a fraction of it does not
+            step = Fraction(rng.choice((1, -2, 3)), scale)
+            objects[i] = _shifted(objects[i], step if how == "shift" else step / rng.choice((2, 7)))
+        elif how == "parallel" and w.kind == "lines_for_vertices":
+            w = replace(w, kind="parallel_lines")
+    return d, CoverWitness(w.kind, tuple(objects), assignment, w.exact)
+
+
+@given(tampered_witnesses())
+@settings(max_examples=400, deadline=None)
+def test_verify_cover_witness_matches_fraction_reference(case):
+    d, w = case
+    assert witness_outcome(verify_cover_witness, d, w) == witness_outcome(reference_verify_cover_witness, d, w)
+
+
+def test_verify_cover_witness_matches_reference_on_constructions():
+    from affinecover.constructions import kn_small_plane_cover, kpq_plane_book, pi13_drawing
+
+    results = [kn_small_plane_cover(n) for n in (5, 8)]
+    results += [kpq_plane_book(4, 5), pi13_drawing(complete_graph(7))]
+    for res in results:
+        d, w = res.drawing, res.witness
+        assert witness_outcome(verify_cover_witness, d, w) is None
+        assert witness_outcome(reference_verify_cover_witness, d, w) is None
+        _, scale = integerize(d.points)
+        for i in range(len(w.objects)):
+            for delta in (Fraction(1, scale), Fraction(1, 2 * scale)):
+                objects = list(w.objects)
+                objects[i] = _shifted(objects[i], delta)
+                bad = replace(w, objects=tuple(objects))
+                found = witness_outcome(verify_cover_witness, d, bad)
+                assert found is not None and found == witness_outcome(reference_verify_cover_witness, d, bad)

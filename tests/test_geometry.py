@@ -4,11 +4,15 @@ Oracle notes: orientation results are cross-checked against an
 independent cofactor expansion (different row order) inside the tests;
 segment classification examples are small enough to verify by hand,
 and random small-grid segments are checked against a parametric
-solution of the intersection (``classify_oracle``).
+solution of the intersection (``classify_oracle``).  Integer line and
+plane keys are checked against the Fraction canonical forms they
+replaced (``reference_canon_line``, ``reference_canon_plane``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecover.geometry import (
+    CanonLine,
+    CanonPlane,
     canon_line,
     canon_plane,
     canonical_plane_through_segment,
@@ -24,12 +30,18 @@ from affinecover.geometry import (
     forbidden_contact,
     integerize,
     is_canonical,
+    key_contains,
     line_contains_point,
+    line_from_key,
+    line_key,
     orient,
     plane_contains_point,
+    plane_from_key,
+    plane_key,
     point_on_segment,
     point_strictly_inside_segment,
     qpoint,
+    scaled_key,
     segments_intersect,
 )
 
@@ -445,3 +457,107 @@ def test_is_canonical():
     assert not is_canonical(plane._replace(normal=tuple(3 * x for x in plane.normal)))
     assert not is_canonical(plane._replace(normal=(True, 0, 0)))
     assert not is_canonical((1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# integer keys against the Fraction canonical forms
+# ---------------------------------------------------------------------------
+
+
+def _reference_primitive(v) -> tuple:
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = math.gcd(*ints)
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def reference_canon_line(p, q) -> CanonLine:
+    """canon_line as computed in Fraction arithmetic, before integer keys."""
+    d = _reference_primitive([Fraction(b) - Fraction(a) for a, b in zip(p, q)])
+    pivot = next(i for i, x in enumerate(d) if x)
+    t = Fraction(p[pivot], d[pivot])
+    return CanonLine(len(p), d, tuple(Fraction(p[i]) - t * d[i] for i in range(len(p))))
+
+
+def reference_canon_plane(p, q, r) -> CanonPlane:
+    """canon_plane as computed in Fraction arithmetic, before integer keys."""
+    u = [Fraction(b) - Fraction(a) for a, b in zip(p, q)]
+    v = [Fraction(b) - Fraction(a) for a, b in zip(p, r)]
+    n = _reference_primitive([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])
+    return CanonPlane(n, sum(Fraction(ni) * Fraction(pi) for ni, pi in zip(n, p)))
+
+
+# A coarse grid of signed rationals with denominators up to 6: integerize
+# then scales by up to 6, and axis-parallel lines and planes are common.
+_coords = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3, 6]))
+
+
+def _pools(dim: int):
+    return st.lists(st.tuples(*[_coords] * dim), min_size=3, max_size=6, unique=True)
+
+
+@given(st.sampled_from([2, 3]).flatmap(_pools))
+@settings(max_examples=300, deadline=None)
+def test_line_keys_match_reference(pts):
+    ipts, scale = integerize(pts)
+    pairs = list(itertools.combinations(range(len(pts)), 2))
+    keys = {(i, j): line_key(ipts[i], ipts[j]) for i, j in pairs}
+    recs = {(i, j): reference_canon_line(pts[i], pts[j]) for i, j in pairs}
+    for a in pairs:
+        assert line_from_key(keys[a], scale) == recs[a] == canon_line(*(pts[i] for i in a))
+        assert scaled_key(recs[a], scale) == keys[a]
+        for b in pairs:
+            assert (keys[a] == keys[b]) == (recs[a] == recs[b])
+        for p, ip in zip(pts, ipts):
+            assert key_contains(keys[a], ip) == line_contains_point(recs[a], p)
+
+
+@given(_pools(3))
+@settings(max_examples=300, deadline=None)
+def test_plane_keys_match_reference(pts):
+    ipts, scale = integerize(pts)
+    triples = [t for t in itertools.combinations(range(len(pts)), 3) if not collinear(*(pts[i] for i in t))]
+    for t in itertools.combinations(range(len(pts)), 3):
+        assert (plane_key(*(ipts[i] for i in t)) is None) == (t not in triples)
+    keys = {t: plane_key(*(ipts[i] for i in t)) for t in triples}
+    recs = {t: reference_canon_plane(*(pts[i] for i in t)) for t in triples}
+    for a in triples:
+        assert plane_from_key(keys[a], scale) == recs[a] == canon_plane(*(pts[i] for i in a))
+        assert scaled_key(recs[a], scale) == keys[a]
+        for b in triples:
+            assert (keys[a] == keys[b]) == (recs[a] == recs[b])
+        for p, ip in zip(pts, ipts):
+            assert key_contains(keys[a], ip) == plane_contains_point(recs[a], p)
+
+
+def test_line_keys_on_every_pivot_axis():
+    # vertical lines in 2D and lines parallel to each axis in 3D take the
+    # later pivots of line_from_key
+    half = Fraction(1, 2)
+    cases = [
+        ((half, -1), (half, 3)),
+        ((2, half), (-1, half)),
+        ((half, -3, 1), (half, 4, 1)),
+        ((half, 1, Fraction(-1, 3)), (half, 1, 5)),
+        ((-1, half, 2), (3, half, 2)),
+        ((0, half, 2), (0, 1, Fraction(7, 3))),
+    ]
+    for p, q in cases:
+        p, q = qpoint(*p), qpoint(*q)
+        (ip, iq), scale = integerize((p, q))
+        assert line_from_key(line_key(ip, iq), scale) == reference_canon_line(p, q) == canon_line(p, q)
+
+
+def test_scaled_key_off_the_integer_points():
+    line = canon_line(qpoint(0, Fraction(1, 2)), qpoint(1, Fraction(1, 2)))
+    plane = canon_plane(qpoint(0, 0, Fraction(1, 3)), qpoint(1, 0, Fraction(1, 3)), qpoint(0, 1, Fraction(1, 3)))
+    assert scaled_key(line, 2) == ((1, 0), -1)
+    assert scaled_key(plane, 3) == ((0, 0, 1), 1)
+    # a scaled base or offset that is not an integer holds no integer point
+    assert scaled_key(line, 1) is None
+    assert scaled_key(plane, 2) is None
+    line3 = canon_line(qpoint(0, 0, Fraction(1, 5)), qpoint(1, 1, Fraction(1, 5)))
+    assert scaled_key(line3, 5) is not None and scaled_key(line3, 3) is None
