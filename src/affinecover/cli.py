@@ -229,9 +229,16 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The sweep's work grows about 7x per vertex: 1,249 triangulations and
+#: 7.7 s at n = 11 on a 2-vCPU VM, so n = 12 would take about a minute.
+LVA_SWEEP_MAX_N = 11
+
+
 def cmd_experiment(args) -> int:
     if args.max_n < 4:
         raise UsageError("--max-n must be at least 4")
+    if args.max_n > LVA_SWEEP_MAX_N:
+        raise UsageError(f"--max-n must be at most {LVA_SWEEP_MAX_N}")
     results = lva_sweep(args.max_n)
     needing_three = []
     print("exact linear-forest partition sweep over edge-maximal planar graphs")
@@ -303,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a built-in experiment")
     p.add_argument("name", choices=["lva-sweep"])
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=8, help=f"largest order, 4..{LVA_SWEEP_MAX_N}")
     p.set_defaults(func=cmd_experiment)
 
     return parser

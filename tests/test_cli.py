@@ -447,6 +447,20 @@ def test_lva_sweep_max_n_eight_runs():
     assert len(results[8]) == 14
 
 
+@pytest.mark.parametrize("max_n", ["12", "40"])
+def test_lva_sweep_max_n_above_limit_is_refused(max_n, capsys, monkeypatch):
+    import affinecover.cli as cli
+
+    def sweep(n):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "lva_sweep", sweep)
+    assert main(["experiment", "lva-sweep", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-n must be at most 11\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
