@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .drawing import (
@@ -28,7 +27,6 @@ from .geometry import (
     canon_line,
     canon_plane,
     canonical_plane_through_segment,
-    integerize,
     key_contains,
     qpoint,
     scaled_key,
@@ -113,14 +111,9 @@ def _verified(graph: Graph, points: list, meta: dict) -> Drawing:
     return verify_crossing_free(Drawing(graph=graph, points=tuple(points), meta=dict(meta)))
 
 
-def _int_box(points: tuple) -> tuple:
-    dim = len(points[0])
-    box = []
-    for axis in range(dim):
-        lo = min(p[axis] for p in points)
-        hi = max(p[axis] for p in points)
-        box.append(int(math.ceil(hi - lo)))
-    return tuple(box)
+def _int_box(d: Drawing) -> tuple:
+    """Per axis, the extent of the drawing's points rounded up to an integer."""
+    return tuple(-((min(c) - max(c)) // d.scale) for c in zip(*d.grid))
 
 
 def _package(d: Drawing, witness: CoverWitness, claimed_bound: int) -> ConstructionResult:
@@ -129,7 +122,7 @@ def _package(d: Drawing, witness: CoverWitness, claimed_bound: int) -> Construct
         raise ConstructionError(
             f"witness uses {witness.count} objects but only {claimed_bound} were claimed"
         )
-    return ConstructionResult(d, witness, int(claimed_bound), _int_box(d.points))
+    return ConstructionResult(d, witness, int(claimed_bound), _int_box(d))
 
 
 def _next_prime(lo: int) -> int:
@@ -408,18 +401,17 @@ def kn_small_plane_cover(n: int) -> ConstructionResult:
             planes.append(canonical_plane_through_segment(pts[spec[0]], pts[spec[1]]))
         else:
             planes.append(canon_plane(pts[spec[0]], pts[spec[1]], pts[spec[2]]))
-    ipts, scale = integerize(pts)
-    keys = [scaled_key(pl, scale) for pl in planes]
+    d = _verified(g, pts, {"construction": "kn_small_plane_cover", "n": n})
+    keys = [scaled_key(pl, d.scale) for pl in planes]
     assignment = {}
     for e in sorted(g.edges):
         for idx, key in enumerate(keys):
-            if key_contains(key, ipts[e[0]]) and key_contains(key, ipts[e[1]]):
+            if key_contains(key, d.grid[e[0]]) and key_contains(key, d.grid[e[1]]):
                 assignment[e] = idx
                 break
         else:
             raise ConstructionError(f"edge {e} is covered by no shipped plane")
     witness = CoverWitness("planes_for_edges", tuple(planes), assignment)
-    d = _verified(g, pts, {"construction": "kn_small_plane_cover", "n": n})
     return _package(d, witness, _KN_BOUND[n])
 
 
@@ -585,20 +577,17 @@ def spiral_two_lines(g: Graph, tracks: TrackAssignment) -> ConstructionResult:
     return _package(d, witness, 2)
 
 
-@lru_cache(maxsize=None)
 def tree_grid_size(h: int) -> int:
     """Grid side m(h) used by :func:`binary_tree_grid` for height h >= 2.
 
     m(2) = 2, m(3) = 4, and m(h) = 2 m(h-2) + 4: each layout nests four
     height-(h-2) blocks two abreast with three grid lines of clearance.
+    Solved, m(2k) = 3 * 2^k - 4 and m(2k+1) = 2^(k+2) - 4.
     """
     if h < 2:
         raise ValueError("grid size is defined for h >= 2")
-    if h == 2:
-        return 2
-    if h == 3:
-        return 4
-    return 2 * tree_grid_size(h - 2) + 4
+    k, odd = divmod(h, 2)
+    return (4 << k if odd else 3 << k) - 4
 
 
 def _place_tree(v: int, h: int, ox: int, oy: int, pos: dict) -> None:

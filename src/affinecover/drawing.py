@@ -1,18 +1,20 @@
 """Drawings, the exact crossing-free verifier, and drawing measurements.
 
 A :class:`Drawing` pairs a graph with exact rational vertex points in
-2D or 3D.  ``verify_crossing_free`` certifies that the straight-line
-drawing has no forbidden contact between edges or between a vertex and
-a non-incident edge; every measurement (line/plane covers, segments,
-slopes) requires a verified drawing.
+2D or 3D, and holds their integer grid: the points times their least
+common denominator, computed once when the drawing is built.
+``verify_crossing_free`` certifies that the straight-line drawing has no
+forbidden contact between edges or between a vertex and a non-incident
+edge; every measurement (line/plane covers, segments, slopes) requires a
+verified drawing.
 
 Measuring the lines of a drawing needs no search (each edge forces its
 supporting line); vertex line covers and edge plane covers are genuine
 set-cover problems, solved exactly within budget and greedily above it,
 with the result flagged accordingly.
 
-Measurements and witness checks run on the integerized points: lines
-and planes are grouped by their exact integer keys
+The verifier, the measurements and the witness checks all run on that
+grid: lines and planes are grouped by their exact integer keys
 (:func:`~affinecover.geometry.line_key`,
 :func:`~affinecover.geometry.plane_key`), containment is an integer
 comparison with a key, and a ``Fraction`` canonical record is built
@@ -30,7 +32,8 @@ rest use planes).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -80,12 +83,19 @@ class WitnessViolation(ValueError):
 
 @dataclass(frozen=True)
 class Drawing:
-    """A straight-line drawing: graph plus one exact point per vertex."""
+    """A straight-line drawing: graph plus one exact point per vertex.
+
+    ``grid`` and ``scale`` are derived from the points: ``grid[v]`` is
+    ``points[v]`` times ``scale``, the least common denominator of all
+    coordinates, so every grid coordinate is an int.
+    """
 
     graph: Graph
     points: tuple
     meta: dict = field(default_factory=dict)
     verified: bool = False
+    grid: tuple = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g, pts = self.graph, self.points
@@ -97,13 +107,16 @@ class Drawing:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("all points must share one dimension")
-        if len(set(pts)) != len(pts):
+        grid, scale = integerize(pts)
+        if len(set(grid)) != len(grid):
             seen = {}
-            for v, p in enumerate(pts):
+            for v, p in enumerate(grid):
                 if p in seen:
-                    raise ValueError(f"vertices {seen[p]} and {v} share point {p}")
+                    raise ValueError(f"vertices {seen[p]} and {v} share point {pts[v]}")
                 seen[p] = v
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "grid", tuple(grid))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def dim(self) -> int:
@@ -148,11 +161,11 @@ class EssRecord(NamedTuple):
 
 def _distinct_edge_lines(d: Drawing) -> dict:
     """Map canonical line -> sorted list of edges lying on it."""
-    ipts, scale = integerize(d.points)
+    grid = d.grid
     lines = {}
     for e in sorted(d.graph.edges):
-        lines.setdefault(line_key(ipts[e[0]], ipts[e[1]]), []).append(e)
-    return {line_from_key(key, scale): es for key, es in lines.items()}
+        lines.setdefault(line_key(grid[e[0]], grid[e[1]]), []).append(e)
+    return {line_from_key(key, d.scale): es for key, es in lines.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +176,7 @@ def _distinct_edge_lines(d: Drawing) -> dict:
 def verify_crossing_free(d: Drawing) -> Drawing:
     """Certify crossing-freeness; returns a copy with the verified flag.
 
-    Two checks run on the integerized points.  No two distinct edges
+    Two checks run on the drawing's integer grid.  No two distinct edges
     may meet, except adjacent edges in their one shared endpoint; and
     no vertex point may lie inside an edge it is not an end of.
 
@@ -184,9 +197,9 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     least.
     """
     g = d.graph
-    ipts, _ = integerize(d.points)
+    grid = d.grid
     edges = sorted(g.edges)
-    ends = [(ipts[u], ipts[v]) for u, v in edges]
+    ends = [(grid[u], grid[v]) for u, v in edges]
 
     def extent(axis: int) -> tuple:
         if axis == d.dim:  # 2D boxes get z = 0
@@ -216,11 +229,11 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     # outside a shared endpoint, so past the edge pairs only isolated
     # vertices can lie inside an edge.
     ended = {v for e in edges for v in e}
-    by_x = sorted((v for v in range(g.n) if v not in ended), key=lambda v: ipts[v][0])
-    xs = [ipts[v][0] for v in by_x]
+    by_x = sorted((v for v in range(g.n) if v not in ended), key=lambda v: grid[v][0])
+    xs = [grid[v][0] for v in by_x]
     for i, (a, b) in enumerate(ends):
         for v in by_x[bisect_left(xs, lx[i]) : bisect_right(xs, hx[i])]:
-            p = ipts[v]
+            p = grid[v]
             if not ly[i] <= p[1] <= hy[i]:
                 continue
             if d.dim == 3 and not lz[i] <= p[2] <= hz[i]:
@@ -231,7 +244,10 @@ def verify_crossing_free(d: Drawing) -> Drawing:
                 first = (v, i)
     if first is not None:
         raise DrawingViolation(("vertex_edge", first[0], edges[first[1]]))
-    return replace(d, verified=True)
+    # a shallow copy keeps the grid without normalizing the points again
+    out = copy(d)
+    object.__setattr__(out, "verified", True)
+    return out
 
 
 def _require_verified(d: Drawing) -> None:
@@ -313,34 +329,27 @@ def exact_set_cover(masks: Sequence[int], full: int, node_cap: int = 2_000_000) 
                 break
         if not dominated:
             keep.append(i)
-    incumbent = [keep[k] for k in greedy_set_cover([masks[i] for i in keep], full)]
-    best = {"cover": incumbent, "size": len(incumbent)}
-    nodes = {"count": 0, "capped": False}
+    best = [keep[k] for k in greedy_set_cover([masks[i] for i in keep], full)]
+    nodes, capped = 0, False
 
     def dfs(uncovered: int, chosen: list) -> None:
-        if nodes["capped"]:
+        nonlocal best, nodes, capped
+        if capped:
             return
-        nodes["count"] += 1
-        if nodes["count"] > node_cap:
-            nodes["capped"] = True
+        nodes += 1
+        if nodes > node_cap:
+            capped = True
             return
         if not uncovered:
-            if len(chosen) < best["size"]:
-                best["cover"] = list(chosen)
-                best["size"] = len(chosen)
+            if len(chosen) < len(best):
+                best = list(chosen)
             return
-        if len(chosen) + 1 >= best["size"]:
-            max_gain = 0
-            for i in keep:
-                gain = (masks[i] & uncovered).bit_count()
-                if gain > max_gain:
-                    max_gain = gain
-            if max_gain == 0 or len(chosen) + -(-uncovered.bit_count() // max_gain) >= best["size"]:
-                return
-        else:
-            max_gain = max((masks[i] & uncovered).bit_count() for i in keep)
-            if len(chosen) + -(-uncovered.bit_count() // max_gain) >= best["size"]:
-                return
+        # while anything is uncovered at least one more set is needed
+        if len(chosen) + 1 >= len(best):
+            return
+        max_gain = max((masks[i] & uncovered).bit_count() for i in keep)
+        if len(chosen) + -(-uncovered.bit_count() // max_gain) >= len(best):
+            return
         pivot = uncovered & -uncovered  # lowest uncovered element
         branches = sorted(
             (i for i in keep if masks[i] & pivot),
@@ -352,7 +361,7 @@ def exact_set_cover(masks: Sequence[int], full: int, node_cap: int = 2_000_000) 
             chosen.pop()
 
     dfs(full, [])
-    return best["cover"], not nodes["capped"]
+    return best, not capped
 
 
 def _cover_witness(kind: str, objects: Sequence, object_items: Sequence[set], chosen: list,
@@ -380,12 +389,12 @@ def min_vertex_line_cover(d: Drawing, budget_n: int = 40) -> tuple:
         e1 = tuple(1 if i == 0 else 0 for i in range(d.dim))
         line = canon_line(p, qpoint(*(a + b for a, b in zip(p, e1))))
         return 1, CoverWitness("lines_for_vertices", (line,), {0: 0})
-    ipts, scale = integerize(d.points)
+    grid = d.grid
     members: dict = {}
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            members.setdefault(line_key(ipts[u], ipts[v]), set()).update((u, v))
-    lines = {line_from_key(key, scale): vs for key, vs in members.items()}
+            members.setdefault(line_key(grid[u], grid[v]), set()).update((u, v))
+    lines = {line_from_key(key, d.scale): vs for key, vs in members.items()}
     objects = sorted(lines)
     sets = [lines[line] for line in objects]
     masks = [sum(1 << v for v in s) for s in sets]
@@ -420,15 +429,15 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
     edges = sorted(g.edges)
     if not edges:
         return 0, CoverWitness("planes_for_edges", (), {})
-    ipts, scale = integerize(d.points)
+    grid = d.grid
     keyed: dict = {}
     for e in edges:
-        a, b = ipts[e[0]], ipts[e[1]]
-        for c in ipts:
+        a, b = grid[e[0]], grid[e[1]]
+        for c in grid:
             key = plane_key(a, b, c)
             if key is not None:
                 keyed.setdefault(key, set()).add(e)
-    candidates = {plane_from_key(key, scale): es for key, es in keyed.items()}
+    candidates = {plane_from_key(key, d.scale): es for key, es in keyed.items()}
     if not candidates:
         u, v = edges[0]
         candidates[canonical_plane_through_segment(d.points[u], d.points[v])] = set(edges)
@@ -515,7 +524,7 @@ def kn_structural_checks(d: Drawing, w: CoverWitness) -> KnReport:
     for i, verts in assigned.items():
         if len(verts) == 4:
             four_planes[i] = verts
-            pts = [d.points[v] for v in sorted(verts)]
+            pts = [d.grid[v] for v in sorted(verts)]
             normal = w.objects[i].normal
             inside = [
                 v
@@ -532,10 +541,9 @@ def kn_structural_checks(d: Drawing, w: CoverWitness) -> KnReport:
                 violations.append(
                     (i, tuple(sorted(four_planes[i] & four_planes[j])), f"shares 3+ vertices with plane {j}")
                 )
-    ipts, scale = integerize(d.points)
     for i, plane in enumerate(w.objects):
-        key = scaled_key(plane, scale)
-        on_plane = [v for v in range(g.n) if key is not None and key_contains(key, ipts[v])]
+        key = scaled_key(plane, d.scale)
+        on_plane = [v for v in range(g.n) if key is not None and key_contains(key, d.grid[v])]
         if len(on_plane) >= 5:
             violations.append((i, tuple(on_plane), "plane contains 5+ vertex points"))
     return KnReport(not violations, tuple(violations))
@@ -567,14 +575,13 @@ def verify_cover_witness(d: Drawing, w: CoverWitness) -> None:
     items = set(g.edges) if w.kind in EDGE_KINDS else set(range(g.n))
     if set(w.assignment.keys()) != items:
         raise WitnessViolation("assignment does not cover every item exactly")
-    ipts, scale = integerize(d.points)
-    keys = [scaled_key(obj, scale) for obj in w.objects]
+    keys = [scaled_key(obj, d.scale) for obj in w.objects]
     for item, idx in w.assignment.items():
         if not 0 <= idx < len(w.objects):
             raise WitnessViolation(f"object index {idx} out of range")
         key = keys[idx]
         ends = item if w.kind in EDGE_KINDS else (item,)
-        if key is None or not all(key_contains(key, ipts[v]) for v in ends):
+        if key is None or not all(key_contains(key, d.grid[v]) for v in ends):
             raise WitnessViolation(f"item {item} not contained in object {idx}")
     if w.kind == "parallel_lines":
         dirs = {obj.direction for obj in w.objects}

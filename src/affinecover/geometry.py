@@ -130,21 +130,18 @@ def point_strictly_inside_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
     return lo < p[axis] < hi
 
 
-def _collinear_segments_relation(a, b, c, d) -> str:
-    """All four points on one line: classify by 1D interval overlap."""
+# The three helpers below decide whether segments [a, b] and [c, d] with
+# no common endpoint meet at all; any such contact is forbidden.
+
+
+def _collinear_segments_meet(a, b, c, d) -> bool:
+    """All four points on one line: do the 1D intervals overlap?"""
     axis, a1, a2 = _span(a, b)
     b1, b2 = sorted((c[axis], d[axis]))
-    lo, hi = max(a1, b1), min(a2, b2)
-    if lo > hi:
-        return DISJOINT
-    if lo < hi:
-        return CROSSING  # overlap of positive length
-    # single shared coordinate value: for proper segments this is an
-    # endpoint of both segments
-    return SHARED_ENDPOINT_ONLY
+    return max(a1, b1) <= min(a2, b2)
 
 
-def _segments_intersect_2d(a, b, c, d) -> str:
+def _segments_meet_2d(a, b, c, d) -> bool:
     ax, ay = a[0], a[1]
     bx, by = b[0], b[1]
     cx, cy = c[0], c[1]
@@ -153,24 +150,22 @@ def _segments_intersect_2d(a, b, c, d) -> str:
     d1 = ex * (ay - cy) - ey * (ax - cx)
     d2 = ex * (by - cy) - ey * (bx - cx)
     if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
-        return DISJOINT  # [a, b] strictly on one side of line cd
+        return False  # [a, b] strictly on one side of line cd
     # d3, d4: sides of c and d relative to line ab, as orient(a, b, .)
     fx, fy = bx - ax, by - ay
     d3 = fx * (cy - ay) - fy * (cx - ax)
     d4 = fx * (d[1] - ay) - fy * (d[0] - ax)
     if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
-        return DISJOINT
-    # now neither segment lies strictly on one side of the other's line
-    if d1 and d2:
-        return CROSSING  # they meet at a point interior to [a, b]
+        return False
+    # now neither segment lies strictly on one side of the other's line:
+    # they meet, unless all four points are collinear and the segments
+    # are apart on that line
     if d1 == 0 and d2 == 0:
-        return _collinear_segments_relation(a, b, c, d)
-    # exactly one of a, b lies on line cd, so on the segment [c, d]
-    touch = a if d1 == 0 else b
-    return SHARED_ENDPOINT_ONLY if touch in (c, d) else CROSSING
+        return _collinear_segments_meet(a, b, c, d)
+    return True
 
 
-def _segments_intersect_3d(a, b, c, d) -> str:
+def _segments_meet_3d(a, b, c, d) -> bool:
     ax, ay, az = a
     cx, cy, cz = c
     ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
@@ -178,16 +173,16 @@ def _segments_intersect_3d(a, b, c, d) -> str:
     wx, wy, wz = cx - ax, cy - ay, cz - az
     n = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
     if n[0] * wx + n[1] * wy + n[2] * wz:
-        return DISJOINT  # bounding lines are skew: no common point at all
+        return False  # bounding lines are skew: no common point at all
     # coplanar: reduce to 2D by dropping the dominant axis of a plane normal
     if _is_zero(n):
         n = (uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx)
     if _is_zero(n):
-        return _collinear_segments_relation(a, b, c, d)
+        return _collinear_segments_meet(a, b, c, d)
     mags = [abs(x) for x in n]
     drop = mags.index(max(mags))
     i, j = (1, 2) if drop == 0 else (0, 2) if drop == 1 else (0, 1)
-    return _segments_intersect_2d((a[i], a[j]), (b[i], b[j]), (c[i], c[j]), (d[i], d[j]))
+    return _segments_meet_2d((a[i], a[j]), (b[i], b[j]), (c[i], c[j]), (d[i], d[j]))
 
 
 def segments_intersect(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> str:
@@ -201,19 +196,19 @@ def segments_intersect(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> str:
     touch, endpoint inside the other segment, identical segments) is
     ``crossing``.
     """
-    dim = _check_common_dimension((a, b, c, d))
+    _check_common_dimension((a, b, c, d))
     if a == b or c == d:
         raise ValueError("degenerate (zero-length) segment")
-    if dim == 2:
-        return _segments_intersect_2d(a, b, c, d)
-    return _segments_intersect_3d(a, b, c, d)
+    if forbidden_contact(a, b, c, d):
+        return CROSSING
+    return SHARED_ENDPOINT_ONLY if a in (c, d) or b in (c, d) else DISJOINT
 
 
 def forbidden_contact(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> bool:
     """Integer kernel of the crossing verifier.
 
-    True iff ``segments_intersect(a, b, c, d) == "crossing"``: the
-    segments meet anywhere but in one common endpoint.  The arguments
+    True iff the segments meet anywhere but in one common endpoint,
+    which is what ``segments_intersect`` calls ``"crossing"``.  The arguments
     are not validated; they must be proper segments in one dimension,
     and a common endpoint must be the identical point.  Segments
     [s, p] and [s, q] with a common endpoint s meet elsewhere exactly
@@ -228,8 +223,8 @@ def forbidden_contact(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> bool:
             dot += (p[2] - s[2]) * (q[2] - s[2])
         return dot > 0 and collinear(s, p, q)
     if len(a) == 2:
-        return _segments_intersect_2d(a, b, c, d) != DISJOINT
-    return _segments_intersect_3d(a, b, c, d) != DISJOINT
+        return _segments_meet_2d(a, b, c, d)
+    return _segments_meet_3d(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

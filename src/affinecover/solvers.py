@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
+from .drawing import greedy_set_cover
 from .graphs import Graph, is_linear_forest, to_graph6
 from .planar import is_planar, planarity_test, triangulations
 
@@ -571,19 +572,7 @@ def clique_cover_exact(
             if u in bset and v in bset:
                 blocks_per_pair[pi].append(bi)
 
-    def greedy() -> list:
-        covered = 0
-        out = []
-        while covered != full:
-            bi = max(
-                range(len(blocks)),
-                key=lambda i: ((masks[i] & ~covered).bit_count(), -i),
-            )
-            out.append(bi)
-            covered |= masks[bi]
-        return out
-
-    greedy_blocks = greedy()
+    greedy_blocks = greedy_set_cover(masks, full)
     per_block = s * (s - 1) // 2
     lb0, _ = steiner_bounds(n, s)
     hi = len(greedy_blocks) if max_value is None else max_value

@@ -375,6 +375,16 @@ def test_tree_grid_size_recurrence():
         assert tree_grid_size(h) == m
 
 
+def test_tree_grid_size_closed_form_matches_recurrence():
+    m = {2: 2, 3: 4}
+    for h in range(4, 200):
+        m[h] = 2 * m[h - 2] + 4
+    for h, want in m.items():
+        assert tree_grid_size(h) == want
+    with pytest.raises(ValueError):
+        tree_grid_size(1)
+
+
 def test_binary_tree_single_point():
     res = binary_tree_grid(0)
     check_result(res)

@@ -112,6 +112,42 @@ def test_verify_3d_and_flag_untouched_on_original():
     assert out.verified and not d.verified
 
 
+def test_drawing_integerizes_once(monkeypatch):
+    # the verifier, the measurements and the witness check read the
+    # drawing's grid instead of integerizing its points again
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return integerize(points)
+
+    monkeypatch.setattr("affinecover.drawing.integerize", counted)
+    d = make(complete_graph(4), [(0, 0), (4, 0), (0, Fraction(7, 2)), (1, Fraction(1, 3))])
+    v = verify_crossing_free(d)
+    edge_line_count(v)
+    _, w = min_vertex_line_cover(v)
+    verify_cover_witness(v, w)
+    assert len(calls) == 1
+
+
+_coords = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda dim: st.lists(st.tuples(*[_coords] * dim), min_size=1, max_size=8, unique=True)
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_drawing_grid_is_integerized_points(pts):
+    d = Drawing(Graph(len(pts), []), tuple(pts))
+    grid, scale = integerize(pts)
+    assert d.grid == tuple(grid) and d.scale == scale
+    assert "grid" not in repr(d) and "scale" not in repr(d)
+    v = verify_crossing_free(d)
+    assert v.grid is d.grid and v.scale == d.scale and v.points is d.points
+
+
 def test_measurements_require_verified():
     d = k4_triangle_center_2d()
     with pytest.raises(ValueError):

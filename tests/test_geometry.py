@@ -393,7 +393,7 @@ def test_forbidden_contact_is_crossing_2d(v, scale):
     a, b, c, d = (tuple(x * scale for x in v[k : k + 2]) for k in range(0, 8, 2))
     if a == b or c == d:
         return
-    assert forbidden_contact(a, b, c, d) == (segments_intersect(a, b, c, d) == "crossing")
+    assert forbidden_contact(a, b, c, d) == (classify_oracle(a, b, c, d) == "crossing")
 
 
 @given(st.lists(st.integers(-1, 1), min_size=12, max_size=12), st.sampled_from([1, 2**61 + 1]))
@@ -402,7 +402,7 @@ def test_forbidden_contact_is_crossing_3d(v, scale):
     a, b, c, d = (tuple(x * scale for x in v[k : k + 3]) for k in range(0, 12, 3))
     if a == b or c == d:
         return
-    assert forbidden_contact(a, b, c, d) == (segments_intersect(a, b, c, d) == "crossing")
+    assert forbidden_contact(a, b, c, d) == (classify_oracle(a, b, c, d) == "crossing")
 
 
 @given(st.lists(st.integers(-2, 2), min_size=8, max_size=8))
