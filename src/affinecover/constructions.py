@@ -145,15 +145,25 @@ def _ceil_div(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _skew_line_points(i: int, count: int, p: int) -> list:
-    """``count`` points on the line through (i,0,0) with direction (0,1,i).
+def _skew_line_layout(n: int, orders: list, p: int, exact: bool = True) -> tuple:
+    """Points for ``n`` vertices on skew lines, and their line witness.
 
-    Points sit at parameters congruent to i*i modulo the prime ``p``;
-    for distinct lines i and j the parameter classes differ, which keeps
-    any connecting segment from passing through a third line's points.
+    ``orders[i]`` lists class i's vertices in the order they take along
+    the line through (i, 0, 0) with direction (0, 1, i).  They sit at
+    parameters congruent to i*i modulo the prime ``p``; for distinct
+    lines i and j the parameter classes differ, which keeps any
+    connecting segment from passing through a third line's points.
     """
-    base = (i * i) % p
-    return [qpoint(i, base + j * p, i * (base + j * p)) for j in range(count)]
+    points = [None] * n
+    lines = []
+    assignment = {}
+    for i, order in enumerate(orders):
+        lines.append(canon_line(qpoint(i, 0, 0), qpoint(i, 1, i)))
+        base = (i * i) % p
+        for j, v in enumerate(order):
+            points[v] = qpoint(i, base + j * p, i * (base + j * p))
+            assignment[v] = i
+    return points, CoverWitness("lines_for_vertices", tuple(lines), assignment, exact=exact)
 
 
 def pach_multipartite(r: int, n: int) -> ConstructionResult:
@@ -169,20 +179,9 @@ def pach_multipartite(r: int, n: int) -> ConstructionResult:
     if n < r or n % r != 0:
         raise ValueError("number of vertices must be a positive multiple of r")
     p = _next_prime(2 * r - 1)
-    g = balanced_multipartite(r, n)
-    classes = multipartite_classes(r, n)
-    points = [None] * n
-    lines = []
-    assignment = {}
-    for i, cls in enumerate(classes):
-        lines.append(canon_line(qpoint(i, 0, 0), qpoint(i, 1, i)))
-        coords = _skew_line_points(i, len(cls), p)
-        for v, pt in zip(sorted(cls), coords):
-            points[v] = pt
-            assignment[v] = i
-    witness = CoverWitness("lines_for_vertices", tuple(lines), assignment)
+    points, witness = _skew_line_layout(n, [sorted(c) for c in multipartite_classes(r, n)], p)
     d = _verified(
-        g,
+        balanced_multipartite(r, n),
         points,
         {"construction": "pach_multipartite", "r": r, "n": n, "prime": p},
     )
@@ -223,29 +222,13 @@ def pi13_drawing(g: Graph) -> ConstructionResult:
     cross anything off their line.
     """
     part = lva_exact(g)
-    classes = part.partition.classes
     r = part.value
     meta = {"construction": "pi13_drawing", "classes": r, "exact": part.exact}
-    points = [None] * g.n
-    lines = []
-    assignment = {}
-    if r == 1:
-        order = _forest_path_order(g, classes[0])
-        lines.append(canon_line(qpoint(0, 0, 0), qpoint(0, 1, 0)))
-        for j, v in enumerate(order):
-            points[v] = qpoint(0, j, 0)
-            assignment[v] = 0
-    else:
-        p = _next_prime(2 * r - 1)
-        meta["prime"] = p
-        for i, cls in enumerate(classes):
-            order = _forest_path_order(g, cls)
-            lines.append(canon_line(qpoint(i, 0, 0), qpoint(i, 1, i)))
-            coords = _skew_line_points(i, len(order), p)
-            for v, pt in zip(order, coords):
-                points[v] = pt
-                assignment[v] = i
-    witness = CoverWitness("lines_for_vertices", tuple(lines), assignment, exact=part.exact)
+    if r > 1:
+        meta["prime"] = _next_prime(2 * r - 1)
+    orders = [_forest_path_order(g, cls) for cls in part.partition.classes]
+    # One line needs no prime: p = 1 puts the j-th vertex at (0, j, 0).
+    points, witness = _skew_line_layout(g.n, orders, meta.get("prime", 1), exact=part.exact)
     d = _verified(g, points, meta)
     return _package(d, witness, r)
 

@@ -140,6 +140,23 @@ def _valid_payload():
     return json.loads(emit_certificate(cert))
 
 
+def _swap_in(o: dict, res) -> dict:
+    """Replace the payload by ``res``'s certificate, for cases that need
+    another witness kind than k2q's lines for edges."""
+    o.clear()
+    o.update(json.loads(emit_certificate(certificate_from_result(res, "swap"))))
+    return o
+
+
+def _rename(d: dict, old: str, new: str) -> None:
+    d[new] = d.pop(old)
+
+
+def _raw(old: bytes, new: bytes):
+    """A case written on the canonical bytes rather than on the payload."""
+    return lambda o: _canonical_bytes(o).replace(old, new)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -160,13 +177,25 @@ def _valid_payload():
             {next(iter(o["witness"]["assignment"])): 99}
         ),  # object index out of range
         lambda o: o.__setitem__("graph", "this is not graph6 \x01"),
+        _raw(b'"meta":{', b'"meta":{"aaa":NaN,'),
+        _raw(b'"claimed_bound":3', b'"claimed_bound":Infinity'),
+        _raw(b'"seed":null', b'"seed":-Infinity'),
+        lambda o: _rename(o["witness"]["assignment"], "1,2", "01,2"),
+        lambda o: _rename(_swap_in(o, kn_small_plane_cover(4))["witness"]["assignment"], "0,1", "0,+1"),
+        lambda o: _rename(_swap_in(o, pi13_drawing(path_graph(3)))["witness"]["assignment"], "0", "+0"),
+        lambda o: o["witness"]["objects"][0]["direction"].__setitem__(0, "0"),  # int as str
+        lambda o: _swap_in(o, kn_small_plane_cover(4))["witness"]["objects"][0]["normal"].__setitem__(2, "1"),
+        lambda o: _swap_in(o, kn_small_plane_cover(4))["witness"]["objects"][0].__setitem__("offset", [0, 2]),
+        lambda o: o["witness"]["objects"][1]["base"].__setitem__(1, [-3, -1]),  # negative den
+        lambda o: o["drawing"][0].__setitem__(0, [2**53, 1]),  # too large for a JSON number
+        _raw(b'"version":1', b'"version":2,"version":1'),  # duplicated key
     ],
 )
 def test_malformed_certificates_rejected(mutate):
     obj = _valid_payload()
-    mutate(obj)
+    data = mutate(obj)
     with pytest.raises(ValueError):
-        parse_certificate(_canonical_bytes(obj))
+        parse_certificate(data if isinstance(data, bytes) else _canonical_bytes(obj))
 
 
 def test_non_canonical_graph6_rejected():
@@ -222,21 +251,26 @@ def test_non_canonical_objects_rejected(obj):
         parse_certificate(_canonical_bytes(payload))
 
 
-_FUZZ_BASE = emit_certificate(certificate_from_result(binary_tree_grid(2), "binary_tree_grid"))
+_FUZZ_BASES = {
+    "binary_tree_grid(2)": emit_certificate(certificate_from_result(binary_tree_grid(2), "binary_tree_grid")),
+    "kn_small_plane_cover(4)": emit_certificate(certificate_from_result(kn_small_plane_cover(4), "kn")),
+}
 
 
-@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_BASE) - 1), st.integers(32, 126)), min_size=1, max_size=3))
+@pytest.mark.parametrize("base", list(_FUZZ_BASES))
+@given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_mutated_certificate_bytes(edits):
+def test_mutated_certificate_bytes(base, data):
     # Every mutant either round-trips byte for byte and verifies, or is
     # rejected with one of the three documented errors.
-    data = bytearray(_FUZZ_BASE)
-    for pos, byte in edits:
-        data[pos] = byte
-    data = bytes(data)
+    mutant = bytearray(_FUZZ_BASES[base])
+    edits = st.lists(st.tuples(st.integers(0, len(mutant) - 1), st.integers(32, 126)), min_size=1, max_size=3)
+    for pos, byte in data.draw(edits):
+        mutant[pos] = byte
+    mutant = bytes(mutant)
     try:
-        cert = parse_certificate(data)
-        assert emit_certificate(cert) == data
+        cert = parse_certificate(mutant)
+        assert emit_certificate(cert) == mutant
         verify_certificate(cert)
     except (ValueError, DrawingViolation, WitnessViolation):
         pass

@@ -118,6 +118,8 @@ def test_draw_edges_file_input(tmp_path):
 DRAW_PINS = [
     (("pi13", "--graph6", "HTZoGi]"),
      "a0d27d8d44c329b68d627cd8b72cfbb214b740ef72af8cae6f42f8c77cc8c7f3"),
+    (("pi13", "--family", "path:6"),
+     "255496d028c132f7856d76b3698182184ef6e525b15f514acf4d2a74a90a0991"),
     (("pi23", "--family", "complete:8", "--seed", "7"),
      "5beebedafdde8fbe1834b1d836f511a683beb348db33aea1058f62a9109bb5f1"),
     (("rho23_kn", "--family", "complete:8"),
@@ -184,6 +186,15 @@ def test_verify_good_and_tampered(tmp_path, capsys):
     garbage.write_text("not a certificate")
     assert main(["verify", str(garbage)]) == 2
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("command", [["verify"], ["export", "--format", "obj"]])
+def test_deeply_nested_file_is_a_clean_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    capsys.readouterr()
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------

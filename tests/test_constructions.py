@@ -7,12 +7,14 @@ the geometric claims.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from fractions import Fraction
 
 import pytest
 
+from affinecover.certio import certificate_from_result, emit_certificate
 from affinecover.constructions import (
     DRAW_TARGETS,
     PRISM_LINE_CONSTANT,
@@ -102,6 +104,14 @@ def test_multipartite_host_one_vertex_per_class():
     assert res.witness.count == 3
 
 
+def test_multipartite_host_certificate_pinned():
+    data = emit_certificate(certificate_from_result(pach_multipartite(3, 9), "pach_multipartite"))
+    data = re.sub(rb'"tool":"[^"]*"', b'"tool":""', data)
+    assert hashlib.sha256(data).hexdigest() == (
+        "95174e2abf6722ac3d5702c43df2b4380ebc153dc72633088a4a1ff3f859b50e"
+    )
+
+
 def test_multipartite_host_rejects_bad_arguments():
     with pytest.raises(ValueError):
         pach_multipartite(2, 3)
@@ -142,6 +152,7 @@ def test_vertex_line_drawing_path_single_line():
     assert res.witness.count == 1
     line = res.witness.objects[0]
     assert all(line_contains_point(line, p) for p in res.drawing.points)
+    assert "prime" not in res.drawing.meta
 
 
 def test_vertex_line_drawing_triangulation_three_lines():
