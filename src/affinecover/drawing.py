@@ -87,13 +87,14 @@ class Drawing:
 
     ``grid`` and ``scale`` are derived from the points: ``grid[v]`` is
     ``points[v]`` times ``scale``, the least common denominator of all
-    coordinates, so every grid coordinate is an int.
+    coordinates, so every grid coordinate is an int.  Only
+    :func:`verify_crossing_free` sets ``verified``.
     """
 
     graph: Graph
     points: tuple
     meta: dict = field(default_factory=dict)
-    verified: bool = False
+    verified: bool = field(default=False, init=False)
     grid: tuple = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
 
@@ -364,15 +365,29 @@ def exact_set_cover(masks: Sequence[int], full: int, node_cap: int = 2_000_000) 
     return best, not capped
 
 
-def _cover_witness(kind: str, objects: Sequence, object_items: Sequence[set], chosen: list,
-                   exact: bool) -> CoverWitness:
+def _min_cover(kind: str, candidates: dict, items: Sequence, search: bool) -> tuple:
+    """Minimum cover of ``items`` by the ``candidates`` (object -> set of
+    items): exact when ``search`` is true, else greedy and flagged.
+
+    Returns (count, witness); the witness keeps the chosen objects in
+    sorted order and assigns each item to the first one holding it.
+    """
+    objects = sorted(candidates)
+    sets = [candidates[obj] for obj in objects]
+    bit = {item: 1 << i for i, item in enumerate(items)}
+    masks = [sum(bit[item] for item in s) for s in sets]
+    full = (1 << len(bit)) - 1
+    if search:
+        chosen, exact = exact_set_cover(masks, full)
+    else:
+        chosen, exact = greedy_set_cover(masks, full), False
     picked = sorted(chosen)
-    out_objects = tuple(objects[i] for i in picked)
     assignment = {}
     for new_idx, i in enumerate(picked):
-        for item in sorted(object_items[i]):
+        for item in sorted(sets[i]):
             assignment.setdefault(item, new_idx)
-    return CoverWitness(kind, out_objects, assignment, exact)
+    w = CoverWitness(kind, tuple(objects[i] for i in picked), assignment, exact)
+    return w.count, w
 
 
 def min_vertex_line_cover(d: Drawing, budget_n: int = 40) -> tuple:
@@ -395,16 +410,7 @@ def min_vertex_line_cover(d: Drawing, budget_n: int = 40) -> tuple:
         for v in range(u + 1, g.n):
             members.setdefault(line_key(grid[u], grid[v]), set()).update((u, v))
     lines = {line_from_key(key, d.scale): vs for key, vs in members.items()}
-    objects = sorted(lines)
-    sets = [lines[line] for line in objects]
-    masks = [sum(1 << v for v in s) for s in sets]
-    full = (1 << g.n) - 1
-    if g.n <= budget_n:
-        chosen, exact = exact_set_cover(masks, full)
-    else:
-        chosen, exact = greedy_set_cover(masks, full), False
-    w = _cover_witness("lines_for_vertices", objects, sets, chosen, exact)
-    return w.count, w
+    return _min_cover("lines_for_vertices", lines, range(g.n), g.n <= budget_n)
 
 
 def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
@@ -441,17 +447,7 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
     if not candidates:
         u, v = edges[0]
         candidates[canonical_plane_through_segment(d.points[u], d.points[v])] = set(edges)
-    objects = sorted(candidates.keys())
-    sets = [candidates[pl] for pl in objects]
-    eidx = {e: i for i, e in enumerate(edges)}
-    masks = [sum(1 << eidx[e] for e in s) for s in sets]
-    full = (1 << len(edges)) - 1
-    if g.m <= budget_m:
-        chosen, exact = exact_set_cover(masks, full)
-    else:
-        chosen, exact = greedy_set_cover(masks, full), False
-    w = _cover_witness("planes_for_edges", objects, sets, chosen, exact)
-    return w.count, w
+    return _min_cover("planes_for_edges", candidates, edges, g.m <= budget_m)
 
 
 def segment_slope_count(d: Drawing) -> tuple:

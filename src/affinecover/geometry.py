@@ -1,18 +1,19 @@
 """Exact rational geometry kernel.
 
-Points are tuples of ``fractions.Fraction`` in dimension 2 or 3.  Every
-predicate here is exact: orientation signs, segment intersection
-classification, and membership in lines/planes are decided with integer
-and rational arithmetic only, no epsilons.  Crossing-freeness and
-"edge lies on this line/plane" are equality statements, so floating
-point could not certify them.
-
-Canonical forms let covering objects be deduplicated: any two point
-pairs spanning the same line map to the identical :class:`CanonLine`
-record, and any two non-collinear triples spanning the same plane map
-to the identical :class:`CanonPlane` record.  Both are built from an
-integer key of the object on ``integerize``d points (see the integer
-keys section), which is also what bulk grouping and containment use.
+Points are tuples of ``fractions.Fraction`` (or int) in dimension 2 or
+3; every predicate is exact, with no epsilons, since crossing-freeness
+and "edge lies on this line/plane" are equality statements.  The
+program decides with :func:`forbidden_contact` (do two segments meet
+anywhere but in one common endpoint?), :func:`collinear` and
+:func:`orient`; with integer keys of lines and planes on
+:func:`integerize`d points (the key builders :func:`line_key` and
+:func:`plane_key`, and :func:`key_contains`); and with the canonical
+records :class:`CanonLine` and :class:`CanonPlane`, which map any two
+pairs (triples) spanning the same line (plane) to one record.  The
+Fraction helpers :func:`point_strictly_inside_segment`,
+:func:`line_contains_point` and :func:`plane_contains_point` are called
+by no program path; they stay only for the benchmark tracer, which
+counts their calls.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 QPoint = tuple  # tuple of Fraction, length 2 or 3
-
-DISJOINT = "disjoint"
-SHARED_ENDPOINT_ONLY = "shared_endpoint_only"
-CROSSING = "crossing"
 
 
 def qpoint(*coords) -> QPoint:
@@ -90,8 +87,8 @@ def _is_zero(v) -> bool:
 
 
 # The predicates below assume points of one common dimension and do not
-# check it, so the verifier can call them per pair; ``orient`` and
-# ``segments_intersect`` validate their arguments.
+# check it, so the verifier can call them per pair; ``orient``
+# validates its arguments.
 
 
 def collinear(a: QPoint, b: QPoint, c: QPoint) -> bool:
@@ -112,14 +109,6 @@ def _span(a: QPoint, b: QPoint) -> tuple:
     axis = d.index(max(d))
     lo, hi = a[axis], b[axis]
     return (axis, lo, hi) if lo <= hi else (axis, hi, lo)
-
-
-def point_on_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
-    """Exact: p lies on the closed segment [a, b]."""
-    if not collinear(a, b, p):
-        return False
-    axis, lo, hi = _span(a, b)
-    return lo <= p[axis] <= hi
 
 
 def point_strictly_inside_segment(p: QPoint, a: QPoint, b: QPoint) -> bool:
@@ -185,31 +174,13 @@ def _segments_meet_3d(a, b, c, d) -> bool:
     return _segments_meet_2d((a[i], a[j]), (b[i], b[j]), (c[i], c[j]), (d[i], d[j]))
 
 
-def segments_intersect(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> str:
-    """Classify how segments [a,b] and [c,d] meet.
-
-    Returns one of ``"disjoint"``, ``"shared_endpoint_only"``,
-    ``"crossing"``.  Sharing exactly one point that is an endpoint of
-    both segments is the only contact that counts as
-    ``shared_endpoint_only``; every other nonempty intersection
-    (interior crossing, collinear overlap of positive length, interior
-    touch, endpoint inside the other segment, identical segments) is
-    ``crossing``.
-    """
-    _check_common_dimension((a, b, c, d))
-    if a == b or c == d:
-        raise ValueError("degenerate (zero-length) segment")
-    if forbidden_contact(a, b, c, d):
-        return CROSSING
-    return SHARED_ENDPOINT_ONLY if a in (c, d) or b in (c, d) else DISJOINT
-
-
 def forbidden_contact(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> bool:
     """Integer kernel of the crossing verifier.
 
-    True iff the segments meet anywhere but in one common endpoint,
-    which is what ``segments_intersect`` calls ``"crossing"``.  The arguments
-    are not validated; they must be proper segments in one dimension,
+    True iff the segments meet anywhere but in one common endpoint:
+    an interior crossing, a collinear overlap, an endpoint inside the
+    other segment, or identical segments.  The arguments are not
+    validated; they must be proper segments in one dimension,
     and a common endpoint must be the identical point.  Segments
     [s, p] and [s, q] with a common endpoint s meet elsewhere exactly
     when p - s and q - s point the same way: their cross product is
@@ -320,10 +291,6 @@ def plane_contains_point(plane: CanonPlane, p: QPoint) -> bool:
     if len(p) != 3:
         raise ValueError("dimension mismatch")
     return sum(n * x for n, x in zip(plane.normal, p)) == plane.offset
-
-
-def plane_contains_segment(plane: CanonPlane, a: QPoint, b: QPoint) -> bool:
-    return plane_contains_point(plane, a) and plane_contains_point(plane, b)
 
 
 def canonical_plane_through_segment(a: QPoint, b: QPoint) -> CanonPlane:

@@ -54,19 +54,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
     def components(self) -> list:
         seen = set()
         comps = []

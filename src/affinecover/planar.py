@@ -40,22 +40,13 @@ DUAL_BUDGET_N = 14
 
 @dataclass(frozen=True)
 class PlaneEmbedding:
-    """Combinatorial plane embedding.
+    """Combinatorial plane embedding, given by its faces.
 
-    Attributes
-    ----------
-    rotation : tuple of tuples
-        ``rotation[v]`` lists the neighbours of ``v`` in clockwise order.
-    faces : tuple of tuples
-        Each face is a vertex cycle ``(v0, v1, ..., vk-1)`` standing for
-        the directed boundary edges ``(v0,v1), ..., (vk-1,v0)``.
-    outer_face : int
-        Index into ``faces`` of the designated unbounded face.
+    Each face is a vertex cycle ``(v0, v1, ..., vk-1)`` standing for the
+    directed boundary edges ``(v0,v1), ..., (vk-1,v0)``.
     """
 
-    rotation: tuple[tuple[int, ...], ...]
     faces: tuple[tuple[int, ...], ...]
-    outer_face: int
 
 
 @dataclass(frozen=True)
@@ -176,16 +167,7 @@ def planarity_test(g: Graph) -> PlaneEmbedding | None:
     ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
     if not ok:
         return None
-    rotation = tuple(
-        tuple(emb.neighbors_cw_order(v)) if g.degree(v) > 0 else ()
-        for v in range(g.n)
-    )
-    faces = _faces_from_nx(g, emb)
-    if faces:
-        outer = max(range(len(faces)), key=lambda i: (len(faces[i]), faces[i]))
-    else:
-        outer = 0
-    embedding = PlaneEmbedding(rotation=rotation, faces=tuple(faces), outer_face=outer)
+    embedding = PlaneEmbedding(faces=tuple(_faces_from_nx(g, emb)))
     validate_embedding(g, embedding)
     return embedding
 
@@ -193,16 +175,10 @@ def planarity_test(g: Graph) -> PlaneEmbedding | None:
 def validate_embedding(g: Graph, emb: PlaneEmbedding) -> None:
     """Check structural sanity of an embedding; raise ``ValueError`` if bad.
 
-    Validates that every rotation is a permutation of the neighbourhood,
-    that every directed edge lies on exactly one face boundary, and that
-    each connected component satisfies ``n - m + f = 2`` with the outer
-    face counted.
+    Validates that every directed edge lies on exactly one face
+    boundary, and that each connected component satisfies
+    ``n - m + f = 2`` with the outer face counted.
     """
-    if len(emb.rotation) != g.n:
-        raise ValueError("rotation system has wrong length")
-    for v in range(g.n):
-        if set(emb.rotation[v]) != set(g.adj[v]) or len(emb.rotation[v]) != len(g.adj[v]):
-            raise ValueError(f"rotation at vertex {v} is not a permutation of its neighbours")
     seen: dict[tuple[int, int], int] = {}
     for idx, face in enumerate(emb.faces):
         k = len(face)
@@ -216,8 +192,6 @@ def validate_embedding(g: Graph, emb: PlaneEmbedding) -> None:
     expected = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
     if set(seen) != expected:
         raise ValueError("some directed edge lies on no face")
-    if not (0 <= emb.outer_face < max(1, len(emb.faces))):
-        raise ValueError("outer face index out of range")
     comp_of = {}
     comps = g.components()
     for ci, comp in enumerate(comps):
@@ -444,9 +418,9 @@ def tree_tracks(g: Graph, root: int) -> TrackAssignment:
     """
     if not 0 <= root < g.n:
         raise ValueError("root out of range")
-    if g.m != g.n - 1 or not g.is_connected():
-        raise ValueError("input graph is not a tree")
     dist = bfs_layers(g, root)
+    if g.m != g.n - 1 or -1 in dist:
+        raise ValueError("input graph is not a tree")
     track_of = tuple(dist)
     for u, v in g.edges:
         if abs(track_of[u] - track_of[v]) != 1:

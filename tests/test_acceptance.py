@@ -71,7 +71,7 @@ def _random_connected(rng: random.Random, n: int, p: float) -> Graph:
             n,
             [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
         )
-        if g.is_connected():
+        if len(g.components()) == 1:
             return g
 
 

@@ -177,6 +177,7 @@ def _raw(old: bytes, new: bytes):
             {next(iter(o["witness"]["assignment"])): 99}
         ),  # object index out of range
         lambda o: o.__setitem__("graph", "this is not graph6 \x01"),
+        lambda o: o.__setitem__("graph", "\u00e9"),  # not ASCII
         _raw(b'"meta":{', b'"meta":{"aaa":NaN,'),
         _raw(b'"claimed_bound":3', b'"claimed_bound":Infinity'),
         _raw(b'"seed":null', b'"seed":-Infinity'),

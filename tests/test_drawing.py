@@ -2,9 +2,11 @@
 
 Derived oracles: set-cover minima are cross-checked by brute-force
 subset enumeration; segment/slope counts by hand enumeration; the sweep
-verifier by the pairwise loop it replaced (``reference_verify``); the
-integer-keyed measurements and witness check by the per-pair canonical
-records and Fraction containment they replaced (``reference_*``).
+verifier by the pairwise loop it replaced (``reference_verify``), which
+meets edge pairs with the parametric ``reference.classify_oracle``
+instead of the kernel under test; the integer-keyed measurements and
+witness check by the per-pair canonical records and Fraction
+containment they replaced (``reference_*``).
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from affinecover.drawing import (
     Drawing,
     DrawingViolation,
     WitnessViolation,
-    _cover_witness,
+    _min_cover,
     _require_verified,
     edge_line_count,
-    exact_set_cover,
-    greedy_set_cover,
     ess_record,
     kn_structural_checks,
     min_edge_plane_cover,
@@ -51,9 +51,9 @@ from affinecover.geometry import (
     plane_contains_point,
     point_strictly_inside_segment,
     qpoint,
-    segments_intersect,
 )
 from affinecover.graphs import Graph, complete_graph, path_graph
+from reference import classify_oracle
 
 
 def make(graph, pts, meta=None):
@@ -110,6 +110,17 @@ def test_verify_3d_and_flag_untouched_on_original():
     d = make(complete_graph(4), pts)
     out = verify_crossing_free(d)
     assert out.verified and not d.verified
+
+
+def test_only_the_verifier_sets_the_flag():
+    # K5 on five points in convex position is not crossing-free; a flag
+    # set by the caller would let bound_report trust it unchecked
+    d = make(complete_graph(5), [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
+    with pytest.raises(TypeError):
+        Drawing(d.graph, d.points, verified=True)
+    with pytest.raises(ValueError):
+        replace(d, verified=True)
+    assert not replace(verify_crossing_free(k4_triangle_center_2d())).verified
 
 
 def test_drawing_integerizes_once(monkeypatch):
@@ -272,8 +283,6 @@ def test_plane_cover_matches_brute_force_small():
     d = verify_crossing_free(make(complete_graph(4), pts))
     count, w = min_edge_plane_cover(d)
     # oracle: brute force over candidate planes built from all triples
-    from affinecover.geometry import canon_plane, plane_contains_segment
-
     qpts = [qpoint(*p) for p in pts]
     planes = {}
     for a, b, c in itertools.combinations(range(4), 3):
@@ -281,7 +290,7 @@ def test_plane_cover_matches_brute_force_small():
     edges = sorted(d.graph.edges)
     sets = []
     for pl in planes:
-        sets.append({e for e in edges if plane_contains_segment(pl, qpts[e[0]], qpts[e[1]])})
+        sets.append({e for e in edges if all(plane_contains_point(pl, qpts[x]) for x in e)})
     assert count == brute_min_cover(edges, sets)
 
 
@@ -457,7 +466,7 @@ def reference_verify(d):
                 bf = boxes[j]
                 if any(be[k][1] < bf[k][0] or bf[k][1] < be[k][0] for k in range(dim)):
                     continue
-            rel = segments_intersect(ipts[e[0]], ipts[e[1]], ipts[f[0]], ipts[f[1]])
+            rel = classify_oracle(ipts[e[0]], ipts[e[1]], ipts[f[0]], ipts[f[1]])
             expected = "shared_endpoint_only" if shared else "disjoint"
             if rel != expected:
                 raise DrawingViolation(("edge_edge", e, f))
@@ -575,16 +584,7 @@ def reference_min_vertex_line_cover(d, budget_n=40):
     members = {}
     for u, v in itertools.combinations(range(n), 2):
         members.setdefault(canon_line(d.points[u], d.points[v]), set()).update((u, v))
-    objects = sorted(members)
-    sets = [members[line] for line in objects]
-    masks = [sum(1 << v for v in vs) for vs in sets]
-    full = (1 << n) - 1
-    if n <= budget_n:
-        chosen, exact = exact_set_cover(masks, full)
-    else:
-        chosen, exact = greedy_set_cover(masks, full), False
-    w = _cover_witness("lines_for_vertices", objects, sets, chosen, exact)
-    return w.count, w
+    return _min_cover("lines_for_vertices", members, range(n), n <= budget_n)
 
 
 def reference_min_edge_plane_cover(d, budget_m=60):
@@ -606,17 +606,7 @@ def reference_min_edge_plane_cover(d, budget_m=60):
             candidates.setdefault(canonical_plane_through_segment(pts[u], pts[v]), set())
     for plane, covered in candidates.items():
         covered.update(e for e in edges if all(plane_contains_point(plane, pts[x]) for x in e))
-    objects = sorted(candidates)
-    sets = [candidates[pl] for pl in objects]
-    eidx = {e: i for i, e in enumerate(edges)}
-    masks = [sum(1 << eidx[e] for e in es) for es in sets]
-    full = (1 << len(edges)) - 1
-    if len(edges) <= budget_m:
-        chosen, exact = exact_set_cover(masks, full)
-    else:
-        chosen, exact = greedy_set_cover(masks, full), False
-    w = _cover_witness("planes_for_edges", objects, sets, chosen, exact)
-    return w.count, w
+    return _min_cover("planes_for_edges", candidates, edges, len(edges) <= budget_m)
 
 
 def reference_verify_cover_witness(d, w):

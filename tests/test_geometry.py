@@ -2,11 +2,11 @@
 
 Oracle notes: orientation results are cross-checked against an
 independent cofactor expansion (different row order) inside the tests;
-segment classification examples are small enough to verify by hand,
-and random small-grid segments are checked against a parametric
-solution of the intersection (``classify_oracle``).  Integer line and
-plane keys are checked against the Fraction canonical forms they
-replaced (``reference_canon_line``, ``reference_canon_plane``).
+the segment examples are small enough to verify by hand, and both they
+and random small-grid segments check ``forbidden_contact`` against a
+parametric solution of the intersection (``reference.classify_oracle``).
+Integer line and plane keys are checked against the Fraction canonical
+forms they replaced (``reference_canon_line``, ``reference_canon_plane``).
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from affinecover.geometry import (
     plane_contains_point,
     plane_from_key,
     plane_key,
-    point_on_segment,
     point_strictly_inside_segment,
     qpoint,
     scaled_key,
-    segments_intersect,
 )
+from reference import classify_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -72,34 +71,6 @@ def det3_oracle(a, b, c, d):
 
     val = rows[0][2] * minor(0) - rows[1][2] * minor(1) + rows[2][2] * minor(2)
     return (val > 0) - (val < 0)
-
-
-def classify_oracle(a, b, c, d):
-    """segments_intersect by solving a + t(b - a) = c + s(d - c) exactly.
-
-    Non-parallel segments meet in at most one point, found from the
-    parameters t and s; parallel ones meet only on a common line, where
-    c and d become parameters along [a, b] and the overlap of [0, 1]
-    with [t_c, t_d] decides.
-    """
-    a, b, c, d = ([Fraction(x) for x in p] + [Fraction(0)] * (3 - len(p)) for p in (a, b, c, d))
-    sub = lambda p, q: [x - y for x, y in zip(p, q)]  # noqa: E731
-    dot = lambda p, q: sum(x * y for x, y in zip(p, q))  # noqa: E731
-    cross = lambda p, q: [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]  # noqa: E731
-    u, v, w = sub(b, a), sub(d, c), sub(c, a)
-    n = cross(u, v)
-    if any(n):
-        t = dot(cross(w, v), n) / dot(n, n)
-        s = dot(cross(w, u), n) / dot(n, n)
-        p = [x + t * y for x, y in zip(a, u)]
-        if p != [x + s * y for x, y in zip(c, v)] or not (0 <= t <= 1 and 0 <= s <= 1):
-            return "disjoint"  # skew lines, or the crossing point is off a segment
-        return "shared_endpoint_only" if t in (0, 1) and s in (0, 1) else "crossing"
-    if any(cross(u, w)):
-        return "disjoint"  # parallel, on different lines
-    tc, td = sorted((dot(w, u) / dot(u, u), dot(sub(d, a), u) / dot(u, u)))
-    lo, hi = max(0, tc), min(1, td)
-    return "disjoint" if lo > hi else "crossing" if lo < hi else "shared_endpoint_only"
 
 
 # ---------------------------------------------------------------------------
@@ -147,97 +118,54 @@ def test_orient_antisymmetry_2d(v):
 
 
 # ---------------------------------------------------------------------------
-# segments_intersect
+# forbidden_contact
 # ---------------------------------------------------------------------------
 
-
-def seg(*pts):
-    return tuple(qpoint(*p) for p in pts)
-
-
-def test_segments_proper_crossing_2d():
-    a, b = seg((0, 0), (2, 2))
-    c, d = seg((0, 2), (2, 0))
-    assert segments_intersect(a, b, c, d) == "crossing"
-
-
-def test_segments_shared_endpoint_2d():
-    a, b = seg((0, 0), (1, 0))
-    c, d = seg((1, 0), (2, 1))
-    assert segments_intersect(a, b, c, d) == "shared_endpoint_only"
-
-
-def test_segments_disjoint_parallel_3d():
-    a, b = seg((0, 0, 0), (1, 0, 0))
-    c, d = seg((0, 0, 1), (1, 0, 1))
-    assert segments_intersect(a, b, c, d) == "disjoint"
+#: Hand-checked segment pairs [a, b], [c, d] and how they meet.
+SEGMENT_EXAMPLES = {
+    "proper_crossing_2d": (((0, 0), (2, 2), (0, 2), (2, 0)), "crossing"),
+    "shared_endpoint_2d": (((0, 0), (1, 0), (1, 0), (2, 1)), "shared_endpoint_only"),
+    "disjoint_parallel_3d": (((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)), "disjoint"),
+    "collinear_overlap_is_crossing": (((0, 0), (2, 0), (1, 0), (3, 0)), "crossing"),
+    "collinear_touching_endpoints": (((0, 0), (1, 0), (1, 0), (2, 0)), "shared_endpoint_only"),
+    "endpoint_in_interior_is_crossing": (((0, 0), (2, 0), (1, 0), (1, 5)), "crossing"),
+    "interior_touch_t_shape_3d": (((0, 0, 0), (2, 0, 0), (1, 0, 0), (1, 1, 1)), "crossing"),
+    "identical_is_crossing": (((0, 0), (1, 1), (0, 0), (1, 1)), "crossing"),
+    # a shared endpoint, but the segments overlap with positive length
+    "shared_endpoint_collinear_same_direction_overlap": (((0, 0), (2, 0), (0, 0), (1, 0)), "crossing"),
+    "skew_3d_disjoint": (((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 2)), "disjoint"),
+    "coplanar_3d_crossing": (((0, 0, 0), (2, 2, 2), (0, 2, 1), (2, 0, 1)), "crossing"),
+}
 
 
-def test_segments_collinear_overlap_is_crossing():
-    a, b = seg((0, 0), (2, 0))
-    c, d = seg((1, 0), (3, 0))
-    assert segments_intersect(a, b, c, d) == "crossing"
+def check_segment_example(a, b, c, d, expected):
+    assert classify_oracle(a, b, c, d) == expected
+    assert forbidden_contact(a, b, c, d) == (expected == "crossing")
 
 
-def test_segments_collinear_touching_endpoints():
-    a, b = seg((0, 0), (1, 0))
-    c, d = seg((1, 0), (2, 0))
-    assert segments_intersect(a, b, c, d) == "shared_endpoint_only"
+def _segment_example_test(pts, expected):
+    def test():
+        check_segment_example(*(qpoint(*p) for p in pts), expected)
+
+    return test
 
 
-def test_segments_endpoint_in_interior_is_crossing():
-    a, b = seg((0, 0), (2, 0))
-    c, d = seg((1, 0), (1, 5))
-    assert segments_intersect(a, b, c, d) == "crossing"
-
-
-def test_segments_interior_touch_t_shape_3d():
-    a, b = seg((0, 0, 0), (2, 0, 0))
-    c, d = seg((1, 0, 0), (1, 1, 1))
-    assert segments_intersect(a, b, c, d) == "crossing"
-
-
-def test_segments_identical_is_crossing():
-    a, b = seg((0, 0), (1, 1))
-    assert segments_intersect(a, b, a, b) == "crossing"
-
-
-def test_segments_shared_endpoint_collinear_same_direction_overlap():
-    # share endpoint (0,0) but overlap with positive length
-    a, b = seg((0, 0), (2, 0))
-    c, d = seg((0, 0), (1, 0))
-    assert segments_intersect(a, b, c, d) == "crossing"
-
-
-def test_segments_skew_3d_disjoint():
-    a, b = seg((0, 0, 0), (1, 0, 0))
-    c, d = seg((0, 1, 1), (1, 1, 2))
-    assert segments_intersect(a, b, c, d) == "disjoint"
-
-
-def test_segments_coplanar_3d_crossing():
-    a, b = seg((0, 0, 0), (2, 2, 2))
-    c, d = seg((0, 2, 1), (2, 0, 1))
-    assert segments_intersect(a, b, c, d) == "crossing"
-
-
-def test_segments_degenerate_rejected():
-    p = qpoint(1, 1)
-    q = qpoint(2, 2)
-    with pytest.raises(ValueError):
-        segments_intersect(p, p, p, q)
+# one test per row, named after the row, so each example keeps its own
+# test id
+for _name, (_pts, _expected) in SEGMENT_EXAMPLES.items():
+    globals()[f"test_segments_{_name}"] = _segment_example_test(_pts, _expected)
 
 
 def test_segments_rational_near_miss_exact():
     # endpoint at (1/3, 1/3) exactly on the diagonal => crossing;
     # moving it by 1/10^12 off the line => shared nothing, disjoint.
-    a, b = seg((0, 0), (1, 1))
+    a, b = qpoint(0, 0), qpoint(1, 1)
     c = qpoint(Fraction(1, 3), Fraction(1, 3))
     d = qpoint(1, 0)
-    assert segments_intersect(a, b, c, d) == "crossing"
+    check_segment_example(a, b, c, d, "crossing")
     eps = Fraction(1, 10**12)
     c2 = qpoint(Fraction(1, 3) + eps, Fraction(1, 3))
-    assert segments_intersect(a, b, c2, d) == "disjoint"
+    check_segment_example(a, b, c2, d, "disjoint")
 
 
 @given(st.lists(st.integers(-6, 6), min_size=8, max_size=8))
@@ -247,10 +175,10 @@ def test_segments_symmetry_2d(v):
     c, d = qpoint(v[4], v[5]), qpoint(v[6], v[7])
     if a == b or c == d:
         return
-    r = segments_intersect(a, b, c, d)
-    assert r == segments_intersect(c, d, a, b)
-    assert r == segments_intersect(b, a, c, d)
-    assert r == segments_intersect(a, b, d, c)
+    r = forbidden_contact(a, b, c, d)
+    assert r == forbidden_contact(c, d, a, b)
+    assert r == forbidden_contact(b, a, c, d)
+    assert r == forbidden_contact(a, b, d, c)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=12, max_size=12))
@@ -260,9 +188,9 @@ def test_segments_symmetry_3d(v):
     c, d = qpoint(*v[6:9]), qpoint(*v[9:12])
     if a == b or c == d:
         return
-    r = segments_intersect(a, b, c, d)
-    assert r == segments_intersect(c, d, a, b)
-    assert r == segments_intersect(b, a, d, c)
+    r = forbidden_contact(a, b, c, d)
+    assert r == forbidden_contact(c, d, a, b)
+    assert r == forbidden_contact(b, a, d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +285,8 @@ def test_canonical_plane_through_segment():
 # ---------------------------------------------------------------------------
 
 
-def test_point_on_segment():
+def test_point_strictly_inside_segment():
     a, b = qpoint(0, 0), qpoint(4, 2)
-    assert point_on_segment(qpoint(2, 1), a, b)
-    assert point_on_segment(a, a, b)
-    assert not point_on_segment(qpoint(6, 3), a, b)
     assert point_strictly_inside_segment(qpoint(2, 1), a, b)
     assert not point_strictly_inside_segment(a, a, b)
     assert not point_strictly_inside_segment(qpoint(1, 1), a, b)
@@ -411,7 +336,7 @@ def test_segments_match_parametric_oracle_2d(v):
     a, b, c, d = (qpoint(*v[k : k + 2]) for k in range(0, 8, 2))
     if a == b or c == d:
         return
-    assert segments_intersect(a, b, c, d) == classify_oracle(a, b, c, d)
+    assert forbidden_contact(a, b, c, d) == (classify_oracle(a, b, c, d) == "crossing")
 
 
 @given(st.lists(st.integers(-1, 1), min_size=12, max_size=12))
@@ -420,7 +345,7 @@ def test_segments_match_parametric_oracle_3d(v):
     a, b, c, d = (qpoint(*v[k : k + 3]) for k in range(0, 12, 3))
     if a == b or c == d:
         return
-    assert segments_intersect(a, b, c, d) == classify_oracle(a, b, c, d)
+    assert forbidden_contact(a, b, c, d) == (classify_oracle(a, b, c, d) == "crossing")
 
 
 def test_forbidden_contact_shared_endpoint_rays():

@@ -63,9 +63,6 @@ def test_graph_basic_accessors():
     assert g.degree(1) == 2 and g.degree(0) == 1
     assert g.adj[1] == {0, 2}
     assert g.max_degree() == 2
-    assert g.is_connected()
-    assert Graph(2, []).is_connected() is False
-    assert Graph(1, []).is_connected() is True
 
 
 # ---------------------------------------------------------------------------
