@@ -76,7 +76,7 @@ def _resolve_graph(args) -> tuple[Graph, FamilySpec | None]:
     if args.graph6:
         try:
             return parse_graph(args.graph6.encode("ascii"), "graph6"), None
-        except (ValueError, UnicodeEncodeError) as exc:
+        except ValueError as exc:  # UnicodeEncodeError included
             raise UsageError(f"bad graph6 string: {exc}") from None
     try:
         data = Path(args.edges).read_bytes()

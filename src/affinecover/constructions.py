@@ -41,6 +41,7 @@ from .graphs import (
     complete_bipartite_shape,
     complete_graph,
     is_complete,
+    linear_forest_order,
     multipartite_classes,
     nested_squares,
     nested_triangles,
@@ -188,30 +189,6 @@ def pach_multipartite(r: int, n: int) -> ConstructionResult:
     return _package(d, witness, r)
 
 
-def _forest_path_order(g: Graph, members: frozenset) -> list:
-    """Vertices of a linear-forest class, one path after another.
-
-    Each path is traversed from its smaller endpoint; paths are taken in
-    order of their smallest vertex.  Isolated vertices are length-0 paths.
-    """
-    mset = set(members)
-    adj = {v: sorted(u for u in g.adj[v] if u in mset) for v in mset}
-    order = []
-    seen = set()
-    for start in sorted(v for v in mset if len(adj[v]) <= 1):
-        if start in seen:
-            continue
-        prev, cur = None, start
-        while cur is not None:
-            seen.add(cur)
-            order.append(cur)
-            nxt = [u for u in adj[cur] if u != prev and u not in seen]
-            prev, cur = cur, (nxt[0] if nxt else None)
-    if len(order) != len(mset):
-        raise ConstructionError("class is not a linear forest")
-    return order
-
-
 def pi13_drawing(g: Graph) -> ConstructionResult:
     """Place every vertex of ``g`` on few lines in 3-space.
 
@@ -226,7 +203,7 @@ def pi13_drawing(g: Graph) -> ConstructionResult:
     meta = {"construction": "pi13_drawing", "classes": r, "exact": part.exact}
     if r > 1:
         meta["prime"] = _next_prime(2 * r - 1)
-    orders = [_forest_path_order(g, cls) for cls in part.partition.classes]
+    orders = [linear_forest_order(g, cls) for cls in part.partition.classes]
     # One line needs no prime: p = 1 puts the j-th vertex at (0, j, 0).
     points, witness = _skew_line_layout(g.n, orders, meta.get("prime", 1), exact=part.exact)
     d = _verified(g, points, meta)

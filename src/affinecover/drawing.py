@@ -21,8 +21,6 @@ comparison with a key, and a ``Fraction`` canonical record is built
 once per distinct line or plane.
 
 The verifier has no side effects: it returns a verified copy or raises.
-:func:`ess_record` gives the exact edge-separator arithmetic of a
-verified drawing, for callers that audit the drawings they build.
 
 ``WITNESS_KINDS`` is the one table of cover witness kinds; ``EDGE_KINDS``
 cover edges (the rest cover vertices) and ``LINE_KINDS`` use lines (the
@@ -34,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from copy import copy
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .geometry import (
     CanonLine,
@@ -54,7 +52,7 @@ from .geometry import (
     qpoint,
     scaled_key,
 )
-from .graphs import Graph, es_count, is_complete
+from .graphs import Graph, is_complete
 
 WITNESS_KINDS = (
     "lines_for_edges",
@@ -142,22 +140,6 @@ class CoverWitness:
     @property
     def count(self) -> int:
         return len(self.objects)
-
-
-class EssRecord(NamedTuple):
-    """Exact edge-separator arithmetic of one drawing; see :func:`ess_record`."""
-
-    label: str
-    n: int
-    m: int
-    es: int
-    line_count: int
-    ok_a: bool
-    ok_b: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.ok_a and self.ok_b
 
 
 def _distinct_edge_lines(d: Drawing) -> dict:
@@ -273,27 +255,6 @@ def edge_line_count(d: Drawing) -> tuple:
     index = {line: i for i, line in enumerate(objects)}
     assignment = {e: index[line] for line, es in lines.items() for e in es}
     return len(objects), CoverWitness("lines_for_edges", objects, assignment)
-
-
-def ess_record(d: Drawing) -> EssRecord:
-    """Exact edge-separator arithmetic of a verified drawing.
-
-    With c the number of distinct edge lines, ``ok_a`` checks that the
-    essential vertices fit the c(c-1)/2 pairwise line intersections and
-    ``ok_b`` the degree-density floor n*c^2 > m(m-n).  Both are floors of
-    every line cover of the edges, so a failure on a verified drawing
-    means a kernel bug.
-    """
-    g = d.graph
-    es = es_count(g)
-    count, _ = edge_line_count(d)
-    ok_a = 2 * es <= count * (count - 1)
-    if g.m >= g.n >= 1:
-        ok_b = g.n * count * count > g.m * (g.m - g.n)
-    else:
-        ok_b = True
-    label = str(d.meta.get("label", d.meta.get("construction", "")))
-    return EssRecord(label, g.n, g.m, es, count, ok_a, ok_b)
 
 
 def greedy_set_cover(masks: Sequence[int], full: int) -> list:
@@ -452,31 +413,20 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
 
 def segment_slope_count(d: Drawing) -> tuple:
     """(segments, slopes): maximal collinear connected edge paths and
-    distinct edge directions of a verified 2D drawing."""
+    distinct edge directions of a verified 2D drawing.
+
+    Edges on one line of a verified drawing meet only at shared
+    endpoints, so they form disjoint paths; each vertex where two of
+    them meet joins two edges into one segment.
+    """
     _require_verified(d)
     if d.dim != 2:
         raise ValueError("segments/slopes are 2D measurements")
     lines = _distinct_edge_lines(d)
     segments = 0
     for es in lines.values():
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in es:
-            parent[e] = e
-        by_vertex: dict = {}
-        for e in es:
-            for v in e:
-                other = by_vertex.setdefault(v, e)
-                ra, rb = find(other), find(e)
-                if ra != rb:
-                    parent[ra] = rb
-        segments += len({find(e) for e in es})
+        ends = [v for e in es for v in e]
+        segments += len(es) - (len(ends) - len(set(ends)))
     slopes = {line.direction for line in lines}
     return segments, len(slopes)
 

@@ -8,7 +8,7 @@ built on top of them are reproducible byte-for-byte.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -19,7 +19,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: frozenset
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         norm = set()
@@ -276,35 +276,35 @@ def es_count(g: Graph) -> int:
     return len(essential_vertices(g))
 
 
-def is_linear_forest(g: Graph, part: Iterable[int]) -> bool:
-    """True iff the subgraph induced by ``part`` is a union of paths."""
+def linear_forest_order(g: Graph, part: Iterable[int]) -> list | None:
+    """The vertices of ``part`` path by path if they induce a linear
+    forest, else None.
+
+    Each path runs from its smaller end, and paths come in order of that
+    end; an isolated vertex is a path of one vertex.  None means a vertex
+    has more than two neighbours in ``part``, or the walks from the path
+    ends miss a vertex, which then lies on a cycle.
+    """
     part = set(part)
     if not part <= set(range(g.n)):
         raise ValueError("part contains vertices outside the graph")
-    deg = {v: 0 for v in part}
-    edges = []
-    for u, v in g.edges:
-        if u in part and v in part:
-            deg[u] += 1
-            deg[v] += 1
-            if deg[u] > 2 or deg[v] > 2:
-                return False
-            edges.append((u, v))
-    # acyclicity by union-find
-    parent = {v: v for v in part}
+    nbrs = {v: g.adj[v] & part for v in part}
+    if any(len(s) > 2 for s in nbrs.values()):
+        return None
+    order: list = []
+    seen: set = set()
+    for end in sorted(v for v, s in nbrs.items() if len(s) <= 1):
+        prev, cur = None, end
+        while cur is not None and cur not in seen:
+            seen.add(cur)
+            order.append(cur)
+            prev, cur = cur, next(iter(nbrs[cur] - {prev}), None)
+    return order if len(order) == len(part) else None
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+def is_linear_forest(g: Graph, part: Iterable[int]) -> bool:
+    """True iff the subgraph induced by ``part`` is a union of paths."""
+    return linear_forest_order(g, part) is not None
 
 
 def is_complete(g: Graph) -> bool:

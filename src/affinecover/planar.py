@@ -22,7 +22,6 @@ from .drawing import Drawing, verify_crossing_free
 from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph, to_networkx
 
 __all__ = [
-    "PlaneEmbedding",
     "TrackAssignment",
     "DualBoundResult",
     "is_planar",
@@ -36,17 +35,6 @@ __all__ = [
 ]
 
 DUAL_BUDGET_N = 14
-
-
-@dataclass(frozen=True)
-class PlaneEmbedding:
-    """Combinatorial plane embedding, given by its faces.
-
-    Each face is a vertex cycle ``(v0, v1, ..., vk-1)`` standing for the
-    directed boundary edges ``(v0,v1), ..., (vk-1,v0)``.
-    """
-
-    faces: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -162,25 +150,31 @@ def _faces_from_nx(g: Graph, emb: nx.PlanarEmbedding) -> list[tuple[int, ...]]:
     return faces
 
 
-def planarity_test(g: Graph) -> PlaneEmbedding | None:
-    """Return a plane embedding of ``g``, or ``None`` if none exists."""
+def planarity_test(g: Graph) -> tuple | None:
+    """The faces of a plane embedding of ``g``, checked by
+    :func:`validate_embedding`, or ``None`` if ``g`` is not planar.
+
+    Each face is a vertex cycle ``(v0, v1, ..., vk-1)`` standing for the
+    directed boundary edges ``(v0,v1), ..., (vk-1,v0)``.
+    """
     ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
     if not ok:
         return None
-    embedding = PlaneEmbedding(faces=tuple(_faces_from_nx(g, emb)))
-    validate_embedding(g, embedding)
-    return embedding
+    faces = tuple(_faces_from_nx(g, emb))
+    validate_embedding(g, faces)
+    return faces
 
 
-def validate_embedding(g: Graph, emb: PlaneEmbedding) -> None:
-    """Check structural sanity of an embedding; raise ``ValueError`` if bad.
+def validate_embedding(g: Graph, faces: tuple) -> None:
+    """Check structural sanity of a plane embedding's faces; raise
+    ``ValueError`` if bad.
 
     Validates that every directed edge lies on exactly one face
     boundary, and that each connected component satisfies
     ``n - m + f = 2`` with the outer face counted.
     """
     seen: dict[tuple[int, int], int] = {}
-    for idx, face in enumerate(emb.faces):
+    for idx, face in enumerate(faces):
         k = len(face)
         for i in range(k):
             e = (face[i], face[(i + 1) % k])
@@ -198,7 +192,7 @@ def validate_embedding(g: Graph, emb: PlaneEmbedding) -> None:
         for v in comp:
             comp_of[v] = ci
     face_count = [0] * len(comps)
-    for face in emb.faces:
+    for face in faces:
         face_count[comp_of[face[0]]] += 1
     for ci, comp in enumerate(comps):
         n_c = len(comp)
@@ -247,17 +241,15 @@ def _stacked_triangulation(n: int) -> Graph:
     """Start from K4 and repeatedly subdivide the smallest triangular face."""
     g = complete_graph(4)
     for v in range(4, n):
-        emb = planarity_test(g)
-        face = min(f for f in emb.faces if len(f) == 3)
+        face = min(f for f in planarity_test(g) if len(f) == 3)
         g = Graph(v + 1, set(g.edges) | {(a, v) for a in face})
     return g
 
 
 def _flip_neighbours(g: Graph):
     """All single diagonal flips of an edge-maximal planar graph."""
-    emb = planarity_test(g)
     opposite: dict = {}
-    for face in emb.faces:
+    for face in planarity_test(g):
         if len(face) != 3:
             continue
         a, b, c = face
@@ -367,15 +359,14 @@ def dual_circumference_bound(g: Graph) -> DualBoundResult:
     """
     if g.n < 4 or g.m != 3 * g.n - 6:
         raise ValueError("graph is not a planar triangulation")
-    emb = planarity_test(g)
-    if emb is None:
+    faces = planarity_test(g)
+    if faces is None:
         raise ValueError("graph is not a planar triangulation")
     num_faces = 2 * g.n - 4
     if g.n > DUAL_BUDGET_N:
         return DualBoundResult(
             lower_bound=1, c_dual=num_faces, exact=False, cycle=(), dual_adj=()
         )
-    faces = emb.faces
     if len(faces) != num_faces or any(len(f) != 3 for f in faces):
         raise ValueError("embedding faces are not all triangles")
     edge_faces: dict[tuple[int, int], list[int]] = {}

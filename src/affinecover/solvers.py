@@ -37,8 +37,6 @@ __all__ = [
     "CLIQUE_COVER_MAX_N",
 ]
 
-PARTITION_KINDS = ("lva", "vertex_thickness", "proper_coloring")
-
 DEFAULT_BUDGETS = {
     "chromatic": 24,
     "lva": 20,
@@ -58,7 +56,7 @@ class Partition:
     certifies: str
 
     def __post_init__(self):
-        if self.certifies not in PARTITION_KINDS:
+        if self.certifies not in _CLASS_TESTS:
             raise ValueError(f"unknown partition kind {self.certifies!r}")
 
 
@@ -113,6 +111,21 @@ class CliqueCoverResult:
         return self.lower
 
 
+#: Each partition kind's whole-class test and the error it raises; a
+#: kind names its vertex budget in ``DEFAULT_BUDGETS`` too.
+_CLASS_TESTS = {
+    "chromatic": (
+        lambda g, cls: not any(g.adj[v] & cls for v in cls),
+        "coloring class is not independent",
+    ),
+    "lva": (is_linear_forest, "class does not induce a linear forest"),
+    "vertex_thickness": (
+        lambda g, cls: planarity_test(g.induced(cls)) is not None,
+        "class does not induce a planar subgraph",
+    ),
+}
+
+
 def validate_partition(g: Graph, p: Partition) -> None:
     """Re-check that ``p`` partitions V(g) and each class satisfies its
     certified predicate; raise ``ValueError`` otherwise."""
@@ -123,17 +136,10 @@ def validate_partition(g: Graph, p: Partition) -> None:
         seen |= cls
     if seen != set(range(g.n)):
         raise ValueError("partition classes do not cover the vertex set")
+    test, message = _CLASS_TESTS[p.certifies]
     for cls in p.classes:
-        members = sorted(cls)
-        if p.certifies == "proper_coloring":
-            if any(g.has_edge(u, v) for u, v in itertools.combinations(members, 2)):
-                raise ValueError("coloring class is not independent")
-        elif p.certifies == "lva":
-            if not is_linear_forest(g, members):
-                raise ValueError("class does not induce a linear forest")
-        elif p.certifies == "vertex_thickness":
-            if planarity_test(g.induced(members)) is None:
-                raise ValueError("class does not induce a planar subgraph")
+        if not test(g, cls):
+            raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -141,38 +147,42 @@ def validate_partition(g: Graph, p: Partition) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _min_partition(
-    g: Graph, feasible_add: Callable[[list, set, int], bool]
-) -> tuple[int, list]:
-    """Minimum number of classes such that greedily-checked classes stay
-    feasible; returns the lexicographically least witness.
+def _min_partition(g: Graph, fits: Callable[[set, int], bool]) -> list:
+    """The fewest classes, each kept feasible as vertices join it in
+    index order; returns the lexicographically least witness.
 
-    ``feasible_add(members, member_set, v)`` decides whether vertex ``v``
-    may join the class currently holding ``members``.
+    ``fits(cls, v)`` decides whether vertex ``v`` may join class ``cls``.
     """
     n = g.n
-    if n == 0:
-        return 0, []
     for k in range(1, n + 1):
-        members: list = [[] for _ in range(k)]
-        member_sets: list = [set() for _ in range(k)]
+        classes: list = [set() for _ in range(k)]
 
         def dfs(v: int, used: int) -> bool:
             if v == n:
                 return True
             for c in range(min(used + 1, k)):
-                if feasible_add(members[c], member_sets[c], v):
-                    members[c].append(v)
-                    member_sets[c].add(v)
+                cls = classes[c]
+                if fits(cls, v):
+                    cls.add(v)
                     if dfs(v + 1, max(used, c + 1)):
                         return True
-                    members[c].pop()
-                    member_sets[c].discard(v)
+                    cls.discard(v)
             return False
 
         if dfs(0, 0):
-            return k, members
-    return n, [[v] for v in range(n)]
+            return classes
+    return []
+
+
+def _partition(g: Graph, kind: str, budget_n, fits, fallback) -> PartitionResult:
+    """Exact ``_min_partition(g, fits)`` within the vertex budget of
+    ``kind``; over it, the classes ``fallback()`` returns, flagged
+    inexact."""
+    budget = DEFAULT_BUDGETS[kind] if budget_n is None else budget_n
+    exact = g.n <= budget
+    classes = _min_partition(g, fits) if exact else fallback()
+    part = Partition(tuple(frozenset(c) for c in classes), kind)
+    return PartitionResult(len(part.classes), part, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +192,13 @@ def _min_partition(
 
 def _greedy_coloring(g: Graph) -> list:
     classes: list = []
-    class_sets: list = []
     for v in range(g.n):
-        for c, cs in enumerate(class_sets):
-            if not (g.adj[v] & cs):
-                classes[c].append(v)
-                cs.add(v)
+        for cls in classes:
+            if not (g.adj[v] & cls):
+                cls.add(v)
                 break
         else:
-            classes.append([v])
-            class_sets.append({v})
+            classes.append({v})
     return classes
 
 
@@ -201,18 +208,10 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     Over budget, falls back to first-fit greedy colouring (upper bound,
     flagged inexact).
     """
-    budget = DEFAULT_BUDGETS["chromatic"] if budget_n is None else budget_n
-    if g.n > budget:
-        classes = _greedy_coloring(g)
-        part = Partition(tuple(frozenset(c) for c in classes), "proper_coloring")
-        return PartitionResult(len(classes), part, exact=False)
-
-    def feasible(members, member_set, v):
-        return not (g.adj[v] & member_set)
-
-    k, classes = _min_partition(g, feasible)
-    part = Partition(tuple(frozenset(c) for c in classes), "proper_coloring")
-    return PartitionResult(k, part, exact=True)
+    return _partition(
+        g, "chromatic", budget_n, lambda cls, v: not (g.adj[v] & cls),
+        lambda: _greedy_coloring(g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +220,12 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
 
 
 def _lva_feasible(g: Graph):
-    def feasible(members, member_set, v):
-        nbrs = g.adj[v] & member_set
+    def feasible(cls, v):
+        nbrs = g.adj[v] & cls
         if len(nbrs) > 2:
             return False
         for u in nbrs:
-            if len(g.adj[u] & member_set) >= 2:
+            if len(g.adj[u] & cls) >= 2:
                 return False
         if len(nbrs) == 2:
             a, b = nbrs
@@ -235,7 +234,7 @@ def _lva_feasible(g: Graph):
             stack, seen = [a], {a}
             while stack:
                 u = stack.pop()
-                for w in g.adj[u] & member_set:
+                for w in g.adj[u] & cls:
                     if w == b:
                         return False
                     if w not in seen:
@@ -255,14 +254,10 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     bound.  With the default budgets that colouring is still exact for
     21 <= n <= 24; with an explicit ``budget_n`` it is first-fit.
     """
-    budget = DEFAULT_BUDGETS["lva"] if budget_n is None else budget_n
-    if g.n > budget:
-        res = chromatic_number(g, budget_n)
-        part = Partition(res.partition.classes, "lva")
-        return PartitionResult(res.value, part, exact=False)
-    k, classes = _min_partition(g, _lva_feasible(g))
-    part = Partition(tuple(frozenset(c) for c in classes), "lva")
-    return PartitionResult(k, part, exact=True)
+    return _partition(
+        g, "lva", budget_n, _lva_feasible(g),
+        lambda: chromatic_number(g, budget_n).partition.classes,
+    )
 
 
 def lva_sweep(max_n: int = 8) -> dict:
@@ -312,20 +307,12 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
     """
-    budget = DEFAULT_BUDGETS["vertex_thickness"] if budget_n is None else budget_n
-    if g.n > budget:
-        classes = [list(range(i, min(i + 4, g.n))) for i in range(0, g.n, 4)]
-        part = Partition(tuple(frozenset(c) for c in classes), "vertex_thickness")
-        return PartitionResult(len(classes), part, exact=False)
-
     tested: dict = {}
-
-    def feasible(members, member_set, v):
-        return _stays_planar(g, member_set, v, tested)
-
-    k, classes = _min_partition(g, feasible)
-    part = Partition(tuple(frozenset(c) for c in classes), "vertex_thickness")
-    return PartitionResult(k, part, exact=True)
+    return _partition(
+        g, "vertex_thickness", budget_n,
+        lambda cls, v: _stays_planar(g, cls, v, tested),
+        lambda: [range(i, min(i + 4, g.n)) for i in range(0, g.n, 4)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +583,7 @@ def clique_cover_exact(
             return False
         p = (uncovered & -uncovered).bit_length() - 1
         if used == 0:
-            cands = [blocks.index(tuple(range(s)))]
+            cands = [0]  # blocks[0] is (0, ..., s-1)
         else:
             cands = sorted(
                 blocks_per_pair[p],

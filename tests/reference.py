@@ -42,3 +42,31 @@ def classify_oracle(a, b, c, d):
     tc, td = sorted((dot(w, u) / dot(u, u), dot(sub(d, a), u) / dot(u, u)))
     lo, hi = max(0, tc), min(1, td)
     return "disjoint" if lo > hi else "crossing" if lo < hi else "shared_endpoint_only"
+
+
+def segment_count_oracle(edge_groups):
+    """Maximal connected edge paths over groups of collinear edges: the
+    union-find that ``drawing.segment_slope_count`` ran before it read
+    the count off the shared endpoints.
+
+    ``edge_groups`` holds one sequence of edges per line; two edges of a
+    group that share a vertex join one segment.
+    """
+    segments = 0
+    for es in edge_groups:
+        parent = {e: e for e in es}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        by_vertex: dict = {}
+        for e in es:
+            for v in e:
+                ra, rb = find(by_vertex.setdefault(v, e)), find(e)
+                if ra != rb:
+                    parent[ra] = rb
+        segments += len({find(e) for e in es})
+    return segments

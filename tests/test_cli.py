@@ -237,6 +237,13 @@ def test_bounds_bad_env_without_flag(monkeypatch):
     assert main(["bounds", "--family", "complete:6"]) == 2
 
 
+def test_bounds_non_ascii_graph6_is_a_usage_error(capsys):
+    assert main(["bounds", "--graph6", "\u00e9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad graph6 string")
+
+
 def test_bounds_negative_budget_flag(capsys):
     assert main(["bounds", "--family", "complete:6", "--budget-n", "-3"]) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,8 @@
 """Tests for drawings, the crossing-free verifier, and drawing measurements.
 
 Derived oracles: set-cover minima are cross-checked by brute-force
-subset enumeration; segment/slope counts by hand enumeration; the sweep
+subset enumeration; segment/slope counts by hand enumeration and by the
+union-find they replaced (``reference.segment_count_oracle``); the sweep
 verifier by the pairwise loop it replaced (``reference_verify``), which
 meets edge pairs with the parametric ``reference.classify_oracle``
 instead of the kernel under test; the integer-keyed measurements and
@@ -30,7 +31,6 @@ from affinecover.drawing import (
     _min_cover,
     _require_verified,
     edge_line_count,
-    ess_record,
     kn_structural_checks,
     min_edge_plane_cover,
     min_vertex_line_cover,
@@ -53,7 +53,7 @@ from affinecover.geometry import (
     qpoint,
 )
 from affinecover.graphs import Graph, complete_graph, path_graph
-from reference import classify_oracle
+from reference import classify_oracle, segment_count_oracle
 
 
 def make(graph, pts, meta=None):
@@ -390,17 +390,6 @@ def test_witness_parallel_requires_same_direction():
         verify_cover_witness(d, bad)
 
 
-def test_ess_audit_records_3d_drawings():
-    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    d = verify_crossing_free(make(complete_graph(4), pts, {"label": "k4-3d"}))
-    rec = ess_record(d)
-    assert rec.label == "k4-3d" and rec.n == 4 and rec.m == 6 and rec.es == 4
-    assert rec.ok  # both checks hold: 2*4 <= 6*5 and 4*36 > 6*2
-    assert rec.line_count == 6
-    with pytest.raises(ValueError):
-        ess_record(make(complete_graph(4), pts))  # not verified
-
-
 # ---------------------------------------------------------------------------
 # canonical witness objects
 # ---------------------------------------------------------------------------
@@ -667,6 +656,18 @@ def measured_witnesses(d):
     if d.dim == 3:
         out.append(min_edge_plane_cover(d)[1])
     return out
+
+
+@given(grid_drawings(2))
+@settings(max_examples=200, deadline=None)
+def test_segment_count_matches_union_find(d):
+    d = crossing_free(d)
+    _, witness = reference_edge_line_count(d)
+    groups = [[] for _ in witness.objects]
+    for e, i in witness.assignment.items():
+        groups[i].append(e)
+    slopes = {line.direction for line in witness.objects}
+    assert segment_slope_count(d) == (segment_count_oracle(groups), len(slopes))
 
 
 @given(st.sampled_from([2, 3]).flatmap(grid_drawings))

@@ -13,6 +13,8 @@ import re
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinecover.graphs import (
     FAMILY_KINDS,
@@ -30,6 +32,7 @@ from affinecover.graphs import (
     from_networkx,
     is_complete,
     is_linear_forest,
+    linear_forest_order,
     parse_graph,
     path_graph,
     to_graph6,
@@ -282,6 +285,39 @@ def test_is_linear_forest():
     assert is_linear_forest(star, {0, 1})
     assert is_linear_forest(star, {1, 2, 3})  # independent set
     assert is_linear_forest(p4, set())
+
+
+@st.composite
+def graphs_with_parts(draw):
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    # sparse graphs, so that many parts are linear forests
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    part = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return Graph(n, edges), part
+
+
+@given(graphs_with_parts())
+@settings(max_examples=300, deadline=None)
+def test_linear_forest_order_matches_networkx(case):
+    g, part = case
+    h = to_networkx(g).subgraph(part)
+    forest = not part or (nx.is_forest(h) and max(d for _, d in h.degree) <= 2)
+    order = linear_forest_order(g, part)
+    assert (order is not None) == forest == is_linear_forest(g, part)
+    if not forest:
+        return
+    assert sorted(order) == sorted(part)
+    if not order:
+        return
+    # a path is a run of consecutive adjacent vertices, and together the
+    # runs walk every induced edge once
+    steps = [(u, v) for u, v in zip(order, order[1:]) if g.has_edge(u, v)]
+    assert len(steps) == h.number_of_edges()
+    starts = [0] + [i + 1 for i, (u, v) in enumerate(zip(order, order[1:])) if not g.has_edge(u, v)]
+    runs = [order[i:j] for i, j in zip(starts, starts[1:] + [len(order)])]
+    assert all(run[0] <= run[-1] for run in runs)
+    assert [run[0] for run in runs] == sorted(run[0] for run in runs)
 
 
 def _bipartite_shape_oracle(g: Graph):

@@ -39,10 +39,10 @@ from affinecover.planar import (
 
 
 def test_planarity_k4_has_four_faces():
-    emb = planarity_test(complete_graph(4))
-    assert emb is not None
-    assert len(emb.faces) == 4
-    validate_embedding(complete_graph(4), emb)
+    faces = planarity_test(complete_graph(4))
+    assert faces is not None
+    assert len(faces) == 4
+    validate_embedding(complete_graph(4), faces)
 
 
 def test_planarity_rejects_k5_and_k33():
@@ -59,11 +59,11 @@ def test_planarity_embedding_invariants_on_families():
         FamilySpec("c4_prism_stack", (3,)),
     ):
         g = build_family(spec)
-        emb = planarity_test(g)
-        assert emb is not None
-        validate_embedding(g, emb)
+        faces = planarity_test(g)
+        assert faces is not None
+        validate_embedding(g, faces)
         # Euler for connected graphs: n - m + f = 2
-        assert g.n - g.m + len(emb.faces) == 2
+        assert g.n - g.m + len(faces) == 2
 
 
 def test_planarity_agrees_with_euler_rejection():
@@ -75,9 +75,26 @@ def test_planarity_agrees_with_euler_rejection():
 
 def test_planarity_disconnected():
     g = Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-    emb = planarity_test(g)
-    assert emb is not None
-    validate_embedding(g, emb)
+    faces = planarity_test(g)
+    assert faces is not None
+    validate_embedding(g, faces)
+
+
+@pytest.mark.parametrize(
+    "g, faces, message",
+    [
+        # (0, 2) is not an edge of the 4-cycle
+        (cycle_graph(4), ((0, 1, 2, 3), (0, 2, 1)), "non-edge"),
+        (complete_graph(3), ((0, 1, 2), (0, 1, 2)), "two faces"),
+        (complete_graph(3), ((0, 1, 2),), "no face"),
+        # a toroidal face set of K4: every directed edge on exactly one
+        # face, but n - m + f = 4 - 6 + 2 = 0
+        (complete_graph(4), ((0, 1, 2, 3), (0, 2, 1, 3, 2, 0, 3, 1)), "Euler"),
+    ],
+)
+def test_validate_embedding_rejects_bad_faces(g, faces, message):
+    with pytest.raises(ValueError, match=message):
+        validate_embedding(g, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from affinecover.graphs import (
 from affinecover.planar import _count_verdict, _reduce, is_planar, planarity_test
 from affinecover.solvers import (
     BisectionResult,
+    Partition,
     TreewidthResult,
     _degeneracy,
     _greedy_elimination_width,
@@ -284,6 +285,28 @@ def test_chromatic_budget_fallback():
     assert not res.exact
     assert res.value >= 3
     validate_partition(cycle_graph(5), res.partition)
+
+
+@pytest.mark.parametrize(
+    "g, classes, kind, message",
+    [
+        (Graph(3), [{0, 1}, {1, 2}], "chromatic", "overlap"),
+        (Graph(3), [{0}, {1}], "chromatic", "do not cover"),
+        (path_graph(3), [{0, 1}, {2}], "chromatic", "not independent"),
+        (cycle_graph(4), [range(4)], "lva", "linear forest"),
+        (complete_bipartite(1, 3), [range(4)], "lva", "linear forest"),
+        (complete_graph(5), [range(5)], "vertex_thickness", "planar"),
+    ],
+)
+def test_validate_partition_rejects(g, classes, kind, message):
+    part = Partition(tuple(frozenset(c) for c in classes), kind)
+    with pytest.raises(ValueError, match=message):
+        validate_partition(g, part)
+
+
+def test_partition_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown partition kind"):
+        Partition((frozenset({0}),), "proper_coloring")
 
 
 @settings(max_examples=40, deadline=None)
