@@ -20,7 +20,12 @@ grid: lines and planes are grouped by their exact integer keys
 comparison with a key, and a ``Fraction`` canonical record is built
 once per distinct line or plane.
 
-The verifier has no side effects: it returns a verified copy or raises.
+The verifier decides a 2D drawing's edge pairs with a Shamos-Hoey
+sweep in O(m log m) (:func:`_sweep_clear`).  In 3D, and in 2D once the
+sweep has found a contact, a box sweep tests the pairs whose bounding
+boxes overlap and names the least offending pair; in 3D it skips every
+pair whose supporting lines are skew by their Plucker product.  The
+verifier has no side effects: it returns a verified copy or raises.
 
 ``WITNESS_KINDS`` is the one table of cover witness kinds; ``EDGE_KINDS``
 cover edges (the rest cover vertices) and ``LINE_KINDS`` use lines (the
@@ -32,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from copy import copy
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import Sequence
 
 from .geometry import (
@@ -156,6 +162,65 @@ def _distinct_edge_lines(d: Drawing) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_clear(grid: Sequence, edges: Sequence) -> bool:
+    """True iff no two edges of a 2D drawing meet outside one shared
+    endpoint: a Shamos-Hoey any-intersection sweep (Shamos & Hoey, FOCS
+    1976) in integer arithmetic, O(m log m) comparisons.
+
+    The grid is first sheared by (x, y) -> (K x + y, y) with K one more
+    than the y-range: an orientation-preserving affine bijection after
+    which all vertex x are distinct and no edge is vertical, so events
+    come in plain x order.  The events are the vertices with edges; the
+    status holds the edges that span the sweep line, bottom to top.  At
+    vertex p the status edges whose line holds p (found by bisection
+    on the sign of the orientation determinant) must all end at p,
+    else p lies inside one of them; they are deleted, the edges that
+    start at p are inserted in slope order, and every pair that has
+    just become adjacent goes to
+    :func:`~affinecover.geometry.forbidden_contact`.  The leftmost
+    forbidden contact is met by an adjacent pair, or by a status edge
+    through its vertex, before the sweep passes it.
+    """
+    k = max(p[1] for p in grid) - min(p[1] for p in grid) + 1
+    sx = [k * x + y for x, y in grid]
+    starts: dict = {}  # left end -> right ends
+    for u, v in edges:
+        a, b = (u, v) if sx[u] < sx[v] else (v, u)
+        starts.setdefault(a, []).append(b)
+
+    def by_slope(e, f) -> int:  # < 0 when e leaves their common start below f
+        return e[3] * f[2] - f[3] * e[2]
+
+    # status entry of edge [a, b] with sx[a] < sx[b]: (sheared a, its
+    # direction dx, dy, b, low and high y, grid a, grid b)
+    status: list = []
+    for p in sorted({v for e in edges for v in e}, key=sx.__getitem__):
+        px, py = sx[p], grid[p][1]
+
+        def side(e) -> int:  # -orient(a, b, p): < 0 below p, 0 through p
+            return e[3] * (px - e[0]) - e[2] * (py - e[1])
+
+        lo = hi = bisect_left(status, 0, key=side)
+        while hi < len(status) and not side(status[hi]):
+            if status[hi][4] != p:
+                return False  # p inside a status edge
+            hi += 1
+        new = []
+        for q in starts.get(p, ()):
+            qy = grid[q][1]
+            lo_y, hi_y = (py, qy) if py < qy else (qy, py)
+            new.append((px, py, sx[q] - px, qy - py, q, lo_y, hi_y, grid[p], grid[q]))
+        if len(new) > 1:
+            new.sort(key=cmp_to_key(by_slope))
+        status[lo:hi] = new
+        # test the pairs that have just become adjacent
+        for i in range(lo or 1, min(lo + len(new) + 1, len(status))):
+            e, f = status[i - 1], status[i]
+            if e[5] <= f[6] and f[5] <= e[6] and forbidden_contact(e[7], e[8], f[7], f[8]):
+                return False
+    return True
+
+
 def verify_crossing_free(d: Drawing) -> Drawing:
     """Certify crossing-freeness; returns a copy with the verified flag.
 
@@ -163,11 +228,16 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     may meet, except adjacent edges in their one shared endpoint; and
     no vertex point may lie inside an edge it is not an end of.
 
-    Only pairs whose bounding boxes overlap can meet.  The edges are
-    sorted by the low x of their boxes; each edge is paired with the
-    later edges whose low x is at most its high x, and those that also
-    overlap it in y (and z) go to the exact integer test
-    :func:`~affinecover.geometry.forbidden_contact`.  Once no two edges
+    In 2D, :func:`_sweep_clear` decides the edge pairs in O(m log m).
+    Only when it finds a contact, or in 3D, does the box sweep run: the
+    edges are sorted by the low x of their bounding boxes, each edge is
+    paired with the later edges whose low x is at most its high x, and
+    those that also overlap it in y (and z) go to the exact integer test
+    :func:`~affinecover.geometry.forbidden_contact`.  In 3D a pair whose
+    supporting lines are skew cannot meet and is skipped: with u = b - a
+    and m = a x b for each edge [a, b] (Plucker coordinates), the lines
+    are coplanar iff u1 . m2 + u2 . m1 = 0.  Adjacent edges share a
+    point, so they give 0 and still reach the test.  Once no two edges
     meet, a vertex with an edge cannot lie inside another edge, so only
     the isolated vertices are then tested, each against the edges whose
     x-interval holds its x (bisection over those vertices sorted by x).
@@ -176,16 +246,17 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     in the order of the pairwise loop this replaces: every
     ("edge_edge", e, f) pair before any ("vertex_edge", v, e) pair,
     edge pairs ordered by ``sorted(edges)`` with e < f, vertex pairs
-    vertex-major.  The sweep finds all offending pairs and reports the
-    least.
+    vertex-major.  The box sweep finds all offending pairs and reports
+    the least.
     """
     g = d.graph
     grid = d.grid
+    dim = d.dim
     edges = sorted(g.edges)
     ends = [(grid[u], grid[v]) for u, v in edges]
 
     def extent(axis: int) -> tuple:
-        if axis == d.dim:  # 2D boxes get z = 0
+        if axis == dim:  # 2D boxes get z = 0
             return [0] * len(ends), [0] * len(ends)
         return [min(p[axis], q[axis]) for p, q in ends], [max(p[axis], q[axis]) for p, q in ends]
 
@@ -193,20 +264,34 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     (lx, hx), (ly, hy), (lz, hz) = extent(0), extent(1), extent(2)
 
     first = None
-    order = sorted(range(len(edges)), key=lx.__getitem__)
-    starts = [lx[i] for i in order]
-    for k, i in enumerate(order):
-        p, q = ends[i]
-        li_y, hi_y, li_z, hi_z = ly[i], hy[i], lz[i], hz[i]
-        for j in order[k + 1 : bisect_right(starts, hx[i], k + 1)]:
-            if hy[j] < li_y or hi_y < ly[j] or hz[j] < li_z or hi_z < lz[j]:
-                continue
-            if forbidden_contact(p, q, *ends[j]):
-                pair = (i, j) if i < j else (j, i)
-                if first is None or pair < first:
-                    first = pair
-    if first is not None:
-        raise DrawingViolation(("edge_edge", edges[first[0]], edges[first[1]]))
+    if dim == 3 or not _sweep_clear(grid, edges):
+        spatial = dim == 3
+        if spatial:  # Plucker coordinates (u, m) of each edge's line
+            plucker = [
+                (b[0] - a[0], b[1] - a[1], b[2] - a[2],
+                 a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+                for a, b in ends
+            ]
+        order = sorted(range(len(edges)), key=lx.__getitem__)
+        starts = [lx[i] for i in order]
+        for k, i in enumerate(order):
+            p, q = ends[i]
+            li_y, hi_y, li_z, hi_z = ly[i], hy[i], lz[i], hz[i]
+            if spatial:
+                u0, u1, u2, m0, m1, m2 = plucker[i]
+            for j in order[k + 1 : bisect_right(starts, hx[i], k + 1)]:
+                if hy[j] < li_y or hi_y < ly[j] or hz[j] < li_z or hi_z < lz[j]:
+                    continue
+                if spatial:
+                    v0, v1, v2, n0, n1, n2 = plucker[j]
+                    if u0 * n0 + u1 * n1 + u2 * n2 + v0 * m0 + v1 * m1 + v2 * m2:
+                        continue  # skew lines
+                if forbidden_contact(p, q, *ends[j]):
+                    pair = (i, j) if i < j else (j, i)
+                    if first is None or pair < first:
+                        first = pair
+        if first is not None:
+            raise DrawingViolation(("edge_edge", edges[first[0]], edges[first[1]]))
 
     # A vertex with an edge f inside edge e would have made f meet e
     # outside a shared endpoint, so past the edge pairs only isolated
@@ -214,12 +299,12 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     ended = {v for e in edges for v in e}
     by_x = sorted((v for v in range(g.n) if v not in ended), key=lambda v: grid[v][0])
     xs = [grid[v][0] for v in by_x]
-    for i, (a, b) in enumerate(ends):
+    for i, (a, b) in enumerate(ends if by_x else ()):
         for v in by_x[bisect_left(xs, lx[i]) : bisect_right(xs, hx[i])]:
             p = grid[v]
             if not ly[i] <= p[1] <= hy[i]:
                 continue
-            if d.dim == 3 and not lz[i] <= p[2] <= hz[i]:
+            if dim == 3 and not lz[i] <= p[2] <= hz[i]:
                 continue
             # inside the box and on the line: on the closed segment, and
             # not at an end since distinct vertices have distinct points

@@ -9,6 +9,7 @@ an ``exact`` flag and fallbacks are valid one-sided bounds.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -321,30 +322,60 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
 
 
 def _degeneracy(g: Graph) -> int:
+    """Largest degree met while deleting, one at a time, the live vertex
+    of least (degree, index): a lower bound on treewidth.
+
+    A heap holds a (degree, vertex) entry for each vertex, and a new one
+    whenever a deletion lowers a degree.  Degrees only fall, so the first
+    entry of a vertex to be popped holds its current degree, and later
+    ones are skipped: each pick is the least (degree, vertex) among the
+    live vertices, in O(m log n).
+    """
     adj = [set(a) for a in g.adj]
-    alive = set(range(g.n))
+    heap = [(len(a), v) for v, a in enumerate(adj)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
     out = 0
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u]), u))
-        out = max(out, len(adj[v]))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        alive[v] = False
+        out = max(out, deg)
         for w in adj[v]:
             adj[w].discard(v)
-        adj[v].clear()
-        alive.discard(v)
+            heapq.heappush(heap, (len(adj[w]), w))
     return out
 
 
 def _greedy_elimination_width(g: Graph) -> int:
+    """Width of the elimination order that always eliminates the vertex
+    of least (degree, index) in the elimination graph: an upper bound on
+    treewidth.
+
+    Picks come off a heap of (degree, vertex) entries as in
+    :func:`_degeneracy`, but here degrees also rise, so an entry whose
+    degree is no longer the vertex's own is skipped too.  A neighbour
+    whose degree an elimination leaves unchanged keeps its entry.
+    """
     adj = {v: set(g.adj[v]) for v in range(g.n)}
+    heap = [(len(nb), v) for v, nb in adj.items()]
+    heapq.heapify(heap)
     width = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        nb = adj[v]
-        width = max(width, len(nb))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        nb = adj.get(v)
+        if nb is None or deg != len(nb):
+            continue
+        width = max(width, deg)
         for a in nb:
-            adj[a] |= nb
-            adj[a].discard(a)
-            adj[a].discard(v)
+            na = adj[a]
+            before = len(na)
+            na |= nb
+            na.discard(a)
+            na.discard(v)
+            if len(na) != before:
+                heapq.heappush(heap, (len(na), a))
         del adj[v]
     return width
 

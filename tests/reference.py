@@ -70,3 +70,38 @@ def segment_count_oracle(edge_groups):
                     parent[ra] = rb
         segments += len({find(e) for e in es})
     return segments
+
+
+def degeneracy_oracle(g):
+    """Treewidth lower bound: the largest degree met while deleting the
+    vertex of least (degree, index), found by a scan of every live
+    vertex at each step, as ``solvers._degeneracy`` did before its heap."""
+    adj = [set(a) for a in g.adj]
+    alive = set(range(g.n))
+    out = 0
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u]), u))
+        out = max(out, len(adj[v]))
+        for w in adj[v]:
+            adj[w].discard(v)
+        adj[v].clear()
+        alive.discard(v)
+    return out
+
+
+def greedy_elimination_oracle(g):
+    """Treewidth upper bound: the width of the min-degree elimination
+    order, each pick a scan of every remaining vertex, as
+    ``solvers._greedy_elimination_width`` did before its heap."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    width = 0
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        nb = adj[v]
+        width = max(width, len(nb))
+        for a in nb:
+            adj[a] |= nb
+            adj[a].discard(a)
+            adj[a].discard(v)
+        del adj[v]
+    return width

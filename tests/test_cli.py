@@ -6,19 +6,22 @@ import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from affinecover import drawing
 from affinecover.certio import (
     certificate_from_result,
+    emit_certificate,
     load_certificate,
     verify_certificate,
     write_certificate,
 )
 from affinecover.cli import main
 from affinecover.constructions import DRAW_TARGETS, ConstructionResult
-from affinecover.drawing import Drawing, edge_line_count, verify_crossing_free
+from affinecover.drawing import Drawing, DrawingViolation, edge_line_count, verify_crossing_free
 from affinecover.graphs import from_networkx, path_graph
 from affinecover.solvers import lva_exact, lva_sweep
 
@@ -186,6 +189,34 @@ def test_verify_good_and_tampered(tmp_path, capsys):
     garbage.write_text("not a certificate")
     assert main(["verify", str(garbage)]) == 2
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
+
+
+def test_verify_full_size_spiral_and_moved_vertex(tmp_path, capsys, monkeypatch):
+    # 2,047 vertices on the two diagonals: nearly every pair of edge
+    # boxes overlaps, so this is the drawing the 2D sweep is for
+    rc, out = _draw(tmp_path, "--family", "complete_binary_tree:10", "--target", "two_lines")
+    assert rc == 0
+    assert main(["verify", str(out)]) == 0
+
+    cert = load_certificate(out)
+    d = cert.drawing
+    edges = sorted(d.graph.edges)
+    a, b = edges[len(edges) // 2]
+    v = next(w for w in reversed(range(d.graph.n)) if w not in (a, b))
+    pts = list(d.points)
+    pts[v] = tuple((x + y) / 2 for x, y in zip(d.points[a], d.points[b]))
+    moved = Drawing(d.graph, tuple(pts))
+    bad = tmp_path / "moved.json"
+    bad.write_bytes(emit_certificate(replace(cert, drawing=moved)))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+
+    # the pair the box sweep names when it decides alone
+    monkeypatch.setattr(drawing, "_sweep_clear", lambda grid, edges: False)
+    with pytest.raises(DrawingViolation) as box:
+        verify_crossing_free(moved)
+    assert err == f"verification failed: {box.value}\n"
 
 
 @pytest.mark.parametrize("command", [["verify"], ["export", "--format", "obj"]])

@@ -30,6 +30,7 @@ from affinecover.drawing import (
     WitnessViolation,
     _min_cover,
     _require_verified,
+    _sweep_clear,
     edge_line_count,
     kn_structural_checks,
     min_edge_plane_cover,
@@ -515,7 +516,11 @@ def grid_drawings(draw, dim):
 @given(grid_drawings(2))
 @settings(max_examples=250, deadline=None)
 def test_sweep_matches_reference_2d(d):
-    assert outcome(verify_crossing_free, d) == outcome(reference_verify, d)
+    found = outcome(reference_verify, d)
+    assert outcome(verify_crossing_free, d) == found
+    # A wrong "contact" verdict of the 2D sweep would not show in the
+    # verifier's result, since the box sweep then runs and accepts.
+    assert _sweep_clear(d.grid, sorted(d.graph.edges)) == (found is None or found[0] != "edge_edge")
 
 
 @given(grid_drawings(3))
@@ -527,16 +532,39 @@ def test_sweep_matches_reference_3d(d):
 def test_sweep_matches_reference_on_tampered_constructions():
     # Valid layouts with many edges, then one vertex moved onto the
     # midpoint of an edge: many offending pairs, and the sweep must name
-    # the one the pairwise loop meets first.
+    # the one the pairwise loop meets first.  The spiral and nested
+    # squares put every edge on two crossing lines; the parallel-line
+    # and multipartite layouts are where most 3D pairs are skew.
     import random
 
-    from affinecover.constructions import binary_tree_grid, kpq_plane_book, prism_stack_3d
+    from affinecover.constructions import (
+        binary_tree_grid,
+        kpq_plane_book,
+        nested_squares_two_lines,
+        pach_multipartite,
+        parallel_kpq_lines,
+        prism_stack_3d,
+        spiral_two_lines,
+    )
+    from affinecover.graphs import complete_binary_tree
+    from affinecover.planar import tree_tracks
 
+    tree = complete_binary_tree(4)
+    layouts = (
+        binary_tree_grid(4),
+        spiral_two_lines(tree, tree_tracks(tree, 0)),
+        nested_squares_two_lines(4),
+        kpq_plane_book(4, 5),
+        parallel_kpq_lines(3, 5),
+        pach_multipartite(3, 12),
+        prism_stack_3d(5),
+    )
     rng = random.Random(5)
-    for res in (binary_tree_grid(4), kpq_plane_book(4, 5), prism_stack_3d(5)):
+    for res in layouts:
         d = res.drawing
         assert outcome(verify_crossing_free, d) is None is outcome(reference_verify, d)
         edges = sorted(d.graph.edges)
+        assert d.dim == 3 or _sweep_clear(d.grid, edges)
         for _ in range(8):
             a, b = rng.choice(edges)
             v = rng.choice([w for w in range(d.graph.n) if w not in (a, b)])
@@ -548,6 +576,7 @@ def test_sweep_matches_reference_on_tampered_constructions():
             moved = Drawing(d.graph, tuple(pts))
             found = outcome(verify_crossing_free, moved)
             assert found is not None and found == outcome(reference_verify, moved)
+            assert d.dim == 3 or _sweep_clear(moved.grid, edges) == (found[0] != "edge_edge")
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from affinecover.solvers import (
     validate_partition,
     vertex_thickness_exact,
 )
+from reference import degeneracy_oracle, greedy_elimination_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,8 @@ def reference_treewidth(g: Graph) -> TreewidthResult:
     n = g.n
     if n <= 1:
         return TreewidthResult(0, 0, True)
-    lower = _degeneracy(g)
-    upper = _greedy_elimination_width(g)
+    lower = degeneracy_oracle(g)
+    upper = greedy_elimination_oracle(g)
     if lower == upper:
         return TreewidthResult(lower, upper, True)
     adj_bits = [0] * n
@@ -588,6 +589,13 @@ def test_treewidth_matches_brute_force(g):
 @given(density_graph_strategy(12))
 def test_treewidth_matches_reference(g):
     assert treewidth_exact(g) == reference_treewidth(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_graph_strategy(40))
+def test_treewidth_sandwich_heaps_match_scans(g):
+    assert _degeneracy(g) == degeneracy_oracle(g)
+    assert _greedy_elimination_width(g) == greedy_elimination_oracle(g)
 
 
 def test_treewidth_fixed_cases_match_reference():
