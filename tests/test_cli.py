@@ -324,16 +324,11 @@ def test_bounds_output_pinned(name, capsys):
 
 
 def test_table_complete_plane_rows(capsys):
-    rc = main(["table", "kn_rho23"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    rows = {}
-    for line in out.splitlines():
-        parts = line.split()
-        if parts and parts[0].isdigit():
-            rows[int(parts[0])] = parts[1:3]
-    assert [rows[n][1] for n in range(4, 9)] == ["1", "3", "4", "6", "7"]
-    assert rows[9] == ["7", "12"]
+    """The whole K4..K9 table, byte for byte: the clique-cover lower and
+    upper bounds of every row and the rules that set them."""
+    assert main(["table", "kn_rho23"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "table_kn_rho23.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_table_pair_counting(capsys):

@@ -78,9 +78,10 @@ DRAWINGS = {
 }
 
 
-#: The exact plane cover of a moment curve is a hard set cover (about
-#: 40 s at K10), so above K7 its greedy path is pinned.
-PLANE_BUDGET = {f"moment K{n}": 0 for n in range(8, 15)}
+#: The exact plane cover of a moment curve is a hard set cover: from
+#: K10 up the search can end at its node cap, so above K9 its greedy
+#: path is pinned.
+PLANE_BUDGET = {f"moment K{n}": 0 for n in range(10, 15)}
 
 
 def measurements(d: Drawing, plane_budget: int = 60) -> tuple:
@@ -106,8 +107,8 @@ PINS = {
     "moment K5": "f102ee97521446b09a87952f3f428f06351540854292f998146ed2fe989b2017",
     "moment K6": "a0537d8b9cbf7b3df482d6c16b6eff5d20ec6999e6d2449bf9474dcb0a61417b",
     "moment K7": "7c21639f6913cc06bf325409123cab24720be449b84fd284cefdabfc6a3032aa",
-    "moment K8": "90a0a70d70a19ff53e1572d15f67059639e80cf1d012cc341b9f5bd4e8240b34",
-    "moment K9": "8f37e1e86f7dc502d9ec982dcb4b5ccd88c0a9ea6cf664a592f5ec6426bd666b",
+    "moment K8": "2dfa572337edace90460096475563b39613133cb56cd3728ffb2b1b35268ced5",
+    "moment K9": "223b71c3be8f15eed8b20f3c60a72675c217d4e51663525bc5b20c86e493b7ff",
     "moment K10": "677c8388fa796f0cc35b0bf24ffc659b892d80fe76439fb24e3eeff73963c428",
     "moment K11": "99547a515ff1fb46cf16b0e7478ddcfa4b077149661177780a7e3f2c7b17ec26",
     "moment K12": "b228587c893bb47ae40d3f88af3f45eb40822bb7a4561132e4e0e07d1b13792f",
