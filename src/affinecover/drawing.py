@@ -11,7 +11,9 @@ verified drawing.
 Measuring the lines of a drawing needs no search (each edge forces its
 supporting line); vertex line covers and edge plane covers are genuine
 set-cover problems, solved exactly within budget and greedily above it,
-with the result flagged accordingly.
+with the result flagged accordingly.  :func:`exact_set_cover` is the
+one exact set-cover search; the clique covers of ``solvers`` call it
+too, and every call shares the cap ``SET_COVER_NODE_CAP``.
 
 The verifier, the measurements and the witness checks all run on that
 grid: lines and planes are grouped by their exact integer keys
@@ -359,56 +361,80 @@ def greedy_set_cover(masks: Sequence[int], full: int) -> list:
     return chosen
 
 
-def exact_set_cover(masks: Sequence[int], full: int, node_cap: int = 2_000_000) -> tuple:
-    """Exact minimum set cover by branch and bound over bitmasks.
+#: Search nodes one :func:`exact_set_cover` call may visit; past it the
+#: call returns the greedy cover and the lower bound it has proven.
+SET_COVER_NODE_CAP = 2_000_000
 
-    Returns (chosen_indices, exact_flag); when the node cap is
-    exhausted the incumbent (a valid cover) is returned flagged.
+
+def exact_set_cover(masks: Sequence[int], full: int, max_size: int | None = None) -> tuple:
+    """Minimum cover of the bitmask universe ``full`` by ``masks``.
+
+    A set is dropped first when its mask is a subset of another mask or
+    equal to an earlier one.  Then iterative deepening (Korf 1985) tries
+    each size k from ``⌈|full| / largest set⌉`` up: a depth-first search
+    that branches on the sets holding the lowest uncovered element, most
+    newly covered first (ties by index), and prunes a node when the sets
+    chosen plus ``⌈uncovered / largest set⌉`` exceed k (a set's size
+    counts every bit of its mask).  The first cover found is the least
+    in that search order among the minimum ones.
+
+    Sizes stop below the greedy cover's size, above ``max_size`` and at
+    ``SET_COVER_NODE_CAP`` nodes.  Returns ``(chosen, exact, lower)``:
+    ``lower`` is a proven lower bound on every cover's size, ``exact``
+    is ``lower == len(chosen)``, and ``chosen`` is the greedy cover
+    unless a smaller one was found.
     """
-    keep = []
+    holders: list = [[] for _ in range(max((mk.bit_length() for mk in masks), default=0))]
     for i, mk in enumerate(masks):
-        dominated = False
-        for j, other in enumerate(masks):
-            if i == j:
-                continue
-            if mk & ~other == 0 and (mk != other or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
+        for e in range(mk.bit_length()):
+            if mk >> e & 1:
+                holders[e].append(i)
+    # every superset of a set holds its lowest element
+    keep = [
+        i
+        for i, mk in enumerate(masks)
+        if mk
+        and not any(
+            j != i and mk & ~masks[j] == 0 and (mk != masks[j] or j < i)
+            for j in holders[(mk & -mk).bit_length() - 1]
+        )
+    ]
     best = [keep[k] for k in greedy_set_cover([masks[i] for i in keep], full)]
-    nodes, capped = 0, False
+    kept = set(keep)
+    holders = [[i for i in h if i in kept] for h in holders]
+    largest = max((masks[i].bit_count() for i in keep), default=1)
+    top = len(best) - 1 if max_size is None else min(len(best) - 1, max_size)
+    chosen: list = []
+    nodes = 0
 
-    def dfs(uncovered: int, chosen: list) -> None:
-        nonlocal best, nodes, capped
-        if capped:
-            return
+    def dfs(uncovered: int, k: int) -> bool:
+        nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            capped = True
-            return
+        if nodes > SET_COVER_NODE_CAP:
+            return False
         if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        # while anything is uncovered at least one more set is needed
-        if len(chosen) + 1 >= len(best):
-            return
-        max_gain = max((masks[i] & uncovered).bit_count() for i in keep)
-        if len(chosen) + -(-uncovered.bit_count() // max_gain) >= len(best):
-            return
-        pivot = uncovered & -uncovered  # lowest uncovered element
+            return True
+        if len(chosen) + -(-uncovered.bit_count() // largest) > k:
+            return False
         branches = sorted(
-            (i for i in keep if masks[i] & pivot),
+            holders[(uncovered & -uncovered).bit_length() - 1],
             key=lambda i: (-(masks[i] & uncovered).bit_count(), i),
         )
         for i in branches:
             chosen.append(i)
-            dfs(uncovered & ~masks[i], chosen)
+            if dfs(uncovered & ~masks[i], k):
+                return True
             chosen.pop()
+        return False
 
-    dfs(full, [])
-    return best, not capped
+    lower = -(-full.bit_count() // largest)
+    for k in range(lower, top + 1):
+        if dfs(full, k):
+            return chosen, True, k
+        if nodes > SET_COVER_NODE_CAP:
+            return best, False, k
+        lower = k + 1
+    return best, lower == len(best), lower
 
 
 def _min_cover(kind: str, candidates: dict, items: Sequence, search: bool) -> tuple:
@@ -424,7 +450,7 @@ def _min_cover(kind: str, candidates: dict, items: Sequence, search: bool) -> tu
     masks = [sum(bit[item] for item in s) for s in sets]
     full = (1 << len(bit)) - 1
     if search:
-        chosen, exact = exact_set_cover(masks, full)
+        chosen, exact, _ = exact_set_cover(masks, full)
     else:
         chosen, exact = greedy_set_cover(masks, full), False
     picked = sorted(chosen)

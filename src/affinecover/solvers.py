@@ -4,7 +4,8 @@ All searches are deterministic branch-and-bound with lexicographic
 tie-breaking (lowest-index vertex assigned first, lowest-index class
 preferred), so witnesses are stable across runs.  Exceeding a search
 budget never silently yields a wrong exact value: every result carries
-an ``exact`` flag and fallbacks are valid one-sided bounds.
+an ``exact`` flag and fallbacks are valid one-sided bounds.  Clique
+covers are set covers, searched by ``drawing.exact_set_cover``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .drawing import greedy_set_cover
+from .drawing import exact_set_cover
 from .graphs import Graph, is_linear_forest, to_graph6
 from .planar import is_planar, planarity_test, triangulations
 
@@ -526,10 +527,6 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
 # ---------------------------------------------------------------------------
 
 
-class _NodeCapHit(Exception):
-    pass
-
-
 def steiner_bounds(n: int, k: int) -> tuple[int, bool]:
     """Counting lower bound ⌈n(n-1)/(k(k-1))⌉ for covering the edges of
     K_n by K_k blocks, plus whether a perfect pairwise-balanced design
@@ -544,111 +541,32 @@ def steiner_bounds(n: int, k: int) -> tuple[int, bool]:
     return lower, exists
 
 
-def clique_cover_exact(
-    n: int,
-    s: int,
-    *,
-    max_value: int | None = None,
-    node_cap: int = 5_000_000,
-) -> CliqueCoverResult:
+def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> CliqueCoverResult:
     """Minimum number of ≤ s-vertex blocks covering every edge of K_n.
 
-    Iterates block counts upward from the counting lower bound, running
-    a complete branch-and-bound at each count.  ``max_value`` limits the
-    largest count tried: if every count up to it is exhausted without a
-    cover, the returned lower bound ``max_value + 1`` is proven.  The
-    first block is fixed to {0,...,s-1}, justified by the transitivity
-    of the symmetric group on equal-size vertex subsets.
+    The first block is fixed to {0,...,s-1}, justified by the
+    transitivity of the symmetric group on equal-size vertex subsets;
+    :func:`~affinecover.drawing.exact_set_cover` covers the remaining
+    pairs with at most ``max_value - 1`` more blocks, so a search that
+    exhausts that size proves the lower bound ``max_value + 1``.
+    ``lower_exhaustive`` is true when the search reached the value
+    within ``max_value`` or proved more than the counting bound.
     """
     if s not in CLIQUE_COVER_MAX_N:
         raise ValueError("block order must be 3 or 4")
     if n > CLIQUE_COVER_MAX_N[s]:
         raise ValueError(f"n={n} beyond search budget for block order {s}")
-    pairs = list(itertools.combinations(range(n), 2))
-    m = len(pairs)
-    if m == 0:
-        cover = CliqueCover(n, s, ())
-        return CliqueCoverResult(0, 0, cover, True, True)
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    full = (1 << m) - 1
-
+    if n < 2:
+        return CliqueCoverResult(0, 0, CliqueCover(n, s, ()), True, True)
     if n <= s:
-        cover = CliqueCover(n, s, (tuple(range(n)),))
-        return CliqueCoverResult(1, 1, cover, True, True)
-
+        return CliqueCoverResult(1, 1, CliqueCover(n, s, (tuple(range(n)),)), True, True)
+    pair_index = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     blocks = list(itertools.combinations(range(n), s))
-    masks = []
-    for b in blocks:
-        mask = 0
-        for p in itertools.combinations(b, 2):
-            mask |= 1 << pair_index[p]
-        masks.append(mask)
-    blocks_per_pair: list = [[] for _ in range(m)]
-    for bi, b in enumerate(blocks):
-        bset = set(b)
-        for pi, (u, v) in enumerate(pairs):
-            if u in bset and v in bset:
-                blocks_per_pair[pi].append(bi)
-
-    greedy_blocks = greedy_set_cover(masks, full)
-    per_block = s * (s - 1) // 2
-    lb0, _ = steiner_bounds(n, s)
-    hi = len(greedy_blocks) if max_value is None else max_value
-
-    chosen: list = []
-    found: list | None = None
-    nodes = 0
-
-    def dfs(covered: int, used: int, k: int) -> bool:
-        nonlocal nodes, found
-        nodes += 1
-        if nodes > node_cap:
-            raise _NodeCapHit
-        if covered == full:
-            found = chosen.copy()
-            return True
-        if used == k:
-            return False
-        uncovered = full & ~covered
-        if used + -(-(uncovered.bit_count()) // per_block) > k:
-            return False
-        p = (uncovered & -uncovered).bit_length() - 1
-        if used == 0:
-            cands = [0]  # blocks[0] is (0, ..., s-1)
-        else:
-            cands = sorted(
-                blocks_per_pair[p],
-                key=lambda bi: (-((masks[bi] & uncovered).bit_count()), bi),
-            )
-        for bi in cands:
-            chosen.append(bi)
-            if dfs(covered | masks[bi], used + 1, k):
-                return True
-            chosen.pop()
-        return False
-
-    proven_lower = lb0
-    exhausted_any = False
-    for k in range(lb0, hi + 1):
-        chosen.clear()
-        found = None
-        nodes = 0
-        try:
-            ok = dfs(0, 0, k)
-        except _NodeCapHit:
-            cover = CliqueCover(n, s, tuple(blocks[i] for i in greedy_blocks))
-            return CliqueCoverResult(
-                proven_lower, len(greedy_blocks), cover, False, exhausted_any
-            )
-        if ok:
-            assert found is not None
-            cover = CliqueCover(n, s, tuple(blocks[i] for i in found))
-            return CliqueCoverResult(k, k, cover, True, exhausted_any or k == lb0)
-        proven_lower = k + 1
-        exhausted_any = True
-
-    cover = CliqueCover(n, s, tuple(blocks[i] for i in greedy_blocks))
-    upper = len(greedy_blocks)
-    return CliqueCoverResult(
-        proven_lower, upper, cover, proven_lower == upper, exhausted_any
-    )
+    masks = [sum(1 << pair_index[p] for p in itertools.combinations(b, 2)) for b in blocks]
+    full = (1 << len(pair_index)) - 1
+    rest = None if max_value is None else max_value - 1
+    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], rest)
+    lower, upper = lower + 1, len(chosen) + 1
+    cover = CliqueCover(n, s, tuple(blocks[i] for i in [0, *chosen]))
+    reached = exact and (max_value is None or upper <= max_value)
+    return CliqueCoverResult(lower, upper, cover, exact, reached or lower > steiner_bounds(n, s)[0])

@@ -6,7 +6,10 @@ compares the two does not check the kernel against itself.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+from affinecover.drawing import greedy_set_cover
 
 
 def classify_oracle(a, b, c, d):
@@ -105,3 +108,123 @@ def greedy_elimination_oracle(g):
             adj[a].discard(v)
         del adj[v]
     return width
+
+
+def set_cover_oracle(masks, full, node_cap=2_000_000):
+    """Minimum set cover by top-down branch and bound, as
+    ``drawing.exact_set_cover`` searched before iterative deepening.
+
+    Drops every set that is a subset of another (or equal to an earlier
+    one) by a scan of all pairs, starts from the greedy cover and keeps
+    the smallest cover found; the bound at a node is the sets chosen
+    plus ⌈uncovered / largest gain on it⌉.  Returns (chosen, exact);
+    past ``node_cap`` nodes the incumbent is returned with False.
+    """
+    keep = []
+    for i, mk in enumerate(masks):
+        dominated = False
+        for j, other in enumerate(masks):
+            if i == j:
+                continue
+            if mk & ~other == 0 and (mk != other or j < i):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    best = [keep[k] for k in greedy_set_cover([masks[i] for i in keep], full)]
+    nodes, capped = 0, False
+
+    def dfs(uncovered, chosen):
+        nonlocal best, nodes, capped
+        if capped:
+            return
+        nodes += 1
+        if nodes > node_cap:
+            capped = True
+            return
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + 1 >= len(best):
+            return
+        max_gain = max((masks[i] & uncovered).bit_count() for i in keep)
+        if len(chosen) + -(-uncovered.bit_count() // max_gain) >= len(best):
+            return
+        pivot = uncovered & -uncovered
+        branches = sorted(
+            (i for i in keep if masks[i] & pivot),
+            key=lambda i: (-(masks[i] & uncovered).bit_count(), i),
+        )
+        for i in branches:
+            chosen.append(i)
+            dfs(uncovered & ~masks[i], chosen)
+            chosen.pop()
+
+    dfs(full, [])
+    return best, not capped
+
+
+def clique_cover_oracle(n, s, max_value=None, node_cap=5_000_000):
+    """Fewest ≤ s-vertex blocks covering the edges of K_n, by the
+    private search ``solvers.clique_cover_exact`` ran before it called
+    ``exact_set_cover``: block counts k upward from the counting bound
+    up to the greedy count (or ``max_value``), each a depth-first search
+    with block {0, ..., s-1} fixed and ``node_cap`` nodes per count.
+
+    Returns (lower, upper, exact, lower_exhaustive, blocks) with the
+    meaning of ``CliqueCoverResult``.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    if n < 2:
+        return 0, 0, True, True, ()
+    if n <= s:
+        return 1, 1, True, True, (tuple(range(n)),)
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    full = (1 << len(pairs)) - 1
+    blocks = list(itertools.combinations(range(n), s))
+    masks = [sum(1 << pair_index[p] for p in itertools.combinations(b, 2)) for b in blocks]
+    holders = [[bi for bi, b in enumerate(blocks) if u in b and v in b] for u, v in pairs]
+    greedy = greedy_set_cover(masks, full)
+    per_block = s * (s - 1) // 2
+    lb0 = -(-len(pairs) // per_block)
+    hi = len(greedy) if max_value is None else max_value
+    chosen, nodes = [], 0
+
+    class CapHit(Exception):
+        pass
+
+    def dfs(covered, k):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise CapHit
+        if covered == full:
+            return True
+        if len(chosen) == k:
+            return False
+        uncovered = full & ~covered
+        if len(chosen) + -(-uncovered.bit_count() // per_block) > k:
+            return False
+        p = (uncovered & -uncovered).bit_length() - 1
+        cands = [0] if not chosen else sorted(
+            holders[p], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi)
+        )
+        for bi in cands:
+            chosen.append(bi)
+            if dfs(covered | masks[bi], k):
+                return True
+            chosen.pop()
+        return False
+
+    lower = lb0
+    for k in range(lb0, hi + 1):
+        chosen.clear()
+        nodes = 0
+        try:
+            if dfs(0, k):
+                return k, k, True, True, tuple(blocks[i] for i in chosen)
+        except CapHit:
+            return lower, len(greedy), False, lower > lb0, tuple(blocks[i] for i in greedy)
+        lower = k + 1
+    return lower, len(greedy), lower == len(greedy), lower > lb0, tuple(blocks[i] for i in greedy)

@@ -13,6 +13,7 @@ containment they replaced (``reference_*``).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from affinecover.drawing import (
     _require_verified,
     _sweep_clear,
     edge_line_count,
+    exact_set_cover,
     kn_structural_checks,
     min_edge_plane_cover,
     min_vertex_line_cover,
@@ -54,7 +56,8 @@ from affinecover.geometry import (
     qpoint,
 )
 from affinecover.graphs import Graph, complete_graph, path_graph
-from reference import classify_oracle, segment_count_oracle
+from affinecover import drawing
+from reference import classify_oracle, segment_count_oracle, set_cover_oracle
 
 
 def make(graph, pts, meta=None):
@@ -769,3 +772,98 @@ def test_verify_cover_witness_matches_reference_on_constructions():
                 bad = replace(w, objects=tuple(objects))
                 found = witness_outcome(verify_cover_witness, d, bad)
                 assert found is not None and found == witness_outcome(reference_verify_cover_witness, d, bad)
+
+
+# ---------------------------------------------------------------------------
+# exact set cover
+# ---------------------------------------------------------------------------
+
+
+def brute_force_cover(masks, full):
+    """Size of the smallest cover of ``full`` by ``masks``."""
+    bits = lambda mask: {e for e in range(mask.bit_length()) if mask >> e & 1}  # noqa: E731
+    return brute_min_cover(bits(full), [bits(mk & full) for mk in masks])
+
+
+def covers(masks, full, chosen):
+    union = 0
+    for i in chosen:
+        union |= masks[i]
+    return union & full == full
+
+
+@st.composite
+def set_systems(draw):
+    """At most 14 sets over at most 16 elements, some repeated, with a
+    universe that may leave out elements the sets hold."""
+    u = draw(st.integers(1, 16))
+    subsets = st.sets(st.integers(0, u - 1), max_size=draw(st.integers(1, u)))
+    base = [sum(1 << e for e in es) for es in draw(st.lists(subsets, min_size=1, max_size=10))]
+    masks = draw(st.permutations(base + draw(st.lists(st.sampled_from(base), max_size=4))))
+    union = 0
+    for mk in masks:
+        union |= mk
+    if draw(st.booleans()):
+        union &= draw(st.integers(0, (1 << u) - 1))
+    return masks, union
+
+
+@given(set_systems())
+@settings(max_examples=300, deadline=None)
+def test_exact_set_cover_matches_oracle(system):
+    masks, full = system
+    chosen, exact, lower = exact_set_cover(masks, full)
+    assert (chosen, exact) == set_cover_oracle(masks, full)
+    assert exact and lower == len(chosen) == brute_force_cover(masks, full)
+
+
+@given(set_systems(), st.integers(-1, 8))
+@settings(max_examples=300, deadline=None)
+def test_exact_set_cover_max_size_proves_its_lower_bound(system, max_size):
+    masks, full = system
+    chosen, exact, lower = exact_set_cover(masks, full, max_size)
+    best = brute_force_cover(masks, full)
+    assert covers(masks, full, chosen) and exact == (lower == len(chosen))
+    # a lower bound above max_size means no cover of size <= max_size
+    assert lower <= best <= len(chosen)
+    if best <= max_size:
+        assert exact and (chosen, exact) == set_cover_oracle(masks, full)
+
+
+def seeded_set_systems(seed, count):
+    """``count`` systems of 1..14 sets over 1..16 elements, sets of
+    random sizes; the universe is the union of the sets."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        u = rng.randint(1, 16)
+        masks = [
+            sum(1 << e for e in rng.sample(range(u), rng.randint(0, rng.randint(1, u))))
+            for _ in range(rng.randint(1, 14))
+        ]
+        full = 0
+        for mk in masks:
+            full |= mk
+        systems.append((masks, full))
+    return systems
+
+
+def test_exact_set_cover_matches_oracle_on_seeded_systems():
+    # most systems have one minimum cover the search order cannot change:
+    # reversing the branch order changes the answer on about 1 in 200
+    for masks, full in seeded_set_systems(3, 3000):
+        assert exact_set_cover(masks, full)[:2] == tuple(set_cover_oracle(masks, full))
+
+
+def test_exact_set_cover_cap_returns_greedy_and_proven_bound(monkeypatch):
+    systems = seeded_set_systems(5, 200)
+    capped = 0
+    for cap in (0, 1, 5, 40):
+        monkeypatch.setattr(drawing, "SET_COVER_NODE_CAP", cap)
+        for masks, full in systems:
+            chosen, exact, lower = exact_set_cover(masks, full)
+            assert lower <= brute_force_cover(masks, full) <= len(chosen)
+            if not exact:
+                capped += 1
+                assert chosen == set_cover_oracle(masks, full, node_cap=0)[0]
+    assert capped > 0

@@ -29,7 +29,9 @@ from affinecover.graphs import (
     triangulated_square_wheel,
 )
 from affinecover.planar import _count_verdict, _reduce, is_planar, planarity_test
+from affinecover import drawing
 from affinecover.solvers import (
+    CLIQUE_COVER_MAX_N,
     BisectionResult,
     Partition,
     TreewidthResult,
@@ -45,7 +47,7 @@ from affinecover.solvers import (
     validate_partition,
     vertex_thickness_exact,
 )
-from reference import degeneracy_oracle, greedy_elimination_oracle
+from reference import clique_cover_oracle, degeneracy_oracle, greedy_elimination_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +702,32 @@ def test_clique_cover_tiny():
     res = clique_cover_exact(4, 3)
     assert res.exact and res.value == 3
     check_cover(4, 3, res.cover)
+
+
+#: The searches that end at the set-cover node cap, with the interval
+#: they prove (the oracle takes about 5 s on each).
+CAPPED_CLIQUE_COVERS = {(10, 3): (16, 18), (12, 3): (23, 26)}
+
+
+@pytest.mark.parametrize(
+    "n, s", [(n, s) for s, top in CLIQUE_COVER_MAX_N.items() for n in range(top + 1)]
+)
+def test_clique_cover_matches_oracle(n, s):
+    for max_value in (None, 4, 5, 6, 7):
+        res = clique_cover_exact(n, s, max_value=max_value)
+        check_cover(n, s, res.cover)
+        fields = (res.lower, res.upper, res.exact, res.lower_exhaustive)
+        if max_value is None and (n, s) in CAPPED_CLIQUE_COVERS:
+            assert fields == (*CAPPED_CLIQUE_COVERS[n, s], False, True)
+        else:
+            assert fields == clique_cover_oracle(n, s, max_value)[:4]
+
+
+def test_clique_cover_node_cap_keeps_a_proven_interval(monkeypatch):
+    monkeypatch.setattr(drawing, "SET_COVER_NODE_CAP", 100)
+    res = clique_cover_exact(8, 3)  # the minimum is 11
+    assert not res.exact and steiner_bounds(8, 3)[0] <= res.lower <= 11 <= res.upper
+    assert res.cover.blocks == clique_cover_oracle(8, 3, node_cap=0)[4]
 
 
 def test_clique_cover_budget_rejects():
