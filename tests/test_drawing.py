@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinecover import drawing
 from affinecover.drawing import (
     EDGE_KINDS,
     LINE_KINDS,
@@ -56,7 +57,6 @@ from affinecover.geometry import (
     qpoint,
 )
 from affinecover.graphs import Graph, complete_graph, path_graph
-from affinecover import drawing
 from reference import classify_oracle, segment_count_oracle, set_cover_oracle
 
 

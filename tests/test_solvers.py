@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinecover import drawing
 from affinecover.graphs import (
     Graph,
     cartesian_product,
@@ -29,7 +30,6 @@ from affinecover.graphs import (
     triangulated_square_wheel,
 )
 from affinecover.planar import _count_verdict, _reduce, is_planar, planarity_test
-from affinecover import drawing
 from affinecover.solvers import (
     CLIQUE_COVER_MAX_N,
     BisectionResult,
