@@ -125,6 +125,8 @@ DRAW_PINS = [
      "255496d028c132f7856d76b3698182184ef6e525b15f514acf4d2a74a90a0991"),
     (("pi23", "--family", "complete:8", "--seed", "7"),
      "5beebedafdde8fbe1834b1d836f511a683beb348db33aea1058f62a9109bb5f1"),
+    (("pi23", "--family", "balanced_multipartite:4,16", "--seed", "3"),
+     "da6a2baedb1464059e5c0790a056bf25ab52c65327277e6dbe1ed5eb94df97aa"),
     (("rho23_kn", "--family", "complete:8"),
      "f51a3cb2a7b2ea814f3dc5569a95796c89c9bb023e83e6c8765fed4341194c1a"),
     (("rho23_kpq", "--family", "complete_bipartite:3,4"),
@@ -298,6 +300,8 @@ def test_bounds_zero_budget_is_accepted(capsys):
 
 #: ``affinecover bounds`` stdout written by the search before the
 #: planarity and treewidth fast paths; G(n, 0.5) samples for n = 14..16.
+#: K4,4,4,4 is the largest vertex-thickness search, written before the
+#: in-house left-right planarity test.
 BOUNDS_GOLDEN = {
     "complete_9": ("--family", "complete:9"),
     "complete_binary_tree_6": ("--family", "complete_binary_tree:6"),
@@ -305,6 +309,7 @@ BOUNDS_GOLDEN = {
     "nested_squares_4": ("--family", "nested_squares:4"),
     "nested_triangles_4": ("--family", "nested_triangles:4"),
     "complete_bipartite_3_3": ("--family", "complete_bipartite:3,3"),
+    "balanced_multipartite_4_16": ("--family", "balanced_multipartite:4,16"),
     "gnp_14": ("--graph6", "MhZcxlIigyy`Fmw}_"),
     "gnp_15": ("--graph6", "NZ_CRk\\@RrzR~t\\OTeG"),
     "gnp_16": ("--graph6", "OveHVtGfMJy}z^^tSYZcv"),
