@@ -3,11 +3,12 @@ the enumeration of small triangulations.
 
 ``is_planar`` decides planarity without an embedding: edge counts, a
 reduction that keeps planarity, and Kuratowski's theorem on six
-vertices settle most graphs, and only the rest go to networkx.
-Embeddings and the shift-method coordinates are obtained from networkx;
-every drawing produced here is re-certified from scratch by the exact
-rational verifier before being returned, so the external library is
-never trusted for correctness claims.
+vertices settle most graphs, and the boolean phase of the left-right
+planarity test decides the rest.  Embeddings and the shift-method
+coordinates are obtained from networkx; every embedding is checked by
+``validate_embedding`` and every drawing produced here is re-certified
+from scratch by the exact rational verifier before being returned, so
+the external library is never trusted for correctness claims.
 """
 
 from __future__ import annotations
@@ -117,6 +118,180 @@ def _six_vertex_planar(adj: dict) -> bool:
     return True
 
 
+def _lowest(pair: list, lowpt: list) -> int:
+    """The least lowpoint of the return edges in a conflict pair."""
+    left, right = pair[0], pair[2]
+    if left is None:
+        return lowpt[right]
+    if right is None:
+        return lowpt[left]
+    return min(lowpt[left], lowpt[right])
+
+
+def _left_right_planar(nbrs: list) -> bool:
+    """Whether the simple graph with neighbour lists ``nbrs`` (on vertices
+    0..n-1) is planar, by the left-right planarity test (de Fraysseix &
+    Rosenstiehl; Brandes, "The Left-Right Planarity Test", 2009).
+
+    Only the DFS orientation and the conflict-pair testing run: no sides
+    are recorded and no embedding is built.  Both depth-first searches
+    keep explicit stacks, so deep graphs cannot exhaust the recursion
+    limit.  Edges are numbered as the orientation meets them; a conflict
+    pair is a list ``[left low, left high, right low, right high]`` of
+    return edges, ``None`` where an interval is empty, and ``ref`` links
+    each return edge to the next lower one of its interval.
+    """
+    n = len(nbrs)
+    height = [-1] * n
+    up = [-1] * n  # parent vertex in the DFS tree
+    parent = [-1] * n  # tree edge into the vertex, -1 at a root
+    out: list = [[] for _ in range(n)]  # edges oriented away from the vertex
+    dst: list = []
+    lowpt: list = []
+    lowpt2: list = []
+    nesting: list = []
+    roots = []
+    nxt = [0] * n
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(nbrs[v]):
+                nxt[v] = i + 1
+                w = nbrs[v][i]
+                if height[w] < 0:  # tree edge, finished once w is
+                    parent[w] = len(dst)
+                    up[w] = v
+                    height[w] = height[v] + 1
+                    out[v].append(len(dst))
+                    dst.append(w)
+                    lowpt.append(height[v])
+                    lowpt2.append(height[v])
+                    nesting.append(0)
+                    stack.append(w)
+                    continue
+                if height[w] >= height[v] or w == up[v]:
+                    continue  # oriented already, from w or as v's tree edge
+                ei = len(dst)  # back edge
+                out[v].append(ei)
+                dst.append(w)
+                lowpt.append(height[w])
+                lowpt2.append(height[v])
+                nesting.append(0)
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = up[v]
+            lo, lo2 = lowpt[ei], lowpt2[ei]
+            nesting[ei] = 2 * lo + (lo2 < height[v])  # +1 when chordal
+            e = parent[v]
+            if e >= 0:
+                if lo < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lo2)
+                    lowpt[e] = lo
+                elif lo > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lo)
+                else:
+                    lowpt2[e] = min(lowpt2[e], lo2)
+
+    for edges in out:
+        edges.sort(key=nesting.__getitem__)
+    m = len(dst)
+    ref: list = [None] * m
+    bottom: list = [None] * m  # top of the conflict stack when an edge starts
+    pairs: list = []
+
+    def add_constraints(ei: int, e: int) -> bool:
+        # merge the return edges of ei into the right interval of a new pair
+        left_lo = left_hi = right_lo = right_hi = None
+        while True:
+            ql, qh, rl, rh = pairs.pop()
+            if ql is not None:
+                ql, qh, rl, rh = rl, rh, ql, qh
+            if ql is not None:
+                return False
+            if lowpt[rl] > lowpt[e]:
+                if right_lo is None:
+                    right_hi = rh
+                else:
+                    ref[right_lo] = rh
+                right_lo = rl
+            if (pairs[-1] if pairs else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into the
+        # left interval
+        low = lowpt[ei]
+        while True:
+            ql, qh, rl, rh = pairs[-1]
+            if not (qh is not None and lowpt[qh] > low or rh is not None and lowpt[rh] > low):
+                break
+            pairs.pop()
+            if rh is not None and lowpt[rh] > low:
+                ql, qh, rl, rh = rl, rh, ql, qh
+            if rh is not None and lowpt[rh] > low:
+                return False
+            ref[right_lo] = rh
+            if rl is not None:
+                right_lo = rl
+            if left_lo is None:
+                left_hi = qh
+            else:
+                ref[left_lo] = qh
+            left_lo = ql
+        if left_lo is not None or right_lo is not None:
+            pairs.append([left_lo, left_hi, right_lo, right_hi])
+        return True
+
+    def remove_back_edges(u: int) -> None:
+        # drop the pairs whose return edges all end at u, then trim the
+        # edges ending at u from the top of the next pair
+        while pairs and _lowest(pairs[-1], lowpt) == height[u]:
+            pairs.pop()
+        if pairs:
+            pair = pairs[-1]
+            for lo, hi in ((0, 1), (2, 3)):
+                top = pair[hi]
+                while top is not None and dst[top] == u:
+                    top = ref[top]
+                pair[hi] = top
+                if top is None:
+                    pair[lo] = None
+
+    nxt = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(out[v]):
+                ei = out[v][i]
+                bottom[ei] = pairs[-1] if pairs else None
+                if parent[dst[ei]] == ei:
+                    stack.append(dst[ei])
+                    continue
+                pairs.append([None, None, ei, ei])
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = up[v]
+                remove_back_edges(v)
+                i = nxt[v]
+            nxt[v] = i + 1
+            # the first edge of v leaves its return edges where they are
+            if i and lowpt[ei] < height[v] and not add_constraints(ei, parent[v]):
+                return False
+    return True
+
+
 def is_planar(adj: dict) -> bool:
     """Whether the simple graph ``adj`` (vertex -> set of neighbours) is
     planar; ``adj`` is consumed (reduced in place).
@@ -125,7 +300,7 @@ def is_planar(adj: dict) -> bool:
     graph has minimum degree 3, so one the counts leave open has five
     vertices and nine edges (K5 minus an edge, planar), or six vertices
     and 9 to 12 edges (``_six_vertex_planar``), or more and goes to
-    ``nx.check_planarity``, which is asked for no embedding.
+    ``_left_right_planar``.
     """
     verdict = _count_verdict(adj)
     if verdict is None:
@@ -134,9 +309,8 @@ def is_planar(adj: dict) -> bool:
         return verdict
     if len(adj) <= 6:
         return len(adj) < 6 or _six_vertex_planar(adj)
-    h = nx.Graph()
-    h.add_edges_from((u, w) for u, nb in adj.items() for w in nb if u < w)
-    return nx.check_planarity(h)[0]
+    index = {u: i for i, u in enumerate(adj)}
+    return _left_right_planar([[index[w] for w in nb] for nb in adj.values()])
 
 
 def _faces_from_nx(g: Graph, emb: nx.PlanarEmbedding) -> list[tuple[int, ...]]:

@@ -149,15 +149,31 @@ def validate_partition(g: Graph, p: Partition) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _min_partition(g: Graph, fits: Callable[[set, int], bool]) -> list:
-    """The fewest classes, each kept feasible as vertices join it in
-    index order; returns the lexicographically least witness.
+def _bit_rows(g: Graph) -> list:
+    """The neighbourhood of each vertex of ``g`` as a bitmask."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
-    ``fits(cls, v)`` decides whether vertex ``v`` may join class ``cls``.
+
+def _min_partition(n: int, fits: Callable[[int, int], bool], whole: bool) -> list:
+    """The fewest classes, each kept feasible as vertices 0..n-1 join it
+    in index order; returns the lexicographically least witness as
+    vertex bitmasks.
+
+    ``fits(cls, v)`` decides whether vertex ``v`` may join the class
+    with bitmask ``cls``, and ``whole`` whether all n vertices form one
+    class.  Every class property here is hereditary, so ``whole``
+    decides k = 1 as the n incremental tests would.
     """
-    n = g.n
-    for k in range(1, n + 1):
-        classes: list = [set() for _ in range(k)]
+    if n == 0:
+        return []
+    if whole:
+        return [(1 << n) - 1]
+    for k in range(2, n + 1):
+        classes = [0] * k
 
         def dfs(v: int, used: int) -> bool:
             if v == n:
@@ -165,10 +181,10 @@ def _min_partition(g: Graph, fits: Callable[[set, int], bool]) -> list:
             for c in range(min(used + 1, k)):
                 cls = classes[c]
                 if fits(cls, v):
-                    cls.add(v)
+                    classes[c] = cls | 1 << v
                     if dfs(v + 1, max(used, c + 1)):
                         return True
-                    cls.discard(v)
+                    classes[c] = cls
             return False
 
         if dfs(0, 0):
@@ -176,13 +192,17 @@ def _min_partition(g: Graph, fits: Callable[[set, int], bool]) -> list:
     return []
 
 
-def _partition(g: Graph, kind: str, budget_n, fits, fallback) -> PartitionResult:
-    """Exact ``_min_partition(g, fits)`` within the vertex budget of
-    ``kind``; over it, the classes ``fallback()`` returns, flagged
-    inexact."""
+def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback) -> PartitionResult:
+    """Exact ``_min_partition(g.n, fits, whole())`` within the vertex
+    budget of ``kind``; over it, the classes ``fallback()`` returns,
+    flagged inexact."""
     budget = DEFAULT_BUDGETS[kind] if budget_n is None else budget_n
     exact = g.n <= budget
-    classes = _min_partition(g, fits) if exact else fallback()
+    if exact:
+        masks = _min_partition(g.n, fits, whole())
+        classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
+    else:
+        classes = fallback()
     part = Partition(tuple(frozenset(c) for c in classes), kind)
     return PartitionResult(len(part.classes), part, exact)
 
@@ -210,9 +230,10 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     Over budget, falls back to first-fit greedy colouring (upper bound,
     flagged inexact).
     """
+    rows = _bit_rows(g)
     return _partition(
-        g, "chromatic", budget_n, lambda cls, v: not (g.adj[v] & cls),
-        lambda: _greedy_coloring(g),
+        g, "chromatic", budget_n, lambda cls, v: not (rows[v] & cls),
+        lambda: g.m == 0, lambda: _greedy_coloring(g),
     )
 
 
@@ -221,27 +242,28 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
 # ---------------------------------------------------------------------------
 
 
-def _lva_feasible(g: Graph):
+def _lva_feasible(rows: list):
     def feasible(cls, v):
-        nbrs = g.adj[v] & cls
-        if len(nbrs) > 2:
+        nbrs = rows[v] & cls
+        if nbrs.bit_count() > 2:
             return False
-        for u in nbrs:
-            if len(g.adj[u] & cls) >= 2:
+        rest = nbrs
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if (rows[b.bit_length() - 1] & cls).bit_count() >= 2:
                 return False
-        if len(nbrs) == 2:
-            a, b = nbrs
+        if nbrs.bit_count() == 2:
             # joining two vertices already connected inside the class
-            # would close a cycle
-            stack, seen = [a], {a}
-            while stack:
-                u = stack.pop()
-                for w in g.adj[u] & cls:
-                    if w == b:
-                        return False
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            # would close a cycle; a is a path end, so the walk from it
+            # meets one new vertex per step
+            a = nbrs & -nbrs
+            reach = step = a
+            while step:
+                step = rows[step.bit_length() - 1] & cls & ~reach
+                if step & nbrs:
+                    return False
+                reach |= step
         return True
 
     return feasible
@@ -257,7 +279,8 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     21 <= n <= 24; with an explicit ``budget_n`` it is first-fit.
     """
     return _partition(
-        g, "lva", budget_n, _lva_feasible(g),
+        g, "lva", budget_n, _lva_feasible(_bit_rows(g)),
+        lambda: is_linear_forest(g, range(g.n)),
         lambda: chromatic_number(g, budget_n).partition.classes,
     )
 
@@ -283,18 +306,20 @@ def lva_sweep(max_n: int = 8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _stays_planar(g: Graph, member_set: set, v: int, tested: dict) -> bool:
-    """Whether the planar class ``member_set`` plus ``v`` induces a planar
-    subgraph of ``g``; ``tested`` keeps ``is_planar`` answers by vertex
-    set."""
-    if len(g.adj[v] & member_set) <= 1:
-        return True
-    verts = member_set | {v}
-    key = frozenset(verts)
-    verdict = tested.get(key)
+def _planar_class(g: Graph, verts: int, tested: dict) -> bool:
+    """Whether the vertices in bitmask ``verts`` induce a planar subgraph
+    of ``g``; ``tested`` keeps ``is_planar`` answers by bitmask."""
+    verdict = tested.get(verts)
     if verdict is None:
-        verdict = tested[key] = is_planar({u: verts & g.adj[u] for u in verts})
+        members = {u for u in range(g.n) if verts >> u & 1}
+        verdict = tested[verts] = is_planar({u: members & g.adj[u] for u in members})
     return verdict
+
+
+def _stays_planar(g: Graph, rows: list, member: int, v: int, tested: dict) -> bool:
+    """Whether the planar class with bitmask ``member`` plus ``v``
+    induces a planar subgraph of ``g`` (``rows`` from ``_bit_rows``)."""
+    return (rows[v] & member).bit_count() <= 1 or _planar_class(g, member | 1 << v, tested)
 
 
 def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
@@ -302,17 +327,20 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
 
     A vertex with at most one neighbour in a class keeps it planar;
     otherwise ``planar.is_planar`` decides the class plus the vertex,
-    once per vertex set and call.  It answers as ``planarity_test``
-    does, so value and classes are those of a search that tests every
-    class with ``planarity_test``.
+    once per vertex set and call, without networkx.  Its answers are
+    checked against ``planarity_test`` in the tests, so value and
+    classes are those of a search that tests every class with
+    ``planarity_test``.
 
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
     """
+    rows = _bit_rows(g)
     tested: dict = {}
     return _partition(
         g, "vertex_thickness", budget_n,
-        lambda cls, v: _stays_planar(g, cls, v, tested),
+        lambda cls, v: _stays_planar(g, rows, cls, v, tested),
+        lambda: _planar_class(g, (1 << g.n) - 1, tested),
         lambda: [range(i, min(i + 4, g.n)) for i in range(0, g.n, 4)],
     )
 
@@ -406,10 +434,7 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
     if n > budget:
         return TreewidthResult(lower, upper, False)
 
-    rows0 = [0] * n
-    for u, v in g.edges:
-        rows0[u] |= 1 << v
-        rows0[v] |= 1 << u
+    rows0 = _bit_rows(g)
     best = upper
     seen: dict = {}
 

@@ -16,26 +16,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinecover import drawing
+from affinecover import drawing, planar, solvers
+from affinecover.bounds import bound_report
 from affinecover.graphs import (
     Graph,
+    balanced_multipartite,
     cartesian_product,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     from_networkx,
     is_linear_forest,
+    nested_triangles,
     path_graph,
     to_networkx,
     triangulated_square_wheel,
 )
-from affinecover.planar import _count_verdict, _reduce, is_planar, planarity_test
+from affinecover.planar import (
+    _count_verdict,
+    _left_right_planar,
+    _reduce,
+    is_planar,
+    planarity_test,
+    triangulations,
+)
 from affinecover.solvers import (
     CLIQUE_COVER_MAX_N,
     BisectionResult,
     Partition,
     TreewidthResult,
     _degeneracy,
+    _bit_rows,
     _greedy_elimination_width,
     _stays_planar,
     bisection_width_exact,
@@ -250,8 +261,8 @@ def small_graph_strategy(max_n=6):
     )
 
 
-def density_graph_strategy(max_n):
-    """Graphs on 2..max_n vertices whose edges are kept with a drawn
+def density_graph_strategy(max_n, min_n=2):
+    """Graphs on min_n..max_n vertices whose edges are kept with a drawn
     probability of 0.1 to 1, so dense graphs occur as often as sparse."""
 
     def build(n, density, seed):
@@ -261,7 +272,7 @@ def density_graph_strategy(max_n):
 
     return st.builds(
         build,
-        st.sampled_from(range(2, max_n + 1)),
+        st.sampled_from(range(min_n, max_n + 1)),
         st.sampled_from(range(1, 11)),
         st.integers(0, 2**32),
     )
@@ -395,22 +406,42 @@ def test_vertex_thickness_matches_reference(g):
 
 
 def test_vertex_thickness_tests_each_set_once(monkeypatch):
-    seen = []
-    check_planarity = nx.check_planarity
+    asked, full = [], []
 
-    def counting(h, *args, **kwargs):
-        seen.append(frozenset(h.edges))
-        return check_planarity(h, *args, **kwargs)
+    def counting_is_planar(adj):
+        asked.append(frozenset(adj))
+        return is_planar(adj)
 
-    # the networkx fallback of is_planar; the rook's graph K4 x K3 has
-    # classes that reduce to seven or more vertices, and its search asks
+    def counting_left_right(nbrs):
+        full.append(len(nbrs))
+        return _left_right_planar(nbrs)
+
+    # the rook's graph K4 x K3 has classes that reduce to seven or more
+    # vertices, so they reach the left-right test, and its search asks
     # about some of those vertex sets twice
-    monkeypatch.setattr(nx, "check_planarity", counting)
+    monkeypatch.setattr(solvers, "is_planar", counting_is_planar)
+    monkeypatch.setattr(planar, "_left_right_planar", counting_left_right)
     g = cartesian_product(complete_graph(4), complete_graph(3))
     res = vertex_thickness_exact(g)
     assert res.value == 2 and res.exact
-    assert seen and len(seen) == len(set(seen))
-    assert min(len({u for e in edges for u in e}) for edges in seen) >= 7
+    assert asked and len(asked) == len(set(asked))
+    assert full and min(full) >= 7
+
+
+def test_solvers_make_no_networkx_planarity_call(monkeypatch):
+    calls = []
+    check_planarity = nx.check_planarity
+
+    def counting(h, *args, **kwargs):
+        calls.append(h)
+        return check_planarity(h, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counting)
+    g = balanced_multipartite(4, 16)
+    assert vertex_thickness_exact(g).value == 3
+    pi23 = bound_report(g)["pi23"]
+    assert pi23.lower == pi23.upper == 3
+    assert calls == []
 
 
 def adjacency(g: Graph) -> dict:
@@ -422,8 +453,13 @@ def graph_of(adj: dict) -> Graph:
     return Graph(len(idx), [(idx[u], idx[w]) for u in adj for w in adj[u]])
 
 
+def neighbour_lists(g: Graph) -> list:
+    return [sorted(nb) for nb in g.adj]
+
+
 def check_planarity_prechecks(g: Graph, planar: bool) -> None:
     assert is_planar(adjacency(g)) == planar
+    assert _left_right_planar(neighbour_lists(g)) == planar
     assert _count_verdict(adjacency(g)) in (None, planar)
     reduced = _reduce(adjacency(g))
     assert all(len(nb) >= 3 and u not in nb for u, nb in reduced.items())
@@ -431,10 +467,12 @@ def check_planarity_prechecks(g: Graph, planar: bool) -> None:
     assert (planarity_test(graph_of(reduced)) is not None) == planar
     assert _count_verdict(reduced) in (None, planar)
     tested: dict = {}
+    rows = _bit_rows(g)
     for v in range(g.n):
         rest = set(range(g.n)) - {v}
         if planarity_test(g.induced(rest)) is not None:
-            assert _stays_planar(g, rest, v, tested) == planar
+            mask = (1 << g.n) - 1 & ~(1 << v)
+            assert _stays_planar(g, rows, mask, v, tested) == planar
 
 
 @settings(max_examples=300, deadline=None)
@@ -534,21 +572,61 @@ def test_is_planar_on_every_six_vertex_core():
     assert 0 < sum(verdicts) < len(graphs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_graph_strategy(6))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graph_strategy(6), density_graph_strategy(16, min_n=7)))
 def test_is_planar_matches_networkx_small(g):
-    assert is_planar(adjacency(g)) == nx_planar(g)
+    # graphs on 7 to 16 vertices are the ones whose reduction can leave
+    # seven or more vertices for the left-right test
+    expected = nx_planar(g)
+    assert is_planar(adjacency(g)) == expected
+    assert _left_right_planar(neighbour_lists(g)) == expected
+
+
+def test_left_right_matches_networkx_on_the_atlas():
+    graphs = nx.graph_atlas_g()
+    assert len(graphs) == 1253
+    for ng in graphs:
+        g = from_networkx(ng)
+        expected = nx.check_planarity(ng)[0]
+        assert _left_right_planar(neighbour_lists(g)) == expected
+        assert is_planar(adjacency(g)) == expected
+
+
+def test_left_right_rejects_triangulations_plus_an_edge():
+    checked = 0
+    for n in range(5, 10):
+        for t in triangulations(n):
+            assert _left_right_planar(neighbour_lists(t))
+            for e in itertools.combinations(range(n), 2):
+                if not t.has_edge(*e):
+                    h = Graph(n, [*t.edges, e])
+                    assert not _left_right_planar(neighbour_lists(h))
+                    assert not nx_planar(h)
+                    checked += 1
+    assert checked == 927
+
+
+def test_left_right_on_a_deep_graph():
+    # 6,000 vertices: a recursive depth-first search would pass the
+    # interpreter's recursion limit
+    g = nested_triangles(2000)
+    assert g.n == 6000
+    k33 = subdivide(K33, 1)
+    h = Graph(g.n + k33.n, [*g.edges, *((u + g.n, v + g.n) for u, v in k33.edges)])
+    assert is_planar(adjacency(g)) is nx_planar(g) is True
+    assert is_planar(adjacency(h)) is nx_planar(h) is False
 
 
 def test_stays_planar_decides_by_reduction(monkeypatch):
-    def refuse(h, *args, **kwargs):
-        raise AssertionError("networkx called on a reducible set")
+    def refuse(nbrs):
+        raise AssertionError("left-right test called on a reducible set")
 
-    monkeypatch.setattr(nx, "check_planarity", refuse)
+    monkeypatch.setattr(planar, "_left_right_planar", refuse)
     for name in ("K5 subdivided twice", "K4 with every edge doubled by a 2-path"):
-        g, planar = HARD_CASES[name]
+        g, planar_ = HARD_CASES[name]
         # the last vertex subdivides an edge; the rest of the graph is planar
-        assert _stays_planar(g, set(range(g.n - 1)), g.n - 1, {}) == planar
+        rest = (1 << g.n - 1) - 1
+        assert _stays_planar(g, _bit_rows(g), rest, g.n - 1, {}) == planar_
 
 
 def test_vertex_thickness_budget_fallback():
