@@ -301,7 +301,10 @@ def test_bounds_zero_budget_is_accepted(capsys):
 #: ``affinecover bounds`` stdout written by the search before the
 #: planarity and treewidth fast paths; G(n, 0.5) samples for n = 14..16.
 #: K4,4,4,4 is the largest vertex-thickness search, written before the
-#: in-house left-right planarity test.
+#: in-house left-right planarity test.  The octahedron (K2,2,2) is a planar
+#: triangulation, whose report asks networkx for faces; K4,6 is non-planar
+#: with exactly 3n - 6 edges.  Both were written before the dual bound
+#: decided planarity in-house.
 BOUNDS_GOLDEN = {
     "complete_9": ("--family", "complete:9"),
     "complete_binary_tree_6": ("--family", "complete_binary_tree:6"),
@@ -310,6 +313,8 @@ BOUNDS_GOLDEN = {
     "nested_triangles_4": ("--family", "nested_triangles:4"),
     "complete_bipartite_3_3": ("--family", "complete_bipartite:3,3"),
     "balanced_multipartite_4_16": ("--family", "balanced_multipartite:4,16"),
+    "balanced_multipartite_3_6": ("--family", "balanced_multipartite:3,6"),
+    "complete_bipartite_4_6": ("--family", "complete_bipartite:4,6"),
     "gnp_14": ("--graph6", "MhZcxlIigyy`Fmw}_"),
     "gnp_15": ("--graph6", "NZ_CRk\\@RrzR~t\\OTeG"),
     "gnp_16": ("--graph6", "OveHVtGfMJy}z^^tSYZcv"),
