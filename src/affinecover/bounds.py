@@ -183,25 +183,18 @@ def _rule_treewidth(g: Graph, budget, **_) -> list:
     return [_lower("rho13", Fraction(res.lower, 3), "treewidth-third", res.exact)]
 
 
-#: Solver-backed vertex partitions: (rule id, solver, divisor per parameter).
-#: Every class of the partition fits on one line or plane, so the solver's
-#: value bounds each parameter from above; an exact value divided by the
-#: parameter's divisor bounds it from below.  The lambdas look the solver up
-#: when called, so a wrapper installed on the module attribute (as the
-#: benchmark tracer does) sees the call.
-_PARTITIONS = (
-    ("chromatic-envelope", lambda g, b: chromatic_number(g, budget_n=b), {"pi13": 2, "pi23": 4}),
-    ("forest-partition", lambda g, b: lva_exact(g, budget_n=b), {"pi13": 1}),
-    ("planar-partition", lambda g, b: vertex_thickness_exact(g, budget_n=b), {"pi23": 1}),
-)
-
-
 def _rule_partitions(g: Graph, budget, **_) -> list:
+    """Solver-backed vertex partitions.  Every class fits on one line or
+    plane, so the solver's value bounds each parameter from above; an
+    exact value divided by the parameter's divisor bounds it from below."""
     if g.n < 1:
         return []
     out = []
-    for rule, solve, divisors in _PARTITIONS:
-        res = solve(g, budget)
+    for rule, res, divisors in (
+        ("chromatic-envelope", chromatic_number(g, budget_n=budget), {"pi13": 2, "pi23": 4}),
+        ("forest-partition", lva_exact(g, budget_n=budget), {"pi13": 1}),
+        ("planar-partition", vertex_thickness_exact(g, budget_n=budget), {"pi23": 1}),
+    ):
         out += [_upper(param, res.value, rule, res.exact) for param in divisors]
         if res.exact:
             out += [_lower(param, Fraction(res.value, d), rule) for param, d in divisors.items()]
@@ -226,10 +219,7 @@ def _rule_complete(g: Graph, **_) -> list:
     n = g.n
     if n < 2 or not is_complete(g):
         return []
-    out = []
-    pairs = Fraction(n * (n - 1), 2)
-    out.append(_lower("rho13", pairs, "complete-segments"))
-    out.append(_upper("rho13", pairs, "complete-segments"))
+    out = [_lower("rho13", n * (n - 1) // 2, "complete-segments")]
     if 3 <= n <= 9:
         # at n = 9 capping the search keeps the exhaustion over 4-blocks feasible
         quad = clique_cover_exact(n, 4, max_value=6 if n == 9 else None)
@@ -263,7 +253,6 @@ def _rule_bipartite(g: Graph, **_) -> list:
         _lower("rho23", half, "bipartite-plane-pairs", source="paper"),
         _upper("rho23", half, "bipartite-plane-pairs", source="paper"),
         _lower("rho13", Fraction(p * q, 2), "bipartite-segments", source="paper"),
-        _upper("rho13", p * q, "bipartite-segments", source="paper"),
     ]
     if q >= 3:
         out.append(_lower("pibar13", p + 1, "parallel-tracks", source="paper"))
@@ -356,7 +345,7 @@ _RULE_TABLE = (
     }),
     (_rule_complete, {
         "complete-segments": "in a complete graph no line may carry two edges, so "
-        "exactly one line per vertex pair",
+        "one line per vertex pair is needed (edge-count gives the matching upper bound)",
         "clique-cover-quads": "every plane of a complete-graph edge cover carries a "
         "clique on at most 4 vertices",
         "steiner-counting": "pair-counting floor ceil(n(n-1)/12) for covering all pairs "
@@ -371,8 +360,8 @@ _RULE_TABLE = (
     (_rule_bipartite, {
         "bipartite-plane-pairs": "complete bipartite graphs need and admit exactly "
         "ceil(p/2) planes for their edges",
-        "bipartite-segments": "edge covers of complete bipartite graphs by lines sit "
-        "between pq/2 and pq",
+        "bipartite-segments": "edge covers of complete bipartite graphs by lines need "
+        "at least pq/2 lines (edge-count gives the upper bound pq)",
         "parallel-tracks": "complete bipartite graphs with q >= 3 need and admit exactly "
         "p+1 parallel cover lines",
         "planar-bipartite-segments": "plane edge covers of K_{2,q} need and admit "

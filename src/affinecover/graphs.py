@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import networkx as nx
 
 @dataclass(frozen=True)
 class Graph:
@@ -396,19 +395,6 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # parsing and encoding
 # ---------------------------------------------------------------------------
-
-
-def to_networkx(g: Graph) -> "nx.Graph":
-    ng = nx.Graph()
-    ng.add_nodes_from(range(g.n))
-    ng.add_edges_from(g.edges)
-    return ng
-
-
-def from_networkx(ng: "nx.Graph") -> Graph:
-    nodes = sorted(ng.nodes())
-    idx = {v: i for i, v in enumerate(nodes)}
-    return Graph(len(nodes), ((idx[u], idx[v]) for u, v in ng.edges()))
 
 
 # graph6 (McKay): a size prefix N(n), then the upper triangle of the

@@ -4,8 +4,10 @@ the enumeration of small triangulations.
 ``is_planar`` decides planarity without an embedding: edge counts, a
 reduction that keeps planarity, and Kuratowski's theorem on six
 vertices settle most graphs, and the boolean phase of the left-right
-planarity test decides the rest.  Embeddings and the shift-method
-coordinates are obtained from networkx; every embedding is checked by
+planarity test decides the rest.  This is the only module that imports
+networkx, and ``_nx_embedding`` is its only planarity call: it supplies
+the embeddings behind ``planarity_test`` and the shift-method
+coordinates of ``grid_drawing``.  Every embedding is checked by
 ``validate_embedding`` and every drawing produced here is re-certified
 from scratch by the exact rational verifier before being returned, so
 the external library is never trusted for correctness claims.
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+# imported eagerly: perfbench/startup.py times it as part of ``import affinecover.cli``
 import networkx as nx
 
 from .drawing import Drawing, verify_crossing_free
-from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph, to_networkx
+from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph
 
 __all__ = [
     "TrackAssignment",
@@ -313,15 +316,14 @@ def is_planar(adj: dict) -> bool:
     return _left_right_planar([[index[w] for w in nb] for nb in adj.values()])
 
 
-def _faces_from_nx(g: Graph, emb: nx.PlanarEmbedding) -> list[tuple[int, ...]]:
-    marked: set[tuple[int, int]] = set()
-    faces: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        for w in sorted(g.adj[v]):
-            if (v, w) not in marked:
-                face = emb.traverse_face(v, w, mark_half_edges=marked)
-                faces.append(tuple(face))
-    return faces
+def _nx_embedding(g: Graph) -> nx.PlanarEmbedding | None:
+    """A networkx plane embedding of ``g``, or ``None`` if ``g`` is not
+    planar: the package's one call into networkx's planarity test."""
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges)
+    ok, emb = nx.check_planarity(ng, counterexample=False)
+    return emb if ok else None
 
 
 def planarity_test(g: Graph) -> tuple | None:
@@ -331,10 +333,16 @@ def planarity_test(g: Graph) -> tuple | None:
     Each face is a vertex cycle ``(v0, v1, ..., vk-1)`` standing for the
     directed boundary edges ``(v0,v1), ..., (vk-1,v0)``.
     """
-    ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
-    if not ok:
+    emb = _nx_embedding(g)
+    if emb is None:
         return None
-    faces = tuple(_faces_from_nx(g, emb))
+    marked: set[tuple[int, int]] = set()
+    faces = tuple(
+        tuple(emb.traverse_face(v, w, mark_half_edges=marked))
+        for v in range(g.n)
+        for w in sorted(g.adj[v])
+        if (v, w) not in marked
+    )
     validate_embedding(g, faces)
     return faces
 
@@ -389,8 +397,8 @@ def grid_drawing(g: Graph) -> Drawing:
     the extra edges are discarded afterwards.  The returned drawing has
     been certified crossing-free by the exact verifier.
     """
-    ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
-    if not ok:
+    emb = _nx_embedding(g)
+    if emb is None:
         raise ValueError("graph is not planar")
     pos = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
     points = [
@@ -527,20 +535,21 @@ def _circumference(adj: list[list[int]]) -> tuple[int, list[int]]:
 def dual_circumference_bound(g: Graph) -> DualBoundResult:
     """Bound from the dual of a triangulation: ``ceil((2n-4)/c(dual))``.
 
-    Requires a planar triangulation (``n >= 4`` and ``m = 3n-6``).  For
-    ``n`` beyond the search budget the circumference is replaced by its
-    trivial upper bound ``2n-4`` and the result is flagged inexact.
+    Requires a planar triangulation (``n >= 4``, ``m = 3n-6`` and
+    ``is_planar``).  For ``n`` beyond the search budget the circumference
+    is replaced by its trivial upper bound ``2n-4`` and the result is
+    flagged inexact; within it the faces come from ``planarity_test``.
     """
-    if g.n < 4 or g.m != 3 * g.n - 6:
-        raise ValueError("graph is not a planar triangulation")
-    faces = planarity_test(g)
-    if faces is None:
+    if g.n < 4 or g.m != 3 * g.n - 6 or not is_planar({u: set(g.adj[u]) for u in range(g.n)}):
         raise ValueError("graph is not a planar triangulation")
     num_faces = 2 * g.n - 4
     if g.n > DUAL_BUDGET_N:
         return DualBoundResult(
             lower_bound=1, c_dual=num_faces, exact=False, cycle=(), dual_adj=()
         )
+    faces = planarity_test(g)
+    if faces is None:
+        raise ValueError("graph is not a planar triangulation")
     if len(faces) != num_faces or any(len(f) != 3 for f in faces):
         raise ValueError("embedding faces are not all triangles")
     edge_faces: dict[tuple[int, int], list[int]] = {}

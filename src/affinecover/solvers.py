@@ -327,7 +327,7 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
 
     A vertex with at most one neighbour in a class keeps it planar;
     otherwise ``planar.is_planar`` decides the class plus the vertex,
-    once per vertex set and call, without networkx.  Its answers are
+    once per vertex set and call, without an embedding.  Its answers are
     checked against ``planarity_test`` in the tests, so value and
     classes are those of a search that tests every class with
     ``planarity_test``.

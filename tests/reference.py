@@ -1,4 +1,5 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles shared by the test modules, and the glue to
+networkx, the reference library several tests compare against.
 
 They use a different method from the program's kernel, so a test that
 compares the two does not check the kernel against itself.
@@ -9,7 +10,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import networkx as nx
+
 from affinecover.drawing import greedy_set_cover
+from affinecover.graphs import Graph
+
+
+def to_networkx(g):
+    """``g`` as a networkx graph on the vertices 0..n-1."""
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges)
+    return ng
+
+
+def from_networkx(ng):
+    """A networkx graph on the vertices 0..n-1 as a ``Graph``."""
+    return Graph(ng.number_of_nodes(), ng.edges())
 
 
 def classify_oracle(a, b, c, d):

@@ -22,7 +22,7 @@ from affinecover.certio import (
 from affinecover.cli import main
 from affinecover.constructions import DRAW_TARGETS, ConstructionResult
 from affinecover.drawing import Drawing, DrawingViolation, edge_line_count, verify_crossing_free
-from affinecover.graphs import from_networkx, path_graph
+from affinecover.graphs import Graph, path_graph
 from affinecover.solvers import lva_exact, lva_sweep
 
 
@@ -490,7 +490,7 @@ def test_lva_sweep_matches_exhaustive_atlas():
             continue
         if not nx.is_connected(ng) or not nx.check_planarity(ng)[0]:
             continue
-        g = from_networkx(ng)
+        g = Graph(n, ng.edges())
         atlas_max[n] = max(atlas_max[n], lva_exact(g).value)
     assert sweep_max == atlas_max
 

@@ -29,15 +29,14 @@ from affinecover.graphs import (
     cycle_graph,
     es_count,
     essential_vertices,
-    from_networkx,
     is_complete,
     is_linear_forest,
     linear_forest_order,
     parse_graph,
     path_graph,
     to_graph6,
-    to_networkx,
 )
+from reference import from_networkx, to_networkx
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +402,6 @@ def test_parse_edge_list_errors():
         parse_graph(b"0 x\n", "edge_list")
     with pytest.raises(ValueError):
         parse_graph(b"not-a-graph6\xff", "graph6")
-
-
-def test_networkx_round_trip():
-    g = build_family(FamilySpec("nested_squares", (3,)))
-    assert from_networkx(to_networkx(g)).edges == g.edges
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 255, 300])

@@ -21,7 +21,6 @@ from affinecover.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    from_networkx,
     path_graph,
 )
 from affinecover.planar import (
@@ -197,7 +196,7 @@ def test_dual_circumference_octahedron():
 
 
 def test_dual_circumference_icosahedron():
-    ico = from_networkx(nx.icosahedral_graph())
+    ico = Graph(12, nx.icosahedral_graph().edges())
     res = dual_circumference_bound(ico)
     # the cycle returned must be a genuine cycle in the dual graph; since it
     # visits all 20 dual vertices it is maximal by inspection, not assumption

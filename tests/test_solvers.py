@@ -9,7 +9,11 @@ against a second route, not against themselves.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -25,17 +29,18 @@ from affinecover.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    from_networkx,
     is_linear_forest,
     nested_triangles,
     path_graph,
-    to_networkx,
     triangulated_square_wheel,
 )
+from affinecover.cli import main
 from affinecover.planar import (
+    DUAL_BUDGET_N,
     _count_verdict,
     _left_right_planar,
     _reduce,
+    _stacked_triangulation,
     is_planar,
     planarity_test,
     triangulations,
@@ -58,7 +63,14 @@ from affinecover.solvers import (
     validate_partition,
     vertex_thickness_exact,
 )
-from reference import clique_cover_oracle, degeneracy_oracle, greedy_elimination_oracle
+from reference import (
+    clique_cover_oracle,
+    degeneracy_oracle,
+    from_networkx,
+    greedy_elimination_oracle,
+    to_networkx,
+)
+from test_cli import BOUNDS_GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +440,7 @@ def test_vertex_thickness_tests_each_set_once(monkeypatch):
     assert full and min(full) >= 7
 
 
-def test_solvers_make_no_networkx_planarity_call(monkeypatch):
+def test_solvers_make_no_networkx_planarity_call(monkeypatch, capsys):
     calls = []
     check_planarity = nx.check_planarity
 
@@ -436,12 +448,43 @@ def test_solvers_make_no_networkx_planarity_call(monkeypatch):
         calls.append(h)
         return check_planarity(h, *args, **kwargs)
 
+    stacked = _stacked_triangulation(20)  # asks planarity_test for faces, so built first
+    assert stacked.n > DUAL_BUDGET_N and stacked.m == 3 * stacked.n - 6
     monkeypatch.setattr(nx, "check_planarity", counting)
     g = balanced_multipartite(4, 16)
     assert vertex_thickness_exact(g).value == 3
     pi23 = bound_report(g)["pi23"]
     assert pi23.lower == pi23.upper == 3
     assert calls == []
+    # K4,6 is non-planar with 3n - 6 edges; the dual bound decides that in-house
+    for h in (complete_bipartite(4, 6), stacked):
+        bound_report(h)
+        assert calls == []
+    # only a planar triangulation within the dual budget asks for faces
+    for name, args in BOUNDS_GOLDEN.items():
+        assert main(["bounds", *args]) == 0
+        assert len(calls) == (name == "balanced_multipartite_3_6"), name
+        calls.clear()
+    capsys.readouterr()
+    bound_report(balanced_multipartite(3, 6))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "modules, loaded",
+    [("affinecover.certio, affinecover.export", False), ("affinecover.cli", True)],
+)
+def test_networkx_is_imported_through_planar_only(modules, loaded):
+    # the certificate modules never load networkx; the CLI loads it at
+    # import, through planar, which the startup benchmark times
+    src = Path(solvers.__file__).resolve().parents[1]
+    code = f"import sys, {modules}; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.strip() == str(loaded)
 
 
 def adjacency(g: Graph) -> dict:
