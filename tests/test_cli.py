@@ -495,6 +495,14 @@ def test_lva_sweep_matches_exhaustive_atlas():
     assert sweep_max == atlas_max
 
 
+def test_lva_sweep_output_pinned(capsys):
+    """The n <= 9 sweep byte for byte, including the graph6 strings of the
+    graphs that need three linear forests."""
+    assert main(["experiment", "lva-sweep", "--max-n", "9"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "lva_sweep_9.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_lva_sweep_max_n_eight_runs():
     results = lva_sweep(8)
     assert len(results[7]) == 5

@@ -7,6 +7,7 @@ drawings are certified by the exact verifier.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import networkx as nx
@@ -24,10 +25,12 @@ from affinecover.graphs import (
     path_graph,
 )
 from affinecover.planar import (
+    _stacked_triangulation,
     dual_circumference_bound,
     grid_drawing,
     planarity_test,
     tree_tracks,
+    triangulations,
     validate_embedding,
 )
 
@@ -243,6 +246,27 @@ def test_dual_budget_exceeded_flagged():
     assert not res.exact
     assert res.c_dual == 2 * n - 4  # weakest valid value
     assert res.lower_bound == 1
+
+
+def test_dual_search_pinned_on_small_triangulations():
+    """Every triangulation with 4..9 vertices and the stacked ones with
+    10..14: the dual is Hamiltonian, the search returns a Hamiltonian cycle
+    of it, and the (length, cycle) pairs are the ones the search has always
+    returned."""
+    graphs = [g for n in range(4, 10) for g in triangulations(n)]
+    graphs += [_stacked_triangulation(n) for n in range(10, 15)]
+    assert len(graphs) == 78
+    rows = []
+    for g in graphs:
+        res = dual_circumference_bound(g)
+        cyc = res.cycle
+        assert res.exact and res.c_dual == 2 * g.n - 4
+        assert sorted(cyc) == list(range(res.c_dual))
+        for i, u in enumerate(cyc):
+            assert cyc[(i + 1) % len(cyc)] in res.dual_adj[u]
+        rows.append((res.c_dual, cyc))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "3a3c7a33297ef29d143c5431c5b471b172c33fae36634d9616121e8eb1635fa8"
 
 
 # ---------------------------------------------------------------------------
