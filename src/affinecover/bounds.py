@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .constructions import (
+    KN_ORDERS,
     ConstructionError,
     ConstructionResult,
     kn_small_plane_cover,
@@ -229,7 +230,7 @@ def _rule_complete(g: Graph, **_) -> list:
     elif n >= 10:
         counting, _ = steiner_bounds(n, 4)
         out.append(_lower("rho23", counting, "steiner-counting"))
-    if 4 <= n <= 8:
+    if n in KN_ORDERS:
         cert = kn_small_plane_cover(n)
         out.append(_upper("rho23", cert.witness.count, "shipped-certificate"))
     if n in _TABLE_LOWER:

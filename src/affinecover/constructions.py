@@ -51,6 +51,7 @@ from .solvers import lva_exact, vertex_thickness_exact
 
 __all__ = [
     "DRAW_TARGETS",
+    "KN_ORDERS",
     "PRISM_LINE_CONSTANT",
     "ConstructionError",
     "ConstructionResult",
@@ -341,18 +342,21 @@ _KN_PLANES = {
     7: ((0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 4, 5), (6, 0, 2), (3, 6)),
     8: ((0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 4, 5), (0, 3, 6), (2, 6), (1, 7)),
 }
-_KN_BOUND = {4: 1, 5: 3, 6: 4, 7: 6, 8: 7}
+#: The orders n of the shipped K_n certificates, ascending and consecutive.
+KN_ORDERS = tuple(_KN_POINTS)
 
 
 def kn_small_plane_cover(n: int) -> ConstructionResult:
-    """Shipped plane-cover certificates for K_4 .. K_8.
+    """Shipped plane-cover certificates for K_n, n in :data:`KN_ORDERS`.
 
     Coordinates and plane lists are fixed data; the cover assignment is
     recomputed from exact incidence on every call and the whole bundle is
     re-verified before it is returned.
     """
-    if n not in _KN_POINTS:
-        raise ValueError("certificates are shipped for 4 <= n <= 8 only")
+    if n not in KN_ORDERS:
+        raise ValueError(
+            f"certificates are shipped for {KN_ORDERS[0]} <= n <= {KN_ORDERS[-1]} only"
+        )
     pts = [qpoint(*c) for c in _KN_POINTS[n]]
     g = complete_graph(n)
     planes = []
@@ -372,7 +376,7 @@ def kn_small_plane_cover(n: int) -> ConstructionResult:
         else:
             raise ConstructionError(f"edge {e} is covered by no shipped plane")
     witness = CoverWitness("planes_for_edges", tuple(planes), assignment)
-    return _package(d, witness, _KN_BOUND[n])
+    return _package(d, witness, len(planes))
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +630,6 @@ _PRISM_CORNERS = {
 }
 
 
-def _cube_root_floor(k: int) -> int:
-    g = max(1, round(k ** (1.0 / 3.0)))
-    while g * g * g > k:
-        g -= 1
-    while (g + 1) ** 3 <= k:
-        g += 1
-    return max(g, 1)
-
-
 def prism_stack_3d(k: int, base: str = "C4") -> ConstructionResult:
     """Stack of k nested prisms over a square or triangle, in 3-space.
 
@@ -653,7 +648,9 @@ def prism_stack_3d(k: int, base: str = "C4") -> ConstructionResult:
         raise ValueError("base must be 'C4' or 'C3'")
     corners = _PRISM_CORNERS[base]
     g = c4_prism_stack(k) if base == "C4" else nested_triangles(k)
-    side = _cube_root_floor(k)
+    side = 1
+    while (side + 1) ** 3 <= k:
+        side += 1
     if side == 1:
         h = k
         bases = [(0, 0)]
@@ -765,8 +762,8 @@ DRAW_TARGETS = {
     "pi23": DrawTarget("pi23_drawing", lambda g, spec, seed: (g, seed)),
     "rho23_kn": DrawTarget(
         "kn_small_plane_cover",
-        lambda g, spec, seed: (g.n,) if is_complete(g) and 4 <= g.n <= 8 else None,
-        "a complete graph on 4..8 vertices",
+        lambda g, spec, seed: (g.n,) if is_complete(g) and g.n in KN_ORDERS else None,
+        f"a complete graph on {KN_ORDERS[0]}..{KN_ORDERS[-1]} vertices",
     ),
     "rho23_kpq": DrawTarget("kpq_plane_book", _kpq_args, "a complete bipartite graph"),
     "two_lines": DrawTarget("spiral_two_lines", _tree_args, "a tree"),

@@ -477,30 +477,16 @@ def triangulations(n: int) -> list:
 def _circumference(adj: list[list[int]]) -> tuple[int, list[int]]:
     """Exact longest-cycle length in a small graph, with a witness cycle.
 
-    Anchored DFS: cycles are enumerated at their minimum vertex, with a
-    reachability prune and early exit on a Hamiltonian cycle.
+    Anchored DFS: cycles are enumerated at their minimum vertex, with an
+    early exit on a Hamiltonian cycle.  The duals searched here are cubic,
+    3-connected and planar with at most ``2 * DUAL_BUDGET_N - 4 < 38``
+    vertices, hence Hamiltonian (Holton & McKay, JCTB 45, 1988), so the
+    search ends inside the first anchor and needs no pruning.
     """
     n = len(adj)
     best = 0
     best_cycle: list[int] = []
     onpath = [False] * n
-
-    def reach_and_closable(w: int, s: int) -> tuple[int, bool]:
-        # BFS from w over vertices not on the path; count them and check
-        # whether the anchor s stays adjacent to the reachable region.
-        seen = {w}
-        queue = [w]
-        closable = s in adj[w]
-        while queue:
-            u = queue.pop()
-            for x in adj[u]:
-                if x == s:
-                    closable = True
-                elif x > s and not onpath[x] and x not in seen:
-                    seen.add(x)
-                    queue.append(x)
-        return len(seen), closable
-
     path: list[int] = []
 
     def dfs(u: int, s: int) -> None:
@@ -513,13 +499,11 @@ def _circumference(adj: list[list[int]]) -> tuple[int, list[int]]:
                     best = len(path)
                     best_cycle = path.copy()
             elif w > s and not onpath[w]:
-                free, closable = reach_and_closable(w, s)
-                if closable and len(path) + free > best:
-                    onpath[w] = True
-                    path.append(w)
-                    dfs(w, s)
-                    path.pop()
-                    onpath[w] = False
+                onpath[w] = True
+                path.append(w)
+                dfs(w, s)
+                path.pop()
+                onpath[w] = False
 
     for s in range(n):
         if best == n:

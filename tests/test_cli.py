@@ -85,13 +85,17 @@ def test_draw_without_out_prints_json(capsys):
     assert payload["version"] == 1
 
 
-def test_draw_inapplicable_targets(tmp_path):
+def test_draw_inapplicable_targets(tmp_path, capsys):
     rc, _ = _draw(tmp_path, "--family", "complete:5", "--target", "two_lines")
     assert rc == 2  # not a tree
     rc, _ = _draw(tmp_path, "--family", "path:4", "--target", "rho23_kn")
     assert rc == 2  # not complete
+    capsys.readouterr()
     rc, _ = _draw(tmp_path, "--family", "complete:9", "--target", "rho23_kn")
     assert rc == 2  # certificate family covers n = 4..8 only
+    assert capsys.readouterr().err == (
+        "error: target rho23_kn needs a complete graph on 4..8 vertices\n"
+    )
     rc, _ = _draw(tmp_path, "--family", "cycle:5", "--target", "binary_tree")
     assert rc == 2  # target needs the complete_binary_tree family
     rc, _ = _draw(tmp_path, "--family", "complete:4", "--target", "k2q")

@@ -296,7 +296,7 @@ def test_small_complete_graph_certificates():
 
 def test_small_complete_graph_certificates_reject_out_of_range():
     for n in (3, 9):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^certificates are shipped for 4 <= n <= 8 only$"):
             kn_small_plane_cover(n)
 
 
