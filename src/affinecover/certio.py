@@ -19,6 +19,7 @@ checks from scratch.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,10 +49,16 @@ CERT_VERSION = 1
 _INT_LIMIT = 2**53
 
 
+@functools.cache
 def tool_version() -> str:
+    """The ``tool`` field of new certificates.
+
+    Looked up once per process: the lookup scans ``sys.path`` for
+    package metadata, and the installed version does not change.
+    """
     try:
         return f"affinecover {metadata.version('affinecover')}"
-    except metadata.PackageNotFoundError:  # pragma: no cover - dev tree
+    except metadata.PackageNotFoundError:  # run from a source tree, not installed
         return "affinecover unknown"
 
 

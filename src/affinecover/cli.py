@@ -15,6 +15,7 @@ Exit status: 0 success, 1 verification/construction failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -270,7 +271,14 @@ def _add_graph_args(p) -> None:
     p.add_argument("--edges", help="path to an edge list file ('u v' per line)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call of a process.
+
+    Building it costs about twenty times as much as one parse.  It is
+    never changed after it is built, and ``parse_args`` keeps no state
+    between calls, so every call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="affinecover",
         description="affine line/plane cover numbers: drawings, certificates, bounds",

@@ -497,12 +497,17 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     """Minimum edge cut over all ⌈n/2⌉ / ⌊n/2⌋ vertex bipartitions.
 
     Vertices are placed in index order, side A first, with the sides as
-    bitmasks.  A node is pruned when its cut plus, for each unplaced
-    vertex, the fewer of its placed neighbours on either side reaches
-    the best cut; every edge is charged once, to its unplaced end, so no
-    better leaf is pruned.  The witness is the prefix split or the first
-    strictly better leaf in depth-first order, as in a search without
-    the bound.
+    bitmasks.  A node's bound is its cut plus the cheapest completion
+    that ignores the edges between unplaced vertices: each unplaced
+    vertex costs its placed neighbours on the other side, it goes to its
+    cheaper side, and when more vertices prefer a side than it has room
+    for, the excess pays the smallest differences between its two
+    costs.  Every edge is charged once, to its unplaced end, so a node
+    whose bound reaches the best cut has no better leaf.  Once one side
+    is full the rest of the assignment is forced and the bound is its
+    exact cut, recorded without descending.  The witness is the prefix
+    split or the first strictly better leaf in depth-first order, as in
+    a search without the bound.
 
     Over budget, reports the cut of the index-prefix split (valid upper
     bound, flagged).
@@ -525,22 +530,42 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
 
     def dfs(v: int, a: int, b: int, cnt_a: int, cut: int) -> None:
         nonlocal best, best_a
-        if v == n:
+        room_a = size_a - cnt_a
+        room_b = n - v - room_a
+        if not room_a or not room_b:
+            rest_to_a = room_a > 0
+            other = b if rest_to_a else a
+            for lu in low[v:]:
+                cut += (lu & other).bit_count()
             if cut < best:
-                best, best_a = cut, a
+                best = cut
+                best_a = a | ((1 << n) - (1 << v)) if rest_to_a else a
             return
         bound = cut
+        prefer_a = []  # extra cost of sending a vertex that prefers A to B
+        prefer_b = []
         for lu in low[v:]:
             in_a = (lu & a).bit_count()
             in_b = (lu & b).bit_count()
-            bound += in_a if in_a < in_b else in_b
+            if in_a > in_b:
+                bound += in_b
+                prefer_a.append(in_a - in_b)
+            else:
+                bound += in_a
+                if in_b > in_a:
+                    prefer_b.append(in_b - in_a)
+        if len(prefer_a) > room_a:
+            prefer_a.sort()
+            bound += sum(prefer_a[: len(prefer_a) - room_a])
+        elif len(prefer_b) > room_b:
+            prefer_b.sort()
+            bound += sum(prefer_b[: len(prefer_b) - room_b])
         if bound >= best:
             return
         bit = 1 << v
-        if cnt_a < size_a:
-            dfs(v + 1, a | bit, b, cnt_a + 1, cut + (low[v] & b).bit_count())
+        dfs(v + 1, a | bit, b, cnt_a + 1, cut + (low[v] & b).bit_count())
         # sides are exchangeable when equally sized, so vertex 0 stays in A
-        if v - cnt_a < n - size_a and (v or n % 2):
+        if v or n % 2:
             dfs(v + 1, a, b | bit, cnt_a, cut + (low[v] & a).bit_count())
 
     dfs(0, 0, 0, 0, 0)

@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import argparse
 import hashlib
 import json
 import re
@@ -7,11 +8,12 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from importlib import metadata
 from pathlib import Path
 
 import pytest
 
-from affinecover import drawing
+from affinecover import certio, cli, drawing
 from affinecover.certio import (
     certificate_from_result,
     emit_certificate,
@@ -515,8 +517,6 @@ def test_lva_sweep_max_n_eight_runs():
 
 @pytest.mark.parametrize("max_n", ["12", "40"])
 def test_lva_sweep_max_n_above_limit_is_refused(max_n, capsys, monkeypatch):
-    import affinecover.cli as cli
-
     def sweep(n):
         raise AssertionError("the sweep ran")
 
@@ -549,6 +549,61 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "9" in proc.stdout
+
+
+def test_second_call_builds_no_parser(monkeypatch):
+    assert main(["table", "steiner"]) == 0  # builds the parser if no test has yet
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["table", "steiner"]) == 0
+    assert built == []
+    cli._build_parser.__wrapped__()
+    assert len(built) == 7  # the spy sees the top parser and its six subcommands
+
+
+def test_tool_version_looked_up_once(monkeypatch, capsys):
+    calls = []
+    real_version = metadata.version
+
+    def counting_version(name):
+        calls.append(name)
+        return real_version(name)
+
+    monkeypatch.setattr(metadata, "version", counting_version)
+    certio.tool_version.cache_clear()
+    for _ in range(2):
+        assert main(["draw", "--family", "complete:5", "--target", "rho23_kn"]) == 0
+    assert calls == ["affinecover"]
+
+
+USAGE_DRAW_USAGE = (
+    ["draw", "--family", "complete:5"],  # missing --target
+    ["draw", "--family", "complete:5", "--target", "rho23_kn"],
+    ["export", "missing.json", "--format", "png"],  # unknown format
+)
+
+
+def test_calls_sharing_a_parser_match_calls_alone(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    alone = []
+    for argv in USAGE_DRAW_USAGE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "affinecover", *argv], capture_output=True, text=True
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    shared = []
+    for argv in USAGE_DRAW_USAGE:
+        rc = main(argv)
+        out = capsys.readouterr()
+        shared.append((rc, out.out, out.err))
+    assert [rc for rc, _, _ in alone] == [2, 0, 2]
+    assert shared == alone
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -767,6 +767,18 @@ def test_bisection_small_and_fixed_cases():
         assert bisection_width_exact(g) == reference_bisection(g)
 
 
+@pytest.mark.parametrize("n", range(14, 21))
+@pytest.mark.parametrize("p", (0.2, 0.35, 0.5))
+def test_bisection_matches_reference_at_bounds_sizes(n, p):
+    """The sizes the `bounds` workload asks for, where the capacity bound
+    and the forced completion prune most; the hypothesis test above
+    stops at 12 vertices."""
+    rng = random.Random(f"bisection:{n}:{p}")
+    pairs = itertools.combinations(range(n), 2)
+    g = Graph(n, [e for e in pairs if rng.random() < p])
+    assert bisection_width_exact(g) == reference_bisection(g)
+
+
 def test_bisection_budget_flag():
     res = bisection_width_exact(complete_bipartite(3, 3), budget_n=4)
     assert not res.exact and res.value >= 5
