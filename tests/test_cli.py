@@ -122,7 +122,8 @@ def test_draw_edges_file_input(tmp_path):
 
 
 #: sha256 of ``affinecover draw`` stdout, one benchmark-style input per
-#: target (two for prism3d), with ``meta.tool`` blanked: it reads
+#: target (two for prism3d, three for pi23: K14 is where its vertex
+#: thickness search runs longest), with ``meta.tool`` blanked: it reads
 #: "affinecover unknown" in a source tree and the version when installed.
 DRAW_PINS = [
     (("pi13", "--graph6", "HTZoGi]"),
@@ -131,6 +132,8 @@ DRAW_PINS = [
      "255496d028c132f7856d76b3698182184ef6e525b15f514acf4d2a74a90a0991"),
     (("pi23", "--family", "complete:8", "--seed", "7"),
      "5beebedafdde8fbe1834b1d836f511a683beb348db33aea1058f62a9109bb5f1"),
+    (("pi23", "--family", "complete:14", "--seed", "5"),
+     "d63e4732cc4f7acb366284674ba26ee5727d3b373658598adf5da74aff66145a"),
     (("pi23", "--family", "balanced_multipartite:4,16", "--seed", "3"),
      "da6a2baedb1464059e5c0790a056bf25ab52c65327277e6dbe1ed5eb94df97aa"),
     (("rho23_kn", "--family", "complete:8"),
@@ -312,6 +315,7 @@ def test_bounds_zero_budget_is_accepted(capsys):
 #: with exactly 3n - 6 edges.  Both were written before the dual bound
 #: decided planarity in-house.
 BOUNDS_GOLDEN = {
+    "complete_8": ("--family", "complete:8"),
     "complete_9": ("--family", "complete:9"),
     "complete_binary_tree_6": ("--family", "complete_binary_tree:6"),
     "c4_prism_stack_5": ("--family", "c4_prism_stack:5"),
