@@ -366,17 +366,26 @@ def greedy_set_cover(masks: Sequence[int], full: int) -> list:
 SET_COVER_NODE_CAP = 2_000_000
 
 
-def exact_set_cover(masks: Sequence[int], full: int, max_size: int | None = None) -> tuple:
+def exact_set_cover(
+    masks: Sequence[int], full: int, max_size: int | None = None, min_size: int = 0
+) -> tuple:
     """Minimum cover of the bitmask universe ``full`` by ``masks``.
 
     A set is dropped first when its mask is a subset of another mask or
     equal to an earlier one.  Then iterative deepening (Korf 1985) tries
-    each size k from ``⌈|full| / largest set⌉`` up: a depth-first search
-    that branches on the sets holding the lowest uncovered element, most
-    newly covered first (ties by index), and prunes a node when the sets
-    chosen plus ``⌈uncovered / largest set⌉`` exceed k (a set's size
-    counts every bit of its mask).  The first cover found is the least
-    in that search order among the minimum ones.
+    each size k from ``⌈|full| / largest set⌉`` or ``min_size``,
+    whichever is larger, up: a depth-first search that branches on the
+    sets holding the lowest uncovered element, most newly covered first
+    (ties by index), and prunes a node when the sets chosen plus
+    ``⌈uncovered / largest set⌉`` exceed k (a set's size counts every
+    bit of its mask).  The first cover found is the least in that search
+    order among the minimum ones.
+
+    ``min_size`` must be a proven lower bound on every cover's size: the
+    sizes below it have no cover, so skipping them leaves the cover
+    found unchanged.  A ``min_size`` beyond the sizes to try counts as
+    one more than the largest of them, the most a search over those
+    sizes can prove.
 
     Sizes stop below the greedy cover's size, above ``max_size`` and at
     ``SET_COVER_NODE_CAP`` nodes.  Returns ``(chosen, exact, lower)``:
@@ -427,7 +436,7 @@ def exact_set_cover(masks: Sequence[int], full: int, max_size: int | None = None
             chosen.pop()
         return False
 
-    lower = -(-full.bit_count() // largest)
+    lower = max(-(-full.bit_count() // largest), min(min_size, top + 1))
     for k in range(lower, top + 1):
         if dfs(full, k):
             return chosen, True, k

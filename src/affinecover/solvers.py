@@ -113,17 +113,22 @@ class CliqueCoverResult:
         return self.lower
 
 
-#: Each partition kind's whole-class test and the error it raises; a
-#: kind names its vertex budget in ``DEFAULT_BUDGETS`` too.
+#: Each partition kind's whole-class test, the error it raises and the
+#: most vertices of one clique a class can hold: one in an independent
+#: set, two in a linear forest (three make a triangle), four in a planar
+#: graph (K5 is not planar).  A kind names its vertex budget in
+#: ``DEFAULT_BUDGETS`` too.
 _CLASS_TESTS = {
     "chromatic": (
         lambda g, cls: not any(g.adj[v] & cls for v in cls),
         "coloring class is not independent",
+        1,
     ),
-    "lva": (is_linear_forest, "class does not induce a linear forest"),
+    "lva": (is_linear_forest, "class does not induce a linear forest", 2),
     "vertex_thickness": (
         lambda g, cls: planarity_test(g.induced(cls)) is not None,
         "class does not induce a planar subgraph",
+        4,
     ),
 }
 
@@ -138,7 +143,7 @@ def validate_partition(g: Graph, p: Partition) -> None:
         seen |= cls
     if seen != set(range(g.n)):
         raise ValueError("partition classes do not cover the vertex set")
-    test, message = _CLASS_TESTS[p.certifies]
+    test, message, _ = _CLASS_TESTS[p.certifies]
     for cls in p.classes:
         if not test(g, cls):
             raise ValueError(message)
@@ -158,7 +163,53 @@ def _bit_rows(g: Graph) -> list:
     return rows
 
 
-def _min_partition(n: int, fits: Callable[[int, int], bool], whole: bool) -> list:
+def _clique_number(rows: list) -> int:
+    """Size of a largest clique of the graph with bitmask rows ``rows``
+    (from ``_bit_rows``).
+
+    A clique grows by the lowest of its candidates, which then shrink to
+    that vertex's later neighbours; a branch stops once its clique plus
+    all its candidates cannot beat the largest clique found (Carraghan &
+    Pardalos 1990).
+    """
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            b = cand & -cand
+            cand ^= b
+            grow(size + 1, cand & rows[b.bit_length() - 1])
+        best = max(best, size)
+
+    grow(0, (1 << len(rows)) - 1)
+    return best
+
+
+def _fit_classes(n: int, fits: Callable[[int, int], bool], k: int) -> list | None:
+    """The lexicographically least way to put vertices 0..n-1, in index
+    order, into k classes kept feasible by ``fits``, as vertex bitmasks;
+    None if there is none."""
+    classes = [0] * k
+
+    def dfs(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        for c in range(min(used + 1, k)):
+            cls = classes[c]
+            if fits(cls, v):
+                classes[c] = cls | 1 << v
+                if dfs(v + 1, max(used, c + 1)):
+                    return True
+                classes[c] = cls
+        return False
+
+    return classes if dfs(0, 0) else None
+
+
+def _min_partition(n: int, fits: Callable[[int, int], bool], whole: bool, start: int) -> list:
     """The fewest classes, each kept feasible as vertices 0..n-1 join it
     in index order; returns the lexicographically least witness as
     vertex bitmasks.
@@ -166,40 +217,36 @@ def _min_partition(n: int, fits: Callable[[int, int], bool], whole: bool) -> lis
     ``fits(cls, v)`` decides whether vertex ``v`` may join the class
     with bitmask ``cls``, and ``whole`` whether all n vertices form one
     class.  Every class property here is hereditary, so ``whole``
-    decides k = 1 as the n incremental tests would.
+    decides k = 1 as the n incremental tests would.  Class counts are
+    tried upward from ``start``, which must be at most the optimum: the
+    counts below it are infeasible, so skipping them leaves the first
+    feasible count and its witness unchanged.
     """
     if n == 0:
         return []
     if whole:
         return [(1 << n) - 1]
-    for k in range(2, n + 1):
-        classes = [0] * k
-
-        def dfs(v: int, used: int) -> bool:
-            if v == n:
-                return True
-            for c in range(min(used + 1, k)):
-                cls = classes[c]
-                if fits(cls, v):
-                    classes[c] = cls | 1 << v
-                    if dfs(v + 1, max(used, c + 1)):
-                        return True
-                    classes[c] = cls
-            return False
-
-        if dfs(0, 0):
+    for k in range(max(start, 2), n + 1):
+        classes = _fit_classes(n, fits, k)
+        if classes is not None:
             return classes
     return []
 
 
 def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback) -> PartitionResult:
-    """Exact ``_min_partition(g.n, fits, whole())`` within the vertex
-    budget of ``kind``; over it, the classes ``fallback()`` returns,
-    flagged inexact."""
+    """Exact ``_min_partition`` within the vertex budget of ``kind``;
+    over it, the classes ``fallback()`` returns, flagged inexact.
+
+    The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
+    number of ``g`` and h the most vertices of a clique that one class
+    of ``kind`` holds (``_CLASS_TESTS``): every class meets a largest
+    clique in at most h vertices.
+    """
     budget = DEFAULT_BUDGETS[kind] if budget_n is None else budget_n
     exact = g.n <= budget
     if exact:
-        masks = _min_partition(g.n, fits, whole())
+        start = -(-_clique_number(_bit_rows(g)) // _CLASS_TESTS[kind][2])
+        masks = _min_partition(g.n, fits, whole(), start)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
         classes = fallback()
@@ -227,7 +274,8 @@ def _greedy_coloring(g: Graph) -> list:
 def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Exact chromatic number with an independent-set partition witness.
 
-    Over budget, falls back to first-fit greedy colouring (upper bound,
+    The search starts at the clique number ω: the vertices of a clique
+    need pairwise different colours.  Over budget, falls back to first-fit greedy colouring (upper bound,
     flagged inexact).
     """
     rows = _bit_rows(g)
@@ -272,7 +320,8 @@ def _lva_feasible(rows: list):
 def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Minimum partition of V into classes inducing linear forests.
 
-    Over budget, falls back to the colouring partition that
+    The search starts at ⌈ω/2⌉ classes, ω the clique number: three
+    vertices of a clique in one class would make a triangle.  Over budget, falls back to the colouring partition that
     ``chromatic_number`` returns under the same ``budget_n`` (independent
     sets are linear forests), flagged as a possibly non-optimal upper
     bound.  With the default budgets that colouring is still exact for
@@ -325,7 +374,9 @@ def _stays_planar(g: Graph, rows: list, member: int, v: int, tested: dict) -> bo
 def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Minimum partition of V into classes inducing planar subgraphs.
 
-    A vertex with at most one neighbour in a class keeps it planar;
+    The search starts at ⌈ω/4⌉ classes, ω the clique number: five
+    vertices of a clique in one class would induce K5, which is not
+    planar.  A vertex with at most one neighbour in a class keeps it planar;
     otherwise ``planar.is_planar`` decides the class plus the vertex,
     once per vertex set and call, without an embedding.  Its answers are
     checked against ``planarity_test`` in the tests, so value and
@@ -505,7 +556,10 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     costs.  Every edge is charged once, to its unplaced end, so a node
     whose bound reaches the best cut has no better leaf.  Once one side
     is full the rest of the assignment is forced and the bound is its
-    exact cut, recorded without descending.  The witness is the prefix
+    exact cut, recorded without descending.  Which neighbours of a
+    vertex are placed depends only on the depth, so each depth lists
+    them once, and those on side B are the ones not on side A.  The
+    witness is the prefix
     split or the first strictly better leaf in depth-first order, as in
     a search without the bound.
 
@@ -525,6 +579,12 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     low = [0] * n  # low[v]: neighbours of v with a smaller index
     for u, v in g.edges:
         low[v] |= 1 << u
+    # at depth v, vertices 0..v-1 are placed: the placed neighbours of
+    # each later vertex that has one, and how many there are
+    placed_nbrs = [
+        [(nb, nb.bit_count()) for lu in low[v:] if (nb := lu & (1 << v) - 1)]
+        for v in range(n + 1)
+    ]
     best = prefix_cut
     best_a = (1 << size_a) - 1
 
@@ -534,9 +594,9 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
         room_b = n - v - room_a
         if not room_a or not room_b:
             rest_to_a = room_a > 0
-            other = b if rest_to_a else a
-            for lu in low[v:]:
-                cut += (lu & other).bit_count()
+            for nb, placed in placed_nbrs[v]:
+                in_a = (nb & a).bit_count()
+                cut += placed - in_a if rest_to_a else in_a
             if cut < best:
                 best = cut
                 best_a = a | ((1 << n) - (1 << v)) if rest_to_a else a
@@ -544,9 +604,9 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
         bound = cut
         prefer_a = []  # extra cost of sending a vertex that prefers A to B
         prefer_b = []
-        for lu in low[v:]:
-            in_a = (lu & a).bit_count()
-            in_b = (lu & b).bit_count()
+        for nb, placed in placed_nbrs[v]:
+            in_a = (nb & a).bit_count()
+            in_b = placed - in_a
             if in_a > in_b:
                 bound += in_b
                 prefer_a.append(in_a - in_b)
@@ -591,6 +651,19 @@ def steiner_bounds(n: int, k: int) -> tuple[int, bool]:
     return lower, exists
 
 
+def _schonheim_bound(n: int, s: int) -> int:
+    """Schönheim's lower bound ⌈(n/s)·⌈(n-1)/(s-1)⌉⌉ (Pacific J. Math.
+    14, 1964) on the blocks of at most s vertices that cover the edges
+    of K_n, for n >= 2 and s >= 2.
+
+    Each vertex has n - 1 edges and a block through it covers at most
+    s - 1 of them, so it lies in ⌈(n-1)/(s-1)⌉ blocks or more; each
+    block holds at most s vertices.  Fort & Hedlund (Pacific J. Math. 8,
+    1958) show that the bound is the minimum for s = 3.
+    """
+    return -(-n * -(-(n - 1) // (s - 1)) // s)
+
+
 def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> CliqueCoverResult:
     """Minimum number of ≤ s-vertex blocks covering every edge of K_n.
 
@@ -598,7 +671,9 @@ def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> Cliqu
     transitivity of the symmetric group on equal-size vertex subsets;
     :func:`~affinecover.drawing.exact_set_cover` covers the remaining
     pairs with at most ``max_value - 1`` more blocks, so a search that
-    exhausts that size proves the lower bound ``max_value + 1``.
+    exhausts that size proves the lower bound ``max_value + 1``.  Its
+    deepening starts at :func:`_schonheim_bound` less the fixed block,
+    which no cover of the rest can beat.
     ``lower_exhaustive`` is true when the search reached the value
     within ``max_value`` or proved more than the counting bound.
     """
@@ -615,7 +690,7 @@ def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> Cliqu
     masks = [sum(1 << pair_index[p] for p in itertools.combinations(b, 2)) for b in blocks]
     full = (1 << len(pair_index)) - 1
     rest = None if max_value is None else max_value - 1
-    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], rest)
+    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], rest, _schonheim_bound(n, s) - 1)
     lower, upper = lower + 1, len(chosen) + 1
     cover = CliqueCover(n, s, tuple(blocks[i] for i in [0, *chosen]))
     reached = exact and (max_value is None or upper <= max_value)

@@ -52,7 +52,9 @@ from affinecover.solvers import (
     TreewidthResult,
     _degeneracy,
     _bit_rows,
+    _clique_number,
     _greedy_elimination_width,
+    _schonheim_bound,
     _stays_planar,
     bisection_width_exact,
     chromatic_number,
@@ -170,26 +172,22 @@ def reference_bisection(g: Graph) -> BisectionResult:
     return BisectionResult(best, True, best_side)
 
 
-def reference_vertex_thickness(g: Graph) -> tuple:
-    """The plain vertex-thickness search the pre-checks speed up: classes
-    tried in index order, every class of five or more vertices tested
-    with ``planarity_test``.  Returns (value, classes)."""
+def reference_partition(g: Graph, joins) -> tuple:
+    """The plain minimum-partition search: class counts from 1 up, each
+    vertex in index order tried in the classes by index, ``joins(cls,
+    v)`` deciding whether ``v`` may join the list of vertices ``cls``.
+    Returns (value, classes)."""
     n = g.n
     if n == 0:
         return 0, ()
     for k in range(1, n + 1):
         members = [[] for _ in range(k)]
 
-        def feasible(cls, v):
-            if len(cls) < 4:
-                return True
-            return planarity_test(g.induced(cls + [v])) is not None
-
         def dfs(v, used):
             if v == n:
                 return True
             for c in range(min(used + 1, k)):
-                if feasible(members[c], v):
+                if joins(members[c], v):
                     members[c].append(v)
                     if dfs(v + 1, max(used, c + 1)):
                         return True
@@ -199,6 +197,22 @@ def reference_vertex_thickness(g: Graph) -> tuple:
         if dfs(0, 0):
             return k, tuple(frozenset(c) for c in members)
     raise AssertionError("a partition into singletons always exists")
+
+
+def reference_vertex_thickness(g: Graph) -> tuple:
+    """The plain vertex-thickness search the pre-checks speed up: every
+    class of five or more vertices tested with ``planarity_test``."""
+    return reference_partition(
+        g, lambda cls, v: len(cls) < 4 or planarity_test(g.induced(cls + [v])) is not None
+    )
+
+
+def brute_clique_number(g: Graph) -> int:
+    return max(
+        (len(vs) for r in range(g.n + 1) for vs in itertools.combinations(range(g.n), r)
+         if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))),
+        default=0,
+    )
 
 
 def reference_treewidth(g: Graph) -> TreewidthResult:
@@ -288,6 +302,61 @@ def density_graph_strategy(max_n, min_n=2):
         st.sampled_from(range(1, 11)),
         st.integers(0, 2**32),
     )
+
+
+# ---------------------------------------------------------------------------
+# clique number: where the partition searches start
+# ---------------------------------------------------------------------------
+
+
+def test_clique_number_matches_brute_force_on_the_atlas():
+    graphs = nx.graph_atlas_g()
+    assert len(graphs) == 1253
+    for ng in graphs:
+        g = from_networkx(ng)
+        assert _clique_number(_bit_rows(g)) == brute_clique_number(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_graph_strategy(16, min_n=0))
+def test_clique_number_matches_networkx(g):
+    largest = max(map(len, nx.find_cliques(to_networkx(g))), default=0)
+    assert _clique_number(_bit_rows(g)) == largest
+
+
+@pytest.mark.parametrize("g", [balanced_multipartite(4, 16), complete_graph(14)], ids=["K4,4,4,4", "K14"])
+def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
+    """Each exact partition search tries ⌈ω / h⌉ classes first (two at
+    least, since one is the whole-graph test), h = 1, 2, 4 for colour
+    classes, linear forests and planar classes, and every count from
+    there up to its value."""
+    omega = max(map(len, nx.find_cliques(to_networkx(g))))
+    tried = []
+    fit_classes = solvers._fit_classes
+
+    def spy(n, fits, k):
+        tried.append(k)
+        return fit_classes(n, fits, k)
+
+    monkeypatch.setattr(solvers, "_fit_classes", spy)
+    for search, per_class in ((chromatic_number, 1), (lva_exact, 2), (vertex_thickness_exact, 4)):
+        tried.clear()
+        res = search(g)
+        assert res.exact
+        assert tried == list(range(max(-(-omega // per_class), 2), res.value + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(density_graph_strategy(10, min_n=0))
+def test_colour_and_forest_witnesses_match_reference(g):
+    """The value and the lexicographically least classes of a search
+    that tries every class count from one."""
+    want = reference_partition(g, lambda cls, v: not g.adj[v] & set(cls))
+    res = chromatic_number(g)
+    assert (res.value, res.partition.classes) == want
+    want = reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))
+    res = lva_exact(g)
+    assert (res.value, res.partition.classes) == want
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +906,11 @@ def test_clique_cover_tiny():
     check_cover(4, 3, res.cover)
 
 
-#: The searches that end at the set-cover node cap, with the interval
-#: they prove (the oracle takes about 5 s on each).
-CAPPED_CLIQUE_COVERS = {(10, 3): (16, 18), (12, 3): (23, 26)}
+#: The covers whose oracle search ends at its node cap (about 5 s on
+#: each), with the fields ``clique_cover_exact`` returns: (10, 3) meets
+#: Schönheim's bound of 17, and (12, 3) stops at the set-cover node cap
+#: with Schönheim's 24 proven.
+CAPPED_CLIQUE_COVERS = {(10, 3): (17, 17, True, True), (12, 3): (24, 26, False, True)}
 
 
 @pytest.mark.parametrize(
@@ -851,16 +922,17 @@ def test_clique_cover_matches_oracle(n, s):
         check_cover(n, s, res.cover)
         fields = (res.lower, res.upper, res.exact, res.lower_exhaustive)
         if max_value is None and (n, s) in CAPPED_CLIQUE_COVERS:
-            assert fields == (*CAPPED_CLIQUE_COVERS[n, s], False, True)
+            assert fields == CAPPED_CLIQUE_COVERS[n, s]
         else:
             assert fields == clique_cover_oracle(n, s, max_value)[:4]
 
 
 def test_clique_cover_node_cap_keeps_a_proven_interval(monkeypatch):
     monkeypatch.setattr(drawing, "SET_COVER_NODE_CAP", 100)
-    res = clique_cover_exact(8, 3)  # the minimum is 11
-    assert not res.exact and steiner_bounds(8, 3)[0] <= res.lower <= 11 <= res.upper
-    assert res.cover.blocks == clique_cover_oracle(8, 3, node_cap=0)[4]
+    # the minimum is 9 and Schönheim's bound 8, so the search must run
+    res = clique_cover_exact(10, 4)
+    assert not res.exact and steiner_bounds(10, 4)[0] <= res.lower <= 9 <= res.upper
+    assert res.cover.blocks == clique_cover_oracle(10, 4, node_cap=0)[4]
 
 
 def test_clique_cover_budget_rejects():
@@ -885,6 +957,26 @@ def test_steiner_examples():
     assert steiner_bounds(6, 4) == (3, False)
     with pytest.raises(ValueError):
         steiner_bounds(7, 5)
+
+
+@pytest.mark.parametrize(
+    "n, s", [(n, s) for s, top in CLIQUE_COVER_MAX_N.items() for n in range(2, top + 1)]
+)
+def test_schonheim_bound_against_oracle(n, s):
+    """Schönheim's bound never passes the cover number, and meets it for
+    triangles (Fort & Hedlund)."""
+    bound = _schonheim_bound(n, s)
+    assert bound >= steiner_bounds(n, s)[0]
+    if (n, s) in CAPPED_CLIQUE_COVERS:
+        # the oracle stops at its node cap here; a checked cover bounds the value
+        res = clique_cover_exact(n, s)
+        check_cover(n, s, res.cover)
+        assert bound <= res.upper
+        return
+    _, upper, exact, *_ = clique_cover_oracle(n, s)
+    assert exact and bound <= upper
+    if s == 3:
+        assert bound == upper
 
 
 def test_clique_cover_meets_steiner_bound():
