@@ -275,8 +275,8 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Exact chromatic number with an independent-set partition witness.
 
     The search starts at the clique number ω: the vertices of a clique
-    need pairwise different colours.  Over budget, falls back to first-fit greedy colouring (upper bound,
-    flagged inexact).
+    need pairwise different colours.  Over budget, falls back to
+    first-fit greedy colouring (upper bound, flagged inexact).
     """
     rows = _bit_rows(g)
     return _partition(
@@ -321,7 +321,8 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Minimum partition of V into classes inducing linear forests.
 
     The search starts at ⌈ω/2⌉ classes, ω the clique number: three
-    vertices of a clique in one class would make a triangle.  Over budget, falls back to the colouring partition that
+    vertices of a clique in one class would make a triangle.  Over
+    budget, falls back to the colouring partition that
     ``chromatic_number`` returns under the same ``budget_n`` (independent
     sets are linear forests), flagged as a possibly non-optimal upper
     bound.  With the default budgets that colouring is still exact for
@@ -376,8 +377,8 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
 
     The search starts at ⌈ω/4⌉ classes, ω the clique number: five
     vertices of a clique in one class would induce K5, which is not
-    planar.  A vertex with at most one neighbour in a class keeps it planar;
-    otherwise ``planar.is_planar`` decides the class plus the vertex,
+    planar.  A vertex with at most one neighbour in a class keeps it
+    planar; otherwise ``planar.is_planar`` decides the class plus the vertex,
     once per vertex set and call, without an embedding.  Its answers are
     checked against ``planarity_test`` in the tests, so value and
     classes are those of a search that tests every class with
@@ -559,9 +560,8 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     exact cut, recorded without descending.  Which neighbours of a
     vertex are placed depends only on the depth, so each depth lists
     them once, and those on side B are the ones not on side A.  The
-    witness is the prefix
-    split or the first strictly better leaf in depth-first order, as in
-    a search without the bound.
+    witness is the prefix split or the first strictly better leaf in
+    depth-first order, as in a search without the bound.
 
     Over budget, reports the cut of the index-prefix split (valid upper
     bound, flagged).
@@ -675,7 +675,8 @@ def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> Cliqu
     deepening starts at :func:`_schonheim_bound` less the fixed block,
     which no cover of the rest can beat.
     ``lower_exhaustive`` is true when the search reached the value
-    within ``max_value`` or proved more than the counting bound.
+    within ``max_value`` or proved, by search or by Schönheim's bound,
+    more than the counting bound.
     """
     if s not in CLIQUE_COVER_MAX_N:
         raise ValueError("block order must be 3 or 4")
@@ -690,7 +691,8 @@ def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> Cliqu
     masks = [sum(1 << pair_index[p] for p in itertools.combinations(b, 2)) for b in blocks]
     full = (1 << len(pair_index)) - 1
     rest = None if max_value is None else max_value - 1
-    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], rest, _schonheim_bound(n, s) - 1)
+    floor = _schonheim_bound(n, s) - 1
+    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], rest, floor)
     lower, upper = lower + 1, len(chosen) + 1
     cover = CliqueCover(n, s, tuple(blocks[i] for i in [0, *chosen]))
     reached = exact and (max_value is None or upper <= max_value)

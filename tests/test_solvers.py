@@ -324,7 +324,9 @@ def test_clique_number_matches_networkx(g):
     assert _clique_number(_bit_rows(g)) == largest
 
 
-@pytest.mark.parametrize("g", [balanced_multipartite(4, 16), complete_graph(14)], ids=["K4,4,4,4", "K14"])
+@pytest.mark.parametrize(
+    "g", [balanced_multipartite(4, 16), complete_graph(14)], ids=["K4,4,4,4", "K14"]
+)
 def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
     """Each exact partition search tries ⌈ω / h⌉ classes first (two at
     least, since one is the whole-graph test), h = 1, 2, 4 for colour
