@@ -191,9 +191,10 @@ def _rule_partitions(g: Graph, budget, **_) -> list:
     if g.n < 1:
         return []
     out = []
+    colouring = chromatic_number(g, budget_n=budget)
     for rule, res, divisors in (
-        ("chromatic-envelope", chromatic_number(g, budget_n=budget), {"pi13": 2, "pi23": 4}),
-        ("forest-partition", lva_exact(g, budget_n=budget), {"pi13": 1}),
+        ("chromatic-envelope", colouring, {"pi13": 2, "pi23": 4}),
+        ("forest-partition", lva_exact(g, budget_n=budget, _colouring=colouring), {"pi13": 1}),
         ("planar-partition", vertex_thickness_exact(g, budget_n=budget), {"pi23": 1}),
     ):
         out += [_upper(param, res.value, rule, res.exact) for param in divisors]

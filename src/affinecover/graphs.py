@@ -227,31 +227,62 @@ def triangulated_square_wheel() -> Graph:
     return Graph(9, rim + hub + chords)
 
 
-#: Family kind -> constructor called with the ``FamilySpec`` parameters.
+def _multipartite_size(r: int, n: int) -> tuple:
+    base, extra = divmod(n, max(r, 1))
+    same_class = extra * (base + 1) * base // 2 + (r - extra) * base * (base - 1) // 2
+    return n, n * (n - 1) // 2 - same_class
+
+
+#: Family kind -> (constructor called with the ``FamilySpec`` parameters,
+#: the (vertices, edges) of the graph it builds from them).
 _FAMILIES = {
-    "complete": complete_graph,
-    "complete_bipartite": complete_bipartite,
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "nested_triangles": nested_triangles,
-    "nested_squares": nested_squares,
-    "c4_prism_stack": c4_prism_stack,
-    "complete_binary_tree": complete_binary_tree,
-    "caterpillar": lambda spine, *leaf_counts: caterpillar(spine, leaf_counts),
-    "balanced_multipartite": balanced_multipartite,
+    "complete": (complete_graph, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (complete_bipartite, lambda p, q: (p + q, p * q)),
+    "cycle": (cycle_graph, lambda n: (n, n)),
+    "path": (path_graph, lambda n: (n, n - 1)),
+    "nested_triangles": (nested_triangles, lambda k: (3 * k, 6 * k - 3)),
+    "nested_squares": (nested_squares, lambda k: (4 * k, 6 * k - 2)),
+    "c4_prism_stack": (c4_prism_stack, lambda k: (4 * k, 8 * k - 4)),
+    # heights over 63 are clamped: far over the limit, and 2 ** h is costly
+    "complete_binary_tree": (complete_binary_tree, lambda h: (n := 2 ** min(h + 1, 64) - 1, n - 1)),
+    "caterpillar": (
+        lambda spine, *leaf_counts: caterpillar(spine, leaf_counts),
+        lambda spine, *leaf_counts: (spine + sum(leaf_counts), spine + sum(leaf_counts) - 1),
+    ),
+    "balanced_multipartite": (balanced_multipartite, _multipartite_size),
 }
 
 FAMILY_KINDS = tuple(_FAMILIES)
 
+#: The largest family instance ``build_family`` builds, in vertices and
+#: in edges: far above every size the tests, the README and the
+#: benchmark use (complete_binary_tree:10 has 2,047 vertices), and far
+#: below one that would take a sizeable share of memory (each edge
+#: costs some 80 bytes, so complete:800 takes 49 MiB).
+FAMILY_MAX_N = 10_000
+FAMILY_MAX_M = 100_000
+
 
 def build_family(spec: FamilySpec) -> Graph:
+    """The graph of ``spec``; a ``ValueError`` for an unknown kind, a
+    wrong parameter count, or an instance over ``FAMILY_MAX_N`` vertices
+    or ``FAMILY_MAX_M`` edges, which is refused before anything is
+    built."""
     kind, params = spec.kind, spec.params
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
+    build, size = _FAMILIES[kind]
     try:
-        return _FAMILIES[kind](*params)
+        # a negative parameter is left for the constructor to refuse
+        n, m = size(*(max(p, 0) for p in params))
     except TypeError as exc:
         raise ValueError(f"bad parameter count for family {kind!r}: {params}") from exc
+    if n > FAMILY_MAX_N or m > FAMILY_MAX_M:
+        raise ValueError(
+            f"family {kind}:{','.join(map(str, params))} is too large: "
+            f"the limit is {FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges"
+        )
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------

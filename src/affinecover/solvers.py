@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .drawing import exact_set_cover
@@ -83,6 +83,7 @@ class TreewidthResult:
     lower: int
     upper: int
     exact: bool
+    nodes: int = field(default=0, compare=False)  # search nodes visited
 
     @property
     def value(self) -> int:
@@ -96,6 +97,7 @@ class BisectionResult:
     value: int
     exact: bool
     side: tuple
+    nodes: int = field(default=0, compare=False)  # search nodes visited
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,24 @@ def _clique_number(rows: list) -> int:
     return best
 
 
-def _fit_classes(n: int, fits: Callable[[int, int], bool], k: int) -> list | None:
+def _fit_classes(
+    n: int, fits: Callable[[int, int], bool], k: int, rows: list | None
+) -> list | None:
     """The lexicographically least way to put vertices 0..n-1, in index
     order, into k classes kept feasible by ``fits``, as vertex bitmasks;
-    None if there is none."""
+    None if there is none.
+
+    Given ``rows`` (from ``_bit_rows``), the classes are colour classes
+    and the search checks forward: each class keeps the union of its
+    members' neighbourhoods, and a branch ends once some later vertex
+    has a neighbour in every class.  Classes only grow, so that vertex
+    can never join one, and the branch holds no leaf; the first leaf
+    and its classes are those of the search without the check.  A class
+    not yet opened has no neighbours, so the check can cut only once
+    all k classes are open.
+    """
     classes = [0] * k
+    near = [0] * k  # neighbours of each class, kept only given rows
 
     def dfs(v: int, used: int) -> bool:
         if v == n:
@@ -201,15 +216,29 @@ def _fit_classes(n: int, fits: Callable[[int, int], bool], k: int) -> list | Non
             cls = classes[c]
             if fits(cls, v):
                 classes[c] = cls | 1 << v
-                if dfs(v + 1, max(used, c + 1)):
-                    return True
+                if rows is None:
+                    if dfs(v + 1, max(used, c + 1)):
+                        return True
+                else:
+                    around = near[c]
+                    near[c] = around | rows[v]
+                    stuck = -2 << v  # later vertices with a neighbour in every class
+                    for mask in near:
+                        stuck &= mask
+                        if not stuck:
+                            break
+                    if not stuck and dfs(v + 1, max(used, c + 1)):
+                        return True
+                    near[c] = around
                 classes[c] = cls
         return False
 
     return classes if dfs(0, 0) else None
 
 
-def _min_partition(n: int, fits: Callable[[int, int], bool], whole: bool, start: int) -> list:
+def _min_partition(
+    n: int, fits: Callable[[int, int], bool], whole: bool, start: int, rows: list | None
+) -> list:
     """The fewest classes, each kept feasible as vertices 0..n-1 join it
     in index order; returns the lexicographically least witness as
     vertex bitmasks.
@@ -220,22 +249,25 @@ def _min_partition(n: int, fits: Callable[[int, int], bool], whole: bool, start:
     decides k = 1 as the n incremental tests would.  Class counts are
     tried upward from ``start``, which must be at most the optimum: the
     counts below it are infeasible, so skipping them leaves the first
-    feasible count and its witness unchanged.
+    feasible count and its witness unchanged.  ``rows`` switches on
+    ``_fit_classes``' forward check for colour classes.
     """
     if n == 0:
         return []
     if whole:
         return [(1 << n) - 1]
     for k in range(max(start, 2), n + 1):
-        classes = _fit_classes(n, fits, k)
+        classes = _fit_classes(n, fits, k, rows)
         if classes is not None:
             return classes
     return []
 
 
-def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback) -> PartitionResult:
+def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback, rows=None) -> PartitionResult:
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
+    ``rows``, given for colour classes only, turns on the forward check
+    of ``_fit_classes``.
 
     The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
     number of ``g`` and h the most vertices of a clique that one class
@@ -246,7 +278,7 @@ def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback) -> Partitio
     exact = g.n <= budget
     if exact:
         start = -(-_clique_number(_bit_rows(g)) // _CLASS_TESTS[kind][2])
-        masks = _min_partition(g.n, fits, whole(), start)
+        masks = _min_partition(g.n, fits, whole(), start, rows)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
         classes = fallback()
@@ -275,13 +307,14 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Exact chromatic number with an independent-set partition witness.
 
     The search starts at the clique number ω: the vertices of a clique
-    need pairwise different colours.  Over budget, falls back to
+    need pairwise different colours.  Each class count is searched with
+    ``_fit_classes``' forward check.  Over budget, falls back to
     first-fit greedy colouring (upper bound, flagged inexact).
     """
     rows = _bit_rows(g)
     return _partition(
         g, "chromatic", budget_n, lambda cls, v: not (rows[v] & cls),
-        lambda: g.m == 0, lambda: _greedy_coloring(g),
+        lambda: g.m == 0, lambda: _greedy_coloring(g), rows,
     )
 
 
@@ -317,7 +350,9 @@ def _lva_feasible(rows: list):
     return feasible
 
 
-def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
+def lva_exact(
+    g: Graph, budget_n: int | None = None, *, _colouring: PartitionResult | None = None
+) -> PartitionResult:
     """Minimum partition of V into classes inducing linear forests.
 
     The search starts at ⌈ω/2⌉ classes, ω the clique number: three
@@ -327,11 +362,13 @@ def lva_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
     sets are linear forests), flagged as a possibly non-optimal upper
     bound.  With the default budgets that colouring is still exact for
     21 <= n <= 24; with an explicit ``budget_n`` it is first-fit.
+    ``_colouring``, for callers inside the package, is that colouring
+    when the caller holds it already, so it is not searched for twice.
     """
     return _partition(
         g, "lva", budget_n, _lva_feasible(_bit_rows(g)),
         lambda: is_linear_forest(g, range(g.n)),
-        lambda: chromatic_number(g, budget_n).partition.classes,
+        lambda: (_colouring or chromatic_number(g, budget_n)).partition.classes,
     )
 
 
@@ -461,6 +498,44 @@ def _greedy_elimination_width(g: Graph) -> int:
     return width
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
+
+
+def _minor_min_width(rows: list) -> int:
+    """Minor-min-width of the graph with bitmask rows ``rows`` (from
+    ``_bit_rows``): a lower bound on treewidth (Gogate & Dechter 2004).
+
+    Treewidth never grows under taking minors, and a graph's treewidth
+    is at least its least degree.  So the largest least degree met
+    while contracting, one at a time, the vertex of least (degree,
+    index) into the neighbour with which it shares the fewest
+    neighbours (lowest index on ties) bounds it from below; an isolated
+    vertex is deleted.  The loop stops once too few vertices are left to
+    raise the bound.
+    """
+    rows = rows.copy()
+    alive = (1 << len(rows)) - 1
+    out = 0
+    while alive.bit_count() > out + 1:
+        deg, v = min((rows[u].bit_count(), u) for u in _bits(alive))
+        out = max(out, deg)
+        nb = rows[v]
+        alive &= ~(1 << v)
+        if not nb:
+            continue
+        _, u = min(((rows[w] & nb).bit_count(), w) for w in _bits(nb))
+        into = 1 << u
+        for w in _bits(nb & ~into):
+            rows[w] = rows[w] & ~(1 << v) | into
+        rows[u] = (rows[u] | nb) & ~into & ~(1 << v)
+    return out
+
+
 def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
     """Exact treewidth via branch-and-bound over elimination orders.
 
@@ -470,7 +545,12 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
     increasing degree, except that a simplicial vertex (neighbourhood a
     clique) is eliminated alone, which is safe (Bodlaender & Koster
     2006).  Remaining sets already searched with no larger width so far
-    are skipped.
+    are skipped.  The search runs only between two bounds: the greedy
+    width above, and below the larger of the degeneracy and
+    :func:`_minor_min_width`, both at most the treewidth.  When they
+    meet no node is searched, and once the best order found reaches the
+    floor no order can beat it, so the search stops; ``nodes`` counts
+    the nodes visited.
 
     Over budget, reports the sandwich (degeneracy lower bound, greedy
     elimination upper bound); this pair is still exact if it collapses.
@@ -487,8 +567,12 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
         return TreewidthResult(lower, upper, False)
 
     rows0 = _bit_rows(g)
+    floor = max(lower, _minor_min_width(rows0))
+    if floor == upper:
+        return TreewidthResult(upper, upper, True)
     best = upper
     seen: dict = {}
+    nodes = 0
 
     def simplicial(nb: int, rows: list) -> bool:
         rest = nb
@@ -500,7 +584,8 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
         return True
 
     def dfs(remaining: int, rows: list, cur: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         if remaining == 0:
             best = cur
             return
@@ -535,9 +620,11 @@ def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
                 u = b.bit_length() - 1
                 child[u] = (child[u] | nb) & ~b & ~bit
             dfs(left, child, width)
+            if best <= floor:
+                return
 
     dfs((1 << n) - 1, rows0, 0)
-    return TreewidthResult(best, best, True)
+    return TreewidthResult(best, best, True, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +636,25 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     """Minimum edge cut over all ⌈n/2⌉ / ⌊n/2⌋ vertex bipartitions.
 
     Vertices are placed in index order, side A first, with the sides as
-    bitmasks.  A node's bound is its cut plus the cheapest completion
-    that ignores the edges between unplaced vertices: each unplaced
-    vertex costs its placed neighbours on the other side, it goes to its
-    cheaper side, and when more vertices prefer a side than it has room
-    for, the excess pays the smallest differences between its two
-    costs.  Every edge is charged once, to its unplaced end, so a node
-    whose bound reaches the best cut has no better leaf.  Once one side
+    bitmasks.  A node's bound is its cut plus a cheapest completion,
+    counted in half edges.  An unplaced vertex sent to a side costs two
+    halves per placed neighbour on the other side, and one half per
+    unplaced neighbour that cannot fit beside it: with room for r more
+    vertices on that side and d unplaced neighbours, at least
+    d - (r - 1) of them land on the other side.  An edge between two
+    unplaced vertices is charged at most one half from each end, so the
+    halves never count an edge twice.  Each vertex goes to its cheaper
+    side, and when more vertices prefer a side than it has room for,
+    the excess pays the smallest differences between its two costs.
+    Every leaf below a node cuts at least ⌈halves / 2⌉ edges, so a node
+    where that reaches the best cut has no better leaf.  Once one side
     is full the rest of the assignment is forced and the bound is its
     exact cut, recorded without descending.  Which neighbours of a
     vertex are placed depends only on the depth, so each depth lists
     them once, and those on side B are the ones not on side A.  The
     witness is the prefix split or the first strictly better leaf in
-    depth-first order, as in a search without the bound.
+    depth-first order, as in a search without the bound; ``nodes``
+    counts the nodes visited.
 
     Over budget, reports the cut of the index-prefix split (valid upper
     bound, flagged).
@@ -576,51 +669,63 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     if n <= 1:
         return BisectionResult(0, True, tuple(range(n)))
 
-    low = [0] * n  # low[v]: neighbours of v with a smaller index
-    for u, v in g.edges:
-        low[v] |= 1 << u
-    # at depth v, vertices 0..v-1 are placed: the placed neighbours of
-    # each later vertex that has one, and how many there are
-    placed_nbrs = [
-        [(nb, nb.bit_count()) for lu in low[v:] if (nb := lu & (1 << v) - 1)]
-        for v in range(n + 1)
-    ]
+    rows = _bit_rows(g)
+    low = [ru & (1 << v) - 1 for v, ru in enumerate(rows)]  # neighbours of v before it
+    # at depth v, vertices 0..v-1 are placed: for each later vertex with
+    # a neighbour, its placed neighbours, how many, and one more than
+    # its unplaced neighbours; those with no placed neighbour come last,
+    # by unplaced neighbours from most to fewest
+    nbrs_at = []
+    for v in range(n + 1):
+        later = [(ru & (1 << v) - 1, (ru >> v).bit_count() + 1) for ru in rows[v:] if ru]
+        later.sort(key=lambda e: (not e[0], -e[1]))
+        nbrs_at.append([(nb, nb.bit_count(), up) for nb, up in later])
     best = prefix_cut
     best_a = (1 << size_a) - 1
+    nodes = 0
 
     def dfs(v: int, a: int, b: int, cnt_a: int, cut: int) -> None:
-        nonlocal best, best_a
+        nonlocal best, best_a, nodes
+        nodes += 1
         room_a = size_a - cnt_a
         room_b = n - v - room_a
         if not room_a or not room_b:
             rest_to_a = room_a > 0
-            for nb, placed in placed_nbrs[v]:
+            for nb, placed, _ in nbrs_at[v]:
+                if not nb:
+                    break
                 in_a = (nb & a).bit_count()
                 cut += placed - in_a if rest_to_a else in_a
             if cut < best:
                 best = cut
                 best_a = a | ((1 << n) - (1 << v)) if rest_to_a else a
             return
-        bound = cut
+        # in half edges: a vertex on side A with d unplaced neighbours
+        # has d - (room_a - 1) of them on side B at least, and each end
+        # of such an edge is charged one half
+        bound = 2 * cut
         prefer_a = []  # extra cost of sending a vertex that prefers A to B
         prefer_b = []
-        for nb, placed in placed_nbrs[v]:
-            in_a = (nb & a).bit_count()
-            in_b = placed - in_a
-            if in_a > in_b:
-                bound += in_b
-                prefer_a.append(in_a - in_b)
+        for nb, placed, up in nbrs_at[v]:
+            if not nb and up <= room_a and up <= room_b:
+                break  # neither side costs this vertex or any after it
+            in_b = placed - (nb & a).bit_count()
+            to_a = 2 * in_b + (up - room_a if up > room_a else 0)
+            to_b = 2 * (placed - in_b) + (up - room_b if up > room_b else 0)
+            if to_a < to_b:
+                bound += to_a
+                prefer_a.append(to_b - to_a)
             else:
-                bound += in_a
-                if in_b > in_a:
-                    prefer_b.append(in_b - in_a)
+                bound += to_b
+                if to_a > to_b:
+                    prefer_b.append(to_a - to_b)
         if len(prefer_a) > room_a:
             prefer_a.sort()
             bound += sum(prefer_a[: len(prefer_a) - room_a])
         elif len(prefer_b) > room_b:
             prefer_b.sort()
             bound += sum(prefer_b[: len(prefer_b) - room_b])
-        if bound >= best:
+        if bound + 1 >> 1 >= best:
             return
         bit = 1 << v
         dfs(v + 1, a | bit, b, cnt_a + 1, cut + (low[v] & b).bit_count())
@@ -629,7 +734,7 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
             dfs(v + 1, a, b | bit, cnt_a, cut + (low[v] & a).bit_count())
 
     dfs(0, 0, 0, 0, 0)
-    return BisectionResult(best, True, tuple(v for v in range(n) if best_a >> v & 1))
+    return BisectionResult(best, True, tuple(v for v in range(n) if best_a >> v & 1), nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from affinecover import certio, cli, drawing
+from affinecover import certio, cli, drawing, solvers
 from affinecover.certio import (
     certificate_from_result,
     emit_certificate,
@@ -24,7 +24,7 @@ from affinecover.certio import (
 from affinecover.cli import main
 from affinecover.constructions import DRAW_TARGETS, ConstructionResult
 from affinecover.drawing import Drawing, DrawingViolation, edge_line_count, verify_crossing_free
-from affinecover.graphs import Graph, path_graph
+from affinecover.graphs import FAMILY_MAX_M, FAMILY_MAX_N, Graph, path_graph
 from affinecover.solvers import lva_exact, lva_sweep
 
 
@@ -286,6 +286,20 @@ def test_bounds_non_ascii_graph6_is_a_usage_error(capsys):
     assert captured.err.startswith("error: bad graph6 string")
 
 
+def test_bounds_oversized_family_builds_nothing(monkeypatch, capsys):
+    """complete:20000 would ask for some 30 GiB of edges; the size is
+    read off the parameters and refused before any graph is built."""
+    built = []
+    monkeypatch.setattr(Graph, "__init__", lambda self, *a, **k: built.append(a))
+    assert main(["bounds", "--family", "complete:20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (
+        "error: family complete:20000 is too large: the limit is "
+        f"{FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges\n"
+    )
+
+
 def test_bounds_negative_budget_flag(capsys):
     assert main(["bounds", "--family", "complete:6", "--budget-n", "-3"]) == 2
     captured = capsys.readouterr()
@@ -328,6 +342,7 @@ BOUNDS_GOLDEN = {
     "gnp_14": ("--graph6", "MhZcxlIigyy`Fmw}_"),
     "gnp_15": ("--graph6", "NZ_CRk\\@RrzR~t\\OTeG"),
     "gnp_16": ("--graph6", "OveHVtGfMJy}z^^tSYZcv"),
+    "gnp_22": ("--graph6", "UCdPJItidh?P|LRsD_^ZOHDD[hyVtod{ctzuun@O"),
 }
 
 
@@ -336,6 +351,25 @@ def test_bounds_output_pinned(name, capsys):
     assert main(["bounds", *BOUNDS_GOLDEN[name]]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "bounds" / f"{name}.txt"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_bounds_searches_one_colouring_per_report(monkeypatch, capsys):
+    """On 21-24 vertices the forest partition is over its budget and
+    falls back to the colouring, which is still exact: the report reuses
+    the one it has and prints what it printed with two searches."""
+    colourings = []
+    min_partition = solvers._min_partition
+
+    def spy(n, fits, whole, start, rows):
+        if rows is not None:
+            colourings.append(n)
+        return min_partition(n, fits, whole, start, rows)
+
+    monkeypatch.setattr(solvers, "_min_partition", spy)
+    assert main(["bounds", *BOUNDS_GOLDEN["gnp_22"]]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "bounds" / "gnp_22.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    assert colourings == [22]
 
 
 # ---------------------------------------------------------------------------

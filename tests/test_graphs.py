@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecover.graphs import (
+    _FAMILIES,
     FAMILY_KINDS,
+    FAMILY_MAX_N,
     FamilySpec,
     Graph,
     brute_force_isomorphic,
@@ -165,6 +167,53 @@ def test_family_invalid_params():
         build_family(FamilySpec("cycle", (2,)))
     with pytest.raises(ValueError, match="unknown family kind 'no_such_kind'"):
         build_family(FamilySpec("no_such_kind", (1,)))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("complete", (1,)),
+        ("complete", (9,)),
+        ("complete_bipartite", (4, 6)),
+        ("cycle", (9,)),
+        ("path", (1,)),
+        ("path", (6,)),
+        ("nested_triangles", (1,)),
+        ("nested_triangles", (4,)),
+        ("nested_squares", (1,)),
+        ("nested_squares", (5,)),
+        ("c4_prism_stack", (1,)),
+        ("c4_prism_stack", (5,)),
+        ("complete_binary_tree", (0,)),
+        ("complete_binary_tree", (6,)),
+        ("caterpillar", (3, 1, 0, 2)),
+        ("balanced_multipartite", (3, 7)),
+        ("balanced_multipartite", (4, 16)),
+        ("balanced_multipartite", (5, 5)),
+    ],
+)
+def test_family_size_is_read_off_the_parameters(kind, params):
+    """The size ``build_family`` checks against its limit before it
+    builds is the size of the graph it builds."""
+    g = build_family(FamilySpec(kind, params))
+    assert _FAMILIES[kind][1](*params) == (g.n, g.m)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("complete", (FAMILY_MAX_N + 1,)),
+        ("complete", (448,)),  # 100,128 edges
+        ("complete_bipartite", (317, 317)),
+        ("path", (FAMILY_MAX_N + 1,)),
+        ("complete_binary_tree", (10**12,)),
+        ("caterpillar", (2, 0, FAMILY_MAX_N)),
+        ("balanced_multipartite", (10**12, 10**12)),
+    ],
+)
+def test_family_over_the_limit_is_refused(kind, params):
+    with pytest.raises(ValueError, match="is too large: the limit is"):
+        build_family(FamilySpec(kind, params))
 
 
 def test_family_kinds_listed_once_in_order():

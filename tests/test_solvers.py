@@ -31,6 +31,7 @@ from affinecover.graphs import (
     cycle_graph,
     is_linear_forest,
     nested_triangles,
+    parse_graph,
     path_graph,
     triangulated_square_wheel,
 )
@@ -53,6 +54,8 @@ from affinecover.solvers import (
     _degeneracy,
     _bit_rows,
     _clique_number,
+    _fit_classes,
+    _minor_min_width,
     _greedy_elimination_width,
     _schonheim_bound,
     _stays_planar,
@@ -336,9 +339,9 @@ def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
     tried = []
     fit_classes = solvers._fit_classes
 
-    def spy(n, fits, k):
+    def spy(n, fits, k, rows):
         tried.append(k)
-        return fit_classes(n, fits, k)
+        return fit_classes(n, fits, k, rows)
 
     monkeypatch.setattr(solvers, "_fit_classes", spy)
     for search, per_class in ((chromatic_number, 1), (lva_exact, 2), (vertex_thickness_exact, 4)):
@@ -359,6 +362,49 @@ def test_colour_and_forest_witnesses_match_reference(g):
     want = reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))
     res = lva_exact(g)
     assert (res.value, res.partition.classes) == want
+
+
+def gnp(tag: str, n: int, p: float) -> Graph:
+    """A G(n, p) graph seeded by ``tag``, ``n`` and ``p``."""
+    rng = random.Random(f"{tag}:{n}:{p}")
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+@pytest.mark.parametrize("n", range(14, 21))
+@pytest.mark.parametrize("p", (0.2, 0.35, 0.5))
+def test_colouring_matches_reference_at_bounds_sizes(n, p):
+    """The sizes the `bounds` workload asks for, where the forward check
+    cuts most; the hypothesis test above stops at 10 vertices."""
+    g = gnp("chromatic", n, p)
+    res = chromatic_number(g)
+    assert (res.value, res.partition.classes) == reference_partition(
+        g, lambda cls, v: not g.adj[v] & set(cls)
+    )
+
+
+@pytest.mark.parametrize("name, calls", [("gnp_15", (105, 60)), ("gnp_16", (1090, 250))])
+def test_colouring_forward_check_cuts(name, calls):
+    """The class tests a colouring search makes at the chromatic number,
+    without and with the forward check: a check that cuts less than
+    this (or more) shows here, though it leaves every result alone."""
+    g = parse_graph(BOUNDS_GOLDEN[name][1].encode("ascii"), "graph6")
+    rows = _bit_rows(g)
+    k = chromatic_number(g).value
+    counts = []
+    for check in (None, rows):
+        tests = 0
+
+        def fits(cls, v):
+            nonlocal tests
+            tests += 1
+            return not rows[v] & cls
+
+        classes = _fit_classes(g.n, fits, k, check)
+        assert [frozenset(v for v in range(g.n) if c >> v & 1) for c in classes] == [
+            *chromatic_number(g).partition.classes
+        ]
+        counts.append(tests)
+    assert tuple(counts) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +839,35 @@ def test_treewidth_sandwich_heaps_match_scans(g):
 
 
 def test_treewidth_fixed_cases_match_reference():
+    """Values, the minor-min-width floor and the search nodes: a floor or
+    a prune that weakens (or over-counts) moves a pinned number."""
     petersen = from_networkx(nx.petersen_graph())
-    for g in (
-        petersen,
-        cartesian_product(path_graph(4), path_graph(4)),
-        cartesian_product(complete_graph(4), complete_graph(3)),
-        triangulated_square_wheel(),
-        complete_bipartite(4, 5),
+    for g, floor, nodes in (
+        (petersen, 3, 76),
+        (cartesian_product(path_graph(4), path_graph(4)), 4, 0),
+        (cartesian_product(complete_graph(4), complete_graph(3)), 5, 217),
+        (triangulated_square_wheel(), 3, 0),
+        (complete_bipartite(4, 5), 4, 0),
     ):
-        assert treewidth_exact(g) == reference_treewidth(g)
+        res = treewidth_exact(g)
+        assert res == reference_treewidth(g)
+        assert (_minor_min_width(_bit_rows(g)), res.nodes) == (floor, nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_graph_strategy(12))
+def test_minor_min_width_is_a_treewidth_lower_bound(g):
+    assert _minor_min_width(_bit_rows(g)) <= treewidth_exact(g).lower
+
+
+@pytest.mark.parametrize("n", range(13, 19))
+@pytest.mark.parametrize("p", (0.2, 0.35, 0.5))
+def test_treewidth_matches_reference_at_bounds_sizes(n, p):
+    """The sizes the `bounds` workload asks for, where the minor-min-width
+    floor closes most gaps; the hypothesis test above stops at 12
+    vertices."""
+    g = gnp("treewidth", n, p)
+    assert treewidth_exact(g) == reference_treewidth(g)
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +897,20 @@ def test_bisection_matches_reference(g):
 
 
 def test_bisection_small_and_fixed_cases():
+    """Values, witnesses and the search nodes: a completion bound that
+    weakens moves a pinned count, though it leaves every result alone."""
     for n in (0, 1):
         assert bisection_width_exact(Graph(n)) == reference_bisection(Graph(n))
     petersen = from_networkx(nx.petersen_graph())
-    for g in (petersen, complete_graph(9), cycle_graph(11), complete_bipartite(5, 6)):
-        assert bisection_width_exact(g) == reference_bisection(g)
+    for g, nodes in (
+        (petersen, 36),
+        (complete_graph(9), 1),
+        (cycle_graph(11), 41),
+        (complete_bipartite(5, 6), 63),
+    ):
+        res = bisection_width_exact(g)
+        assert res == reference_bisection(g)
+        assert res.nodes == nodes
 
 
 @pytest.mark.parametrize("n", range(14, 21))
@@ -844,9 +919,7 @@ def test_bisection_matches_reference_at_bounds_sizes(n, p):
     """The sizes the `bounds` workload asks for, where the capacity bound
     and the forced completion prune most; the hypothesis test above
     stops at 12 vertices."""
-    rng = random.Random(f"bisection:{n}:{p}")
-    pairs = itertools.combinations(range(n), 2)
-    g = Graph(n, [e for e in pairs if rng.random() < p])
+    g = gnp("bisection", n, p)
     assert bisection_width_exact(g) == reference_bisection(g)
 
 
