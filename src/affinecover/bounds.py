@@ -176,11 +176,11 @@ def _rule_bisection(g: Graph, budget, **_) -> list:
     return [_lower("rho13", res.value, "bisection-width")]
 
 
-def _rule_treewidth(g: Graph, budget, **_) -> list:
+def _rule_treewidth(g: Graph, **_) -> list:
     if g.n < 1:
         return []
-    res = treewidth_exact(g, budget_n=budget)
-    # res.lower is a valid treewidth lower bound even over budget
+    res = treewidth_exact(g)
+    # res.lower is a valid treewidth lower bound even when inexact
     return [_lower("rho13", Fraction(res.lower, 3), "treewidth-third", res.exact)]
 
 

@@ -43,7 +43,6 @@ DEFAULT_BUDGETS = {
     "chromatic": 24,
     "lva": 20,
     "vertex_thickness": 16,
-    "treewidth": 18,
     "bisection": 20,
 }
 
@@ -83,7 +82,6 @@ class TreewidthResult:
     lower: int
     upper: int
     exact: bool
-    nodes: int = field(default=0, compare=False)  # search nodes visited
 
     @property
     def value(self) -> int:
@@ -439,42 +437,16 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
 # ---------------------------------------------------------------------------
 
 
-def _degeneracy(g: Graph) -> int:
-    """Largest degree met while deleting, one at a time, the live vertex
-    of least (degree, index): a lower bound on treewidth.
-
-    A heap holds a (degree, vertex) entry for each vertex, and a new one
-    whenever a deletion lowers a degree.  Degrees only fall, so the first
-    entry of a vertex to be popped holds its current degree, and later
-    ones are skipped: each pick is the least (degree, vertex) among the
-    live vertices, in O(m log n).
-    """
-    adj = [set(a) for a in g.adj]
-    heap = [(len(a), v) for v, a in enumerate(adj)]
-    heapq.heapify(heap)
-    alive = [True] * g.n
-    out = 0
-    while heap:
-        deg, v = heapq.heappop(heap)
-        if not alive[v]:
-            continue
-        alive[v] = False
-        out = max(out, deg)
-        for w in adj[v]:
-            adj[w].discard(v)
-            heapq.heappush(heap, (len(adj[w]), w))
-    return out
-
-
 def _greedy_elimination_width(g: Graph) -> int:
     """Width of the elimination order that always eliminates the vertex
     of least (degree, index) in the elimination graph: an upper bound on
     treewidth.
 
-    Picks come off a heap of (degree, vertex) entries as in
-    :func:`_degeneracy`, but here degrees also rise, so an entry whose
-    degree is no longer the vertex's own is skipped too.  A neighbour
-    whose degree an elimination leaves unchanged keeps its entry.
+    A heap holds a (degree, vertex) entry for each vertex, and a new one
+    whenever an elimination changes a degree; an entry whose vertex is
+    gone or whose degree is no longer the vertex's own is skipped.  So
+    each pick is the least (degree, vertex) among the remaining
+    vertices, in O(log n) where a scan takes O(n).
     """
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     heap = [(len(nb), v) for v, nb in adj.items()]
@@ -498,17 +470,9 @@ def _greedy_elimination_width(g: Graph) -> int:
     return width
 
 
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
-
-
-def _minor_min_width(rows: list) -> int:
-    """Minor-min-width of the graph with bitmask rows ``rows`` (from
-    ``_bit_rows``): a lower bound on treewidth (Gogate & Dechter 2004).
+def _minor_min_width(g: Graph) -> int:
+    """Minor-min-width of ``g``: a lower bound on treewidth (Gogate &
+    Dechter 2004).
 
     Treewidth never grows under taking minors, and a graph's treewidth
     is at least its least degree.  So the largest least degree met
@@ -517,114 +481,63 @@ def _minor_min_width(rows: list) -> int:
     neighbours (lowest index on ties) bounds it from below; an isolated
     vertex is deleted.  The loop stops once too few vertices are left to
     raise the bound.
+
+    It is never below the degeneracy d.  While the d-core (the largest
+    subgraph of least degree d) is intact, a vertex of degree below d
+    lies outside it, and contracting such a vertex into any neighbour
+    deletes no edge of the core, so the core stays intact until a pick
+    of degree at least d.  Too few vertices cannot stop the loop first:
+    the core has more than d.
+
+    Picks come off a heap as in :func:`_greedy_elimination_width`: a
+    contraction pushes a fresh entry for each vertex whose degree it
+    changes (the kept neighbour, and each other neighbour already
+    adjacent to it), and an entry whose degree is stale is skipped.
     """
-    rows = rows.copy()
-    alive = (1 << len(rows)) - 1
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    heap = [(len(nb), v) for v, nb in adj.items()]
+    heapq.heapify(heap)
     out = 0
-    while alive.bit_count() > out + 1:
-        deg, v = min((rows[u].bit_count(), u) for u in _bits(alive))
+    while len(adj) > out + 1:
+        deg, v = heapq.heappop(heap)
+        nb = adj.get(v)
+        if nb is None or deg != len(nb):
+            continue
         out = max(out, deg)
-        nb = rows[v]
-        alive &= ~(1 << v)
+        del adj[v]
         if not nb:
             continue
-        _, u = min(((rows[w] & nb).bit_count(), w) for w in _bits(nb))
-        into = 1 << u
-        for w in _bits(nb & ~into):
-            rows[w] = rows[w] & ~(1 << v) | into
-        rows[u] = (rows[u] | nb) & ~into & ~(1 << v)
+        _, u = min((len(adj[w] & nb), w) for w in nb)
+        into = adj[u]
+        into.discard(v)
+        for w in nb:
+            if w == u:
+                continue
+            nw = adj[w]
+            nw.discard(v)
+            if u in nw:
+                heapq.heappush(heap, (len(nw), w))
+            else:
+                nw.add(u)
+                into.add(w)
+        heapq.heappush(heap, (len(into), u))
     return out
 
 
-def treewidth_exact(g: Graph, budget_n: int | None = None) -> TreewidthResult:
-    """Exact treewidth via branch-and-bound over elimination orders.
+def treewidth_exact(g: Graph) -> TreewidthResult:
+    """Treewidth sandwiched between two bounds, with no search: the
+    minor-min-width below (at least the degeneracy) and the width of the
+    greedy elimination order above.  Exact when they meet.
 
-    The search carries the elimination graph of the remaining vertices
-    as bitmask rows: eliminating ``v`` joins its neighbours into a
-    clique, and a degree is a bit count.  Vertices are tried by
-    increasing degree, except that a simplicial vertex (neighbourhood a
-    clique) is eliminated alone, which is safe (Bodlaender & Koster
-    2006).  Remaining sets already searched with no larger width so far
-    are skipped.  The search runs only between two bounds: the greedy
-    width above, and below the larger of the degeneracy and
-    :func:`_minor_min_width`, both at most the treewidth.  When they
-    meet no node is searched, and once the best order found reaches the
-    floor no order can beat it, so the search stops; ``nodes`` counts
-    the nodes visited.
-
-    Over budget, reports the sandwich (degeneracy lower bound, greedy
-    elimination upper bound); this pair is still exact if it collapses.
+    Both bounds pick from a heap and run at any size.  The one rule that
+    reads the result, ``treewidth-third``, narrows no interval on the
+    atlas or the benchmark graphs, so an exact search would buy no
+    printed number.  The name stays because callers and traced spans
+    know the solver by it.
     """
-    n = g.n
-    if n <= 1:
-        return TreewidthResult(0, 0, True)
-    lower = _degeneracy(g)
+    lower = _minor_min_width(g)
     upper = _greedy_elimination_width(g)
-    if lower == upper:
-        return TreewidthResult(lower, upper, True)
-    budget = DEFAULT_BUDGETS["treewidth"] if budget_n is None else budget_n
-    if n > budget:
-        return TreewidthResult(lower, upper, False)
-
-    rows0 = _bit_rows(g)
-    floor = max(lower, _minor_min_width(rows0))
-    if floor == upper:
-        return TreewidthResult(upper, upper, True)
-    best = upper
-    seen: dict = {}
-    nodes = 0
-
-    def simplicial(nb: int, rows: list) -> bool:
-        rest = nb
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if nb & ~rows[b.bit_length() - 1] != b:
-                return False
-        return True
-
-    def dfs(remaining: int, rows: list, cur: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if remaining == 0:
-            best = cur
-            return
-        seen[remaining] = cur
-        cand = []
-        rem = remaining
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            v = b.bit_length() - 1
-            cand.append((rows[v].bit_count(), v))
-        cand.sort()
-        for dg, v in cand:
-            if simplicial(rows[v], rows):
-                cand = [(dg, v)]
-                break
-        for dg, v in cand:
-            width = max(cur, dg)
-            if width >= best:
-                break
-            bit = 1 << v
-            left = remaining & ~bit
-            prev = seen.get(left)
-            if prev is not None and prev <= width:
-                continue
-            nb = rows[v]
-            child = rows.copy()
-            rest = nb
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                u = b.bit_length() - 1
-                child[u] = (child[u] | nb) & ~b & ~bit
-            dfs(left, child, width)
-            if best <= floor:
-                return
-
-    dfs((1 << n) - 1, rows0, 0)
-    return TreewidthResult(best, best, True, nodes)
+    return TreewidthResult(lower, upper, lower == upper)
 
 
 # ---------------------------------------------------------------------------

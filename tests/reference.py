@@ -95,7 +95,8 @@ def segment_count_oracle(edge_groups):
 def degeneracy_oracle(g):
     """Treewidth lower bound: the largest degree met while deleting the
     vertex of least (degree, index), found by a scan of every live
-    vertex at each step, as ``solvers._degeneracy`` did before its heap."""
+    vertex at each step.  ``solvers._minor_min_width`` is never below
+    it."""
     adj = [set(a) for a in g.adj]
     alive = set(range(g.n))
     out = 0
@@ -125,6 +126,37 @@ def greedy_elimination_oracle(g):
             adj[a].discard(v)
         del adj[v]
     return width
+
+
+def minor_min_width_oracle(g):
+    """Treewidth lower bound: the largest least degree met while
+    contracting the vertex of least (degree, index) into the neighbour
+    sharing the fewest of its neighbours (lowest index on ties), each
+    pick a scan of every live vertex over bitmask rows, as
+    ``solvers._minor_min_width`` did before its heap."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
+    def bits(mask):
+        return [i for i in range(len(rows)) if mask >> i & 1]
+
+    alive = (1 << len(rows)) - 1
+    out = 0
+    while alive.bit_count() > out + 1:
+        deg, v = min((rows[u].bit_count(), u) for u in bits(alive))
+        out = max(out, deg)
+        nb = rows[v]
+        alive &= ~(1 << v)
+        if not nb:
+            continue
+        _, u = min(((rows[w] & nb).bit_count(), w) for w in bits(nb))
+        into = 1 << u
+        for w in bits(nb & ~into):
+            rows[w] = rows[w] & ~(1 << v) | into
+        rows[u] = (rows[u] | nb) & ~into & ~(1 << v)
+    return out
 
 
 def set_cover_oracle(masks, full, node_cap=2_000_000):

@@ -9,6 +9,7 @@ from affinecover.bounds import (
     PARAMETERS,
     RULES,
     BoundReport,
+    _fold,
     bound_report,
     monotone_closure,
 )
@@ -18,9 +19,11 @@ from affinecover.constructions import (
     parallel_kpq_lines,
     pi13_drawing,
     pi23_drawing,
+    prism_stack_3d,
 )
 from affinecover.drawing import edge_line_count
 from affinecover.graphs import (
+    Graph,
     balanced_multipartite,
     complete_bipartite,
     complete_graph,
@@ -29,6 +32,8 @@ from affinecover.graphs import (
     path_graph,
     triangulated_square_wheel,
 )
+from affinecover.planar import _stacked_triangulation
+from test_solvers import gnp
 
 INF = math.inf
 
@@ -287,6 +292,61 @@ def test_every_registered_rule_id_is_cited():
         report = bound_report(g, **kwargs)
         cited |= {e.rule for p in PARAMETERS for e in report[p].provenance}
     assert cited == set(RULES)
+
+
+def _needed_ids(report: BoundReport) -> set:
+    """The rule ids whose entries some interval of ``report`` needs:
+    refolding the report's entries without them, then closing, widens an
+    interval."""
+    entries = [e for p in PARAMETERS for e in report[p].provenance if e.rule != "monotone"]
+
+    def intervals(kept):
+        refolded = monotone_closure(BoundReport(report.graph, _fold(kept)))
+        return [(refolded[p].lower, refolded[p].upper) for p in PARAMETERS]
+
+    full = intervals(entries)
+    assert full == [_iv(report, p) for p in PARAMETERS]
+    return {
+        rule for rule in {e.rule for e in entries}
+        if intervals([e for e in entries if e.rule != rule]) != full
+    }
+
+
+#: (graph, bound_report keyword arguments, ids the graph is named for):
+#: each rule id but treewidth-third narrows an interval on one of them.
+NEEDED_ON = [
+    (gnp("ablation", 25, 0.35), {}, {"degree-density"}),
+    (cycle_graph(30), {}, {"linear-arboricity-floor"}),
+    # a spider of 20 legs of length 2
+    (Graph(41, [(0, 2 * i + 1) for i in range(20)] + [(2 * i + 1, 2 * i + 2) for i in range(20)]),
+     {}, {"max-degree-half", "tree-two-lines", "edge-count"}),
+    (complete_graph(9), {}, {"clique-cover-triangles", "clique-cover-quads",
+                             "complete-segments", "forest-partition", "planar-partition"}),
+    (complete_graph(10), {}, {"steiner-counting"}),
+    (nested_triangles(4), {"constructions": (prism_stack_3d(4, "C3"),)},
+     {"construction", "essential-intersections"}),
+    (_stacked_triangulation(26), {}, {"dual-circumference"}),
+    (complete_bipartite(2, 20), {}, {"planar-bipartite-segments", "bipartite-plane-pairs",
+                                     "bipartite-segments", "parallel-tracks",
+                                     "chromatic-envelope"}),
+    (nested_triangles(5), {"family": "nested_triangles"}, {"nested-triangles-cut"}),
+    (complete_bipartite(3, 3), {}, {"bisection-width"}),
+    (complete_graph(6), {}, {"shipped-certificate"}),
+]
+
+
+def test_every_rule_narrows_something():
+    """Each rule id earns its place: some graph has an interval that is
+    wider without the id's entries.  The exception is treewidth-third:
+    the treewidth sandwich over three never beats the other rho13 lower
+    bounds on the atlas or benchmark graphs either.  table-asserted is
+    never folded, and monotone is the closure itself."""
+    needed = set()
+    for g, kwargs, named in NEEDED_ON:
+        ids = _needed_ids(bound_report(g, **kwargs))
+        assert named <= ids, (g.n, g.m, named - ids)
+        needed |= ids
+    assert set(RULES) - needed - {"table-asserted", "monotone"} == {"treewidth-third"}
 
 
 def test_lowers_never_exceed_verified_witnesses():

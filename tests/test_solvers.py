@@ -28,8 +28,10 @@ from affinecover.graphs import (
     cartesian_product,
     complete_bipartite,
     complete_graph,
+    c4_prism_stack,
     cycle_graph,
     is_linear_forest,
+    nested_squares,
     nested_triangles,
     parse_graph,
     path_graph,
@@ -50,8 +52,6 @@ from affinecover.solvers import (
     CLIQUE_COVER_MAX_N,
     BisectionResult,
     Partition,
-    TreewidthResult,
-    _degeneracy,
     _bit_rows,
     _clique_number,
     _fit_classes,
@@ -73,6 +73,7 @@ from reference import (
     degeneracy_oracle,
     from_networkx,
     greedy_elimination_oracle,
+    minor_min_width_oracle,
     to_networkx,
 )
 from test_cli import BOUNDS_GOLDEN
@@ -218,18 +219,19 @@ def brute_clique_number(g: Graph) -> int:
     )
 
 
-def reference_treewidth(g: Graph) -> TreewidthResult:
-    """The treewidth search the elimination-graph rows replaced: every
+def reference_treewidth(g: Graph) -> int:
+    """Treewidth by branch and bound over elimination orders: every
     remaining vertex tried by increasing degree, each degree found by a
     search through the eliminated vertices, and a memo keyed by the
-    remaining set; no simplicial rule."""
+    remaining set.  The oracle for ``treewidth_exact``'s sandwich;
+    ``brute_treewidth`` checks it in turn."""
     n = g.n
     if n <= 1:
-        return TreewidthResult(0, 0, True)
+        return 0
     lower = degeneracy_oracle(g)
     upper = greedy_elimination_oracle(g)
     if lower == upper:
-        return TreewidthResult(lower, upper, True)
+        return lower
     adj_bits = [0] * n
     for u, v in g.edges:
         adj_bits[u] |= 1 << v
@@ -274,7 +276,7 @@ def reference_treewidth(g: Graph) -> TreewidthResult:
                 dfs(remaining & ~(1 << v), max(cur, dg))
 
     dfs((1 << n) - 1, 0)
-    return TreewidthResult(best, best, True)
+    return best
 
 
 def small_graph_strategy(max_n=6):
@@ -809,65 +811,77 @@ def test_treewidth_examples():
     assert brute_treewidth(cycle_graph(6)) == 2
 
 
-def test_treewidth_budget_pair():
-    # 6x6 grid: degeneracy 2 but actual treewidth 6, so over budget the
-    # solver must report an honest (lower, upper) pair, not an exact value
-    g = cartesian_product(path_graph(6), path_graph(6))
+def assert_sandwiches(g: Graph, tw: int) -> None:
+    """``treewidth_exact(g)`` holds the treewidth ``tw`` between its
+    bounds, and is exact just when they meet."""
     res = treewidth_exact(g)
-    assert not res.exact
-    assert 2 <= res.lower <= res.upper
+    assert res.lower <= tw <= res.upper
+    assert res.exact == (res.lower == res.upper)
+
+
+def test_treewidth_budget_pair():
+    """Graphs of 24 to 36 vertices: the minor-min-width floor runs at
+    every size, closes the sandwiches of the nested squares and the C4
+    prism stack, and leaves the grid an honest inexact pair."""
+    for g, want in (
+        (nested_squares(6), (3, 3, True)),
+        (c4_prism_stack(6), (4, 4, True)),
+        (cartesian_product(path_graph(6), path_graph(6)), (4, 6, False)),  # treewidth 6
+    ):
+        res = treewidth_exact(g)
+        assert (res.lower, res.upper, res.exact) == want
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_graph_strategy(7))
 def test_treewidth_matches_brute_force(g):
-    res = treewidth_exact(g)
-    assert res.exact and res.value == brute_treewidth(g)
+    tw = brute_treewidth(g)
+    assert reference_treewidth(g) == tw
+    assert_sandwiches(g, tw)
 
 
 @settings(max_examples=200, deadline=None)
 @given(density_graph_strategy(12))
 def test_treewidth_matches_reference(g):
-    assert treewidth_exact(g) == reference_treewidth(g)
+    assert_sandwiches(g, reference_treewidth(g))
 
 
 @settings(max_examples=300, deadline=None)
 @given(density_graph_strategy(40))
 def test_treewidth_sandwich_heaps_match_scans(g):
-    assert _degeneracy(g) == degeneracy_oracle(g)
+    assert _minor_min_width(g) == minor_min_width_oracle(g) >= degeneracy_oracle(g)
     assert _greedy_elimination_width(g) == greedy_elimination_oracle(g)
 
 
 def test_treewidth_fixed_cases_match_reference():
-    """Values, the minor-min-width floor and the search nodes: a floor or
-    a prune that weakens (or over-counts) moves a pinned number."""
+    """The sandwich and the treewidth on fixed graphs: a floor that
+    weakens or a greedy width that grows moves a pinned number."""
     petersen = from_networkx(nx.petersen_graph())
-    for g, floor, nodes in (
-        (petersen, 3, 76),
-        (cartesian_product(path_graph(4), path_graph(4)), 4, 0),
-        (cartesian_product(complete_graph(4), complete_graph(3)), 5, 217),
-        (triangulated_square_wheel(), 3, 0),
-        (complete_bipartite(4, 5), 4, 0),
+    for g, sandwich, tw in (
+        (petersen, (3, 4, False), 4),
+        (cartesian_product(path_graph(4), path_graph(4)), (4, 4, True), 4),
+        (cartesian_product(complete_graph(4), complete_graph(3)), (5, 7, False), 7),
+        (triangulated_square_wheel(), (3, 3, True), 3),
+        (complete_bipartite(4, 5), (4, 4, True), 4),
     ):
         res = treewidth_exact(g)
-        assert res == reference_treewidth(g)
-        assert (_minor_min_width(_bit_rows(g)), res.nodes) == (floor, nodes)
+        assert (res.lower, res.upper, res.exact) == sandwich
+        assert reference_treewidth(g) == tw
 
 
 @settings(max_examples=200, deadline=None)
 @given(density_graph_strategy(12))
 def test_minor_min_width_is_a_treewidth_lower_bound(g):
-    assert _minor_min_width(_bit_rows(g)) <= treewidth_exact(g).lower
+    assert _minor_min_width(g) <= reference_treewidth(g)
 
 
 @pytest.mark.parametrize("n", range(13, 19))
 @pytest.mark.parametrize("p", (0.2, 0.35, 0.5))
 def test_treewidth_matches_reference_at_bounds_sizes(n, p):
-    """The sizes the `bounds` workload asks for, where the minor-min-width
-    floor closes most gaps; the hypothesis test above stops at 12
-    vertices."""
+    """The sizes the `bounds` workload asks for; the hypothesis test
+    above stops at 12 vertices."""
     g = gnp("treewidth", n, p)
-    assert treewidth_exact(g) == reference_treewidth(g)
+    assert_sandwiches(g, reference_treewidth(g))
 
 
 # ---------------------------------------------------------------------------
