@@ -14,6 +14,7 @@ import networkx as nx
 
 from affinecover.drawing import greedy_set_cover
 from affinecover.graphs import Graph
+from affinecover.planar import _stacked_triangulation, triangulations
 
 
 def to_networkx(g):
@@ -27,6 +28,16 @@ def to_networkx(g):
 def from_networkx(ng):
     """A networkx graph on the vertices 0..n-1 as a ``Graph``."""
     return Graph(ng.number_of_nodes(), ng.edges())
+
+
+def pinned_triangulations():
+    """The 91 planar triangulations whose bound reports a test pins:
+    every one with 4..9 vertices (``planar.triangulations``), the
+    stacked ones with 10..26 vertices and the icosahedron."""
+    graphs = [g for n in range(4, 10) for g in triangulations(n)]
+    graphs += [_stacked_triangulation(n) for n in range(10, 27)]
+    graphs.append(from_networkx(nx.icosahedral_graph()))
+    return graphs
 
 
 def classify_oracle(a, b, c, d):

@@ -1,4 +1,5 @@
 """Tests for the interval bound report."""
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from affinecover.bounds import (
     bound_report,
     monotone_closure,
 )
+from affinecover.cli import _fmt
 from affinecover.constructions import (
     ConstructionResult,
     k2q_optimal,
@@ -33,6 +35,7 @@ from affinecover.graphs import (
     triangulated_square_wheel,
 )
 from affinecover.planar import _stacked_triangulation
+from reference import pinned_triangulations
 from test_solvers import gnp
 
 INF = math.inf
@@ -374,3 +377,19 @@ def test_closure_relations_enforced():
         assert r["pi13"].upper <= r["pibar13"].upper
         assert r["pi23"].upper <= r["pi13"].upper
         assert r["rho23"].upper <= r["rho13"].upper
+
+
+def test_triangulation_reports_pinned():
+    """The (lower, upper, rules) triples that ``affinecover bounds``
+    prints for each parameter of the 91 pinned triangulations."""
+    rows = []
+    for g in pinned_triangulations():
+        r = bound_report(g)
+        rows.append(tuple(
+            (_fmt(r[p].lower), _fmt(r[p].upper),
+             ",".join(sorted({e.rule for e in r[p].provenance if e.fold})) or "-")
+            for p in PARAMETERS
+        ))
+    assert len(rows) == 91
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "d940783a60d178377acee3dfc94aac538bbfac4dddc93d1ca4120e2855f2cd4a"

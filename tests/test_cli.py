@@ -327,7 +327,8 @@ def test_bounds_zero_budget_is_accepted(capsys):
 #: in-house left-right planarity test.  The octahedron (K2,2,2) is a planar
 #: triangulation, whose report asks networkx for faces; K4,6 is non-planar
 #: with exactly 3n - 6 edges.  Both were written before the dual bound
-#: decided planarity in-house.
+#: decided planarity in-house.  The icosahedron is a triangulation inside
+#: the range the dual bound once searched.
 BOUNDS_GOLDEN = {
     "complete_8": ("--family", "complete:8"),
     "complete_9": ("--family", "complete:9"),
@@ -343,6 +344,7 @@ BOUNDS_GOLDEN = {
     "gnp_15": ("--graph6", "NZ_CRk\\@RrzR~t\\OTeG"),
     "gnp_16": ("--graph6", "OveHVtGfMJy}z^^tSYZcv"),
     "gnp_22": ("--graph6", "UCdPJItidh?P|LRsD_^ZOHDD[hyVtod{ctzuun@O"),
+    "icosahedron": ("--graph6", "KhFJ{B`KWqph"),
 }
 
 

@@ -582,7 +582,7 @@ def test_solvers_make_no_networkx_planarity_call(monkeypatch, capsys):
     # only a planar triangulation within the dual budget asks for faces
     for name, args in BOUNDS_GOLDEN.items():
         assert main(["bounds", *args]) == 0
-        assert len(calls) == (name == "balanced_multipartite_3_6"), name
+        assert len(calls) == (name in ("balanced_multipartite_3_6", "icosahedron")), name
         calls.clear()
     capsys.readouterr()
     bound_report(balanced_multipartite(3, 6))
