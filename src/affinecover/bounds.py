@@ -223,7 +223,9 @@ def _rule_complete(g: Graph, **_) -> list:
         return []
     out = [_lower("rho13", n * (n - 1) // 2, "complete-segments")]
     if 3 <= n <= 9:
-        # at n = 9 capping the search keeps the exhaustion over 4-blocks feasible
+        # at n = 9 the cap of 6 lies below Schönheim's bound 7, so no search
+        # over 4-blocks runs and 7 is the lower bound; uncapped, the search
+        # proves 8 in about a second, longer than a whole `bounds` pass
         quad = clique_cover_exact(n, 4, max_value=6 if n == 9 else None)
         out.append(_lower("rho23", quad.lower, "clique-cover-quads", quad.lower_exhaustive))
         tri = clique_cover_exact(n, 3)

@@ -1,5 +1,5 @@
-"""Planarity testing, straight-line grid drawings, dual-graph bounds, and
-the enumeration of small triangulations.
+"""Planarity testing, straight-line grid drawings, the dual-circumference
+bound, and the enumeration of small triangulations.
 
 ``is_planar`` decides planarity without an embedding: edge counts, a
 reduction that keeps planarity, and Kuratowski's theorem on six
@@ -35,10 +35,7 @@ __all__ = [
     "dual_circumference_bound",
     "tree_tracks",
     "triangulations",
-    "DUAL_BUDGET_N",
 ]
-
-DUAL_BUDGET_N = 14
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,6 @@ class DualBoundResult(NamedTuple):
     lower_bound: int
     c_dual: int
     exact: bool
-    cycle: tuple[int, ...]
-    dual_adj: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -474,93 +469,20 @@ def triangulations(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _circumference(adj: list[list[int]]) -> tuple[int, list[int]]:
-    """Exact longest-cycle length in a small graph, with a witness cycle.
-
-    Anchored DFS: cycles are enumerated at their minimum vertex, with an
-    early exit on a Hamiltonian cycle.  The duals searched here are cubic,
-    3-connected and planar with at most ``2 * DUAL_BUDGET_N - 4 < 38``
-    vertices, hence Hamiltonian (Holton & McKay, JCTB 45, 1988), so the
-    search ends inside the first anchor and needs no pruning.
-    """
-    n = len(adj)
-    best = 0
-    best_cycle: list[int] = []
-    onpath = [False] * n
-    path: list[int] = []
-
-    def dfs(u: int, s: int) -> None:
-        nonlocal best, best_cycle
-        if best == n:
-            return
-        for w in adj[u]:
-            if w == s:
-                if len(path) >= 3 and len(path) > best:
-                    best = len(path)
-                    best_cycle = path.copy()
-            elif w > s and not onpath[w]:
-                onpath[w] = True
-                path.append(w)
-                dfs(w, s)
-                path.pop()
-                onpath[w] = False
-
-    for s in range(n):
-        if best == n:
-            break
-        onpath[s] = True
-        path.append(s)
-        dfs(s, s)
-        path.pop()
-        onpath[s] = False
-    return best, best_cycle
-
-
 def dual_circumference_bound(g: Graph) -> DualBoundResult:
-    """Bound from the dual of a triangulation: ``ceil((2n-4)/c(dual))``.
+    """Bound from the dual of a triangulation: ``ceil((2n-4)/c(dual))``,
+    decided by theorem, without building the dual or searching it.
 
     Requires a planar triangulation (``n >= 4``, ``m = 3n-6`` and
-    ``is_planar``).  For ``n`` beyond the search budget the circumference
-    is replaced by its trivial upper bound ``2n-4`` and the result is
-    flagged inexact; within it the faces come from ``planarity_test``.
+    ``is_planar``).  Its dual is a 3-connected cubic planar graph on
+    ``2n-4`` vertices, and every such graph with fewer than 38 vertices
+    is Hamiltonian (Holton & McKay, JCTB 45, 1988).  So for ``n <= 20``
+    the circumference is ``2n-4`` and the bound is exactly 1.  Past that,
+    ``c(dual) <= 2n-4`` gives the same bound 1, flagged inexact.
     """
     if g.n < 4 or g.m != 3 * g.n - 6 or not is_planar({u: set(g.adj[u]) for u in range(g.n)}):
         raise ValueError("graph is not a planar triangulation")
-    num_faces = 2 * g.n - 4
-    if g.n > DUAL_BUDGET_N:
-        return DualBoundResult(
-            lower_bound=1, c_dual=num_faces, exact=False, cycle=(), dual_adj=()
-        )
-    faces = planarity_test(g)
-    if faces is None:
-        raise ValueError("graph is not a planar triangulation")
-    if len(faces) != num_faces or any(len(f) != 3 for f in faces):
-        raise ValueError("embedding faces are not all triangles")
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for idx, face in enumerate(faces):
-        for i in range(3):
-            u, v = face[i], face[(i + 1) % 3]
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(idx)
-    dual_adj: list[list[int]] = [[] for _ in faces]
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise ValueError(f"edge {e} does not lie on exactly two faces")
-        a, b = fs
-        dual_adj[a].append(b)
-        dual_adj[b].append(a)
-    for row in dual_adj:
-        if len(row) != 3 or len(set(row)) != 3:
-            raise ValueError("dual graph is not simple cubic")
-        row.sort()
-    c, cycle = _circumference(dual_adj)
-    lower = -(-num_faces // c)
-    return DualBoundResult(
-        lower_bound=lower,
-        c_dual=c,
-        exact=True,
-        cycle=tuple(cycle),
-        dual_adj=tuple(tuple(r) for r in dual_adj),
-    )
+    return DualBoundResult(lower_bound=1, c_dual=2 * g.n - 4, exact=g.n <= 20)
 
 
 # ---------------------------------------------------------------------------

@@ -261,12 +261,13 @@ def _min_partition(
     return []
 
 
-def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback, rows=None) -> PartitionResult:
+def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback, colour=False) -> PartitionResult:
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
-    ``rows``, given for colour classes only, turns on the forward check
-    of ``_fit_classes``.
 
+    Within the budget the rows of ``_bit_rows(g)`` are built once:
+    ``fits(rows)`` gives the kind's class test, and ``colour``, set for
+    colour classes only, turns on the forward check of ``_fit_classes``.
     The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
     number of ``g`` and h the most vertices of a clique that one class
     of ``kind`` holds (``_CLASS_TESTS``): every class meets a largest
@@ -275,8 +276,9 @@ def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback, rows=None) 
     budget = DEFAULT_BUDGETS[kind] if budget_n is None else budget_n
     exact = g.n <= budget
     if exact:
-        start = -(-_clique_number(_bit_rows(g)) // _CLASS_TESTS[kind][2])
-        masks = _min_partition(g.n, fits, whole(), start, rows)
+        rows = _bit_rows(g)
+        start = -(-_clique_number(rows) // _CLASS_TESTS[kind][2])
+        masks = _min_partition(g.n, fits(rows), whole(), start, rows if colour else None)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
         classes = fallback()
@@ -309,10 +311,9 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     ``_fit_classes``' forward check.  Over budget, falls back to
     first-fit greedy colouring (upper bound, flagged inexact).
     """
-    rows = _bit_rows(g)
     return _partition(
-        g, "chromatic", budget_n, lambda cls, v: not (rows[v] & cls),
-        lambda: g.m == 0, lambda: _greedy_coloring(g), rows,
+        g, "chromatic", budget_n, lambda rows: lambda cls, v: not (rows[v] & cls),
+        lambda: g.m == 0, lambda: _greedy_coloring(g), colour=True,
     )
 
 
@@ -364,7 +365,7 @@ def lva_exact(
     when the caller holds it already, so it is not searched for twice.
     """
     return _partition(
-        g, "lva", budget_n, _lva_feasible(_bit_rows(g)),
+        g, "lva", budget_n, _lva_feasible,
         lambda: is_linear_forest(g, range(g.n)),
         lambda: (_colouring or chromatic_number(g, budget_n)).partition.classes,
     )
@@ -422,11 +423,10 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
     """
-    rows = _bit_rows(g)
     tested: dict = {}
     return _partition(
         g, "vertex_thickness", budget_n,
-        lambda cls, v: _stays_planar(g, rows, cls, v, tested),
+        lambda rows: lambda cls, v: _stays_planar(g, rows, cls, v, tested),
         lambda: _planar_class(g, (1 << g.n) - 1, tested),
         lambda: [range(i, min(i + 4, g.n)) for i in range(0, g.n, 4)],
     )

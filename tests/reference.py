@@ -14,7 +14,7 @@ import networkx as nx
 
 from affinecover.drawing import greedy_set_cover
 from affinecover.graphs import Graph
-from affinecover.planar import _stacked_triangulation, triangulations
+from affinecover.planar import _stacked_triangulation, planarity_test, triangulations
 
 
 def to_networkx(g):
@@ -38,6 +38,58 @@ def pinned_triangulations():
     graphs += [_stacked_triangulation(n) for n in range(10, 27)]
     graphs.append(from_networkx(nx.icosahedral_graph()))
     return graphs
+
+
+def dual_circumference_oracle(g):
+    """The circumference of the dual of the triangulation ``g``, with a
+    longest cycle and the dual's neighbour lists: ``(c, cycle, dual)``.
+
+    The dual has a vertex per face of ``planarity_test(g)`` and an edge
+    per pair of faces sharing an edge of ``g``.  Cycles are enumerated at
+    their least vertex by a depth-first search that stops at the first
+    Hamiltonian cycle, so it ends fast on a Hamiltonian dual.
+    """
+    faces = planarity_test(g)
+    edge_faces = {}
+    for idx, face in enumerate(faces):
+        for i in range(len(face)):
+            u, v = face[i], face[(i + 1) % len(face)]
+            edge_faces.setdefault((min(u, v), max(u, v)), []).append(idx)
+    dual = [[] for _ in faces]
+    for a, b in edge_faces.values():
+        dual[a].append(b)
+        dual[b].append(a)
+    for row in dual:
+        row.sort()
+    n = len(dual)
+    best = []
+    onpath = [False] * n
+    path = []
+
+    def dfs(u, s):
+        nonlocal best
+        for w in dual[u]:
+            if len(best) == n:
+                return
+            if w == s:
+                if len(path) >= 3 and len(path) > len(best):
+                    best = path.copy()
+            elif w > s and not onpath[w]:
+                onpath[w] = True
+                path.append(w)
+                dfs(w, s)
+                path.pop()
+                onpath[w] = False
+
+    for s in range(n):
+        if len(best) == n:
+            break
+        onpath[s] = True
+        path.append(s)
+        dfs(s, s)
+        path.pop()
+        onpath[s] = False
+    return len(best), tuple(best), dual
 
 
 def classify_oracle(a, b, c, d):

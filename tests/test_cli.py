@@ -324,11 +324,10 @@ def test_bounds_zero_budget_is_accepted(capsys):
 #: ``affinecover bounds`` stdout written by the search before the
 #: planarity and treewidth fast paths; G(n, 0.5) samples for n = 14..16.
 #: K4,4,4,4 is the largest vertex-thickness search, written before the
-#: in-house left-right planarity test.  The octahedron (K2,2,2) is a planar
-#: triangulation, whose report asks networkx for faces; K4,6 is non-planar
-#: with exactly 3n - 6 edges.  Both were written before the dual bound
-#: decided planarity in-house.  The icosahedron is a triangulation inside
-#: the range the dual bound once searched.
+#: in-house left-right planarity test.  The octahedron (K2,2,2) and the
+#: icosahedron are planar triangulations, whose dual bound searched the
+#: dual of a networkx embedding when their goldens were written; K4,6 is
+#: non-planar with exactly 3n - 6 edges.  No report here calls networkx.
 BOUNDS_GOLDEN = {
     "complete_8": ("--family", "complete:8"),
     "complete_9": ("--family", "complete:9"),

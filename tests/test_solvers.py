@@ -39,7 +39,6 @@ from affinecover.graphs import (
 )
 from affinecover.cli import main
 from affinecover.planar import (
-    DUAL_BUDGET_N,
     _count_verdict,
     _left_right_planar,
     _reduce,
@@ -74,6 +73,7 @@ from reference import (
     from_networkx,
     greedy_elimination_oracle,
     minor_min_width_oracle,
+    pinned_triangulations,
     to_networkx,
 )
 from test_cli import BOUNDS_GOLDEN
@@ -567,26 +567,44 @@ def test_solvers_make_no_networkx_planarity_call(monkeypatch, capsys):
         calls.append(h)
         return check_planarity(h, *args, **kwargs)
 
-    stacked = _stacked_triangulation(20)  # asks planarity_test for faces, so built first
-    assert stacked.n > DUAL_BUDGET_N and stacked.m == 3 * stacked.n - 6
+    triangulated = pinned_triangulations()  # built with planarity_test, so first
     monkeypatch.setattr(nx, "check_planarity", counting)
     g = balanced_multipartite(4, 16)
     assert vertex_thickness_exact(g).value == 3
     pi23 = bound_report(g)["pi23"]
     assert pi23.lower == pi23.upper == 3
     assert calls == []
-    # K4,6 is non-planar with 3n - 6 edges; the dual bound decides that in-house
-    for h in (complete_bipartite(4, 6), stacked):
+    # K4,6 is non-planar with 3n - 6 edges; the octahedron K2,2,2 and the
+    # pinned triangulations are planar triangulations, whose dual bound
+    # needs no embedding either
+    for h in (complete_bipartite(4, 6), balanced_multipartite(3, 6), *triangulated):
         bound_report(h)
-        assert calls == []
-    # only a planar triangulation within the dual budget asks for faces
+    assert calls == []
     for name, args in BOUNDS_GOLDEN.items():
         assert main(["bounds", *args]) == 0
-        assert len(calls) == (name in ("balanced_multipartite_3_6", "icosahedron")), name
-        calls.clear()
+        assert calls == [], name
     capsys.readouterr()
-    bound_report(balanced_multipartite(3, 6))
-    assert len(calls) == 1
+
+
+def test_partition_solvers_build_bit_rows_once_within_budget(monkeypatch):
+    """Each partition solver builds the rows of ``_bit_rows`` once
+    within its budget, shared by the clique floor and the class test,
+    and not at all over it."""
+    built = []
+    bit_rows = solvers._bit_rows
+
+    def counting(g):
+        built.append(g.n)
+        return bit_rows(g)
+
+    monkeypatch.setattr(solvers, "_bit_rows", counting)
+    g = gnp("rows", 12, 0.4)
+    for solve in (chromatic_number, lva_exact, vertex_thickness_exact):
+        assert solve(g).exact
+        assert built == [12], solve.__name__
+        built.clear()
+        assert not solve(g, budget_n=11).exact
+        assert built == [], solve.__name__
 
 
 @pytest.mark.parametrize(
