@@ -213,22 +213,10 @@ def test_dual_rejects_non_triangulations():
 
 def test_dual_budget_exceeded_flagged():
     # past 20 vertices the dual may have 38 or more vertices, where a
-    # cubic 3-connected planar graph need not be Hamiltonian
-    g = complete_graph(4)
-    edges = set(g.edges)
-    n = 4
-    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    while n < 21:
-        a, b, c = faces.pop()
-        edges |= {(a, n), (b, n), (c, n)}
-        faces += [(a, b, n), (a, c, n), (b, c, n)]
-        n += 1
-    big = Graph(n, edges)
-    assert big.m == 3 * n - 6
-    res = dual_circumference_bound(big)
-    assert not res.exact
-    assert res.c_dual == 2 * n - 4  # weakest valid value
-    assert res.lower_bound == 1
+    # cubic 3-connected planar graph need not be Hamiltonian, so c_dual
+    # is only its upper bound 2n - 4
+    res = dual_circumference_bound(_stacked_triangulation(21))
+    assert res == (1, 38, False)
 
 
 def test_dual_bound_matches_circumference_oracle():
