@@ -7,6 +7,7 @@ drawings are certified by the exact verifier.
 
 from __future__ import annotations
 
+import hashlib
 
 import networkx as nx
 import pytest
@@ -202,6 +203,13 @@ def test_dual_circumference_icosahedron():
     assert res == (1, 20, True)
 
 
+def test_dual_circumference_cycle_certificate():
+    c, cyc, dual = dual_circumference_oracle(complete_graph(4))
+    assert c == len(cyc) == 4 and len(set(cyc)) == 4
+    for i, u in enumerate(cyc):
+        assert cyc[(i + 1) % len(cyc)] in dual[u]
+
+
 def test_dual_rejects_non_triangulations():
     with pytest.raises(ValueError):
         dual_circumference_bound(cycle_graph(6))
@@ -236,6 +244,26 @@ def test_dual_bound_matches_circumference_oracle():
             assert cycle[(i + 1) % c] in dual[u]
         res = dual_circumference_bound(g)
         assert res == (-(-(2 * g.n - 4) // c), c, True)
+
+
+def test_dual_search_pinned_on_small_triangulations():
+    """Every triangulation with 4..9 vertices and the stacked ones with
+    10..14: the oracle's search returns a Hamiltonian cycle of the dual,
+    and the (length, cycle) pairs are the ones the search returned when
+    it ran inside ``dual_circumference_bound``."""
+    graphs = [g for n in range(4, 10) for g in triangulations(n)]
+    graphs += [_stacked_triangulation(n) for n in range(10, 15)]
+    assert len(graphs) == 78
+    rows = []
+    for g in graphs:
+        c, cyc, dual = dual_circumference_oracle(g)
+        assert c == 2 * g.n - 4
+        assert sorted(cyc) == list(range(c))
+        for i, u in enumerate(cyc):
+            assert cyc[(i + 1) % len(cyc)] in dual[u]
+        rows.append((c, cyc))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "3a3c7a33297ef29d143c5431c5b471b172c33fae36634d9616121e8eb1635fa8"
 
 
 # ---------------------------------------------------------------------------
