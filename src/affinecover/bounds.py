@@ -39,6 +39,7 @@ from .solvers import (
     chromatic_number,
     clique_cover_exact,
     lva_exact,
+    schonheim_bound,
     steiner_bounds,
     treewidth_exact,
     vertex_thickness_exact,
@@ -223,11 +224,10 @@ def _rule_complete(g: Graph, **_) -> list:
         return []
     out = [_lower("rho13", n * (n - 1) // 2, "complete-segments")]
     if 3 <= n <= 9:
-        # at n = 9 the cap of 6 lies below Schönheim's bound 7, so no search
-        # over 4-blocks runs and 7 is the lower bound; uncapped, the search
-        # proves 8 in about a second, longer than a whole `bounds` pass
-        quad = clique_cover_exact(n, 4, max_value=6 if n == 9 else None)
-        out.append(_lower("rho23", quad.lower, "clique-cover-quads", quad.lower_exhaustive))
+        # at n = 9 the search proves 8 in about a second, longer than a
+        # whole `bounds` pass, so the rule states Schönheim's bound 7
+        quad = clique_cover_exact(n, 4).lower if n <= 8 else schonheim_bound(9, 4)
+        out.append(_lower("rho23", quad, "clique-cover-quads"))
         tri = clique_cover_exact(n, 3)
         out.append(_upper("rho23", tri.upper, "clique-cover-triangles", tri.exact))
     elif n >= 10:

@@ -366,9 +366,7 @@ def greedy_set_cover(masks: Sequence[int], full: int) -> list:
 SET_COVER_NODE_CAP = 2_000_000
 
 
-def exact_set_cover(
-    masks: Sequence[int], full: int, max_size: int | None = None, min_size: int = 0
-) -> tuple:
+def exact_set_cover(masks: Sequence[int], full: int, min_size: int = 0) -> tuple:
     """Minimum cover of the bitmask universe ``full`` by ``masks``.
 
     A set is dropped first when its mask is a subset of another mask or
@@ -383,11 +381,9 @@ def exact_set_cover(
 
     ``min_size`` must be a proven lower bound on every cover's size: the
     sizes below it have no cover, so skipping them leaves the cover
-    found unchanged.  A ``min_size`` beyond the sizes to try counts as
-    one more than the largest of them, the most a search over those
-    sizes can prove.
+    found unchanged.
 
-    Sizes stop below the greedy cover's size, above ``max_size`` and at
+    Sizes stop below the greedy cover's size and at
     ``SET_COVER_NODE_CAP`` nodes.  Returns ``(chosen, exact, lower)``:
     ``lower`` is a proven lower bound on every cover's size, ``exact``
     is ``lower == len(chosen)``, and ``chosen`` is the greedy cover
@@ -412,7 +408,6 @@ def exact_set_cover(
     kept = set(keep)
     holders = [[i for i in h if i in kept] for h in holders]
     largest = max((masks[i].bit_count() for i in keep), default=1)
-    top = len(best) - 1 if max_size is None else min(len(best) - 1, max_size)
     chosen: list = []
     nodes = 0
 
@@ -436,8 +431,8 @@ def exact_set_cover(
             chosen.pop()
         return False
 
-    lower = max(-(-full.bit_count() // largest), min(min_size, top + 1))
-    for k in range(lower, top + 1):
+    lower = max(-(-full.bit_count() // largest), min_size)
+    for k in range(lower, len(best)):
         if dfs(full, k):
             return chosen, True, k
         if nodes > SET_COVER_NODE_CAP:

@@ -254,13 +254,23 @@ _FAMILIES = {
 
 FAMILY_KINDS = tuple(_FAMILIES)
 
-#: The largest family instance ``build_family`` builds, in vertices and
-#: in edges: far above every size the tests, the README and the
-#: benchmark use (complete_binary_tree:10 has 2,047 vertices), and far
-#: below one that would take a sizeable share of memory (each edge
-#: costs some 80 bytes, so complete:800 takes 49 MiB).
+#: The largest graph ``build_family`` builds or ``parse_graph`` reads,
+#: in vertices and in edges: far above every size the tests, the README
+#: and the benchmark use (complete_binary_tree:10 has 2,047 vertices),
+#: and far below one that would take a sizeable share of memory (each
+#: edge costs some 80 bytes, so complete:800 takes 49 MiB).
 FAMILY_MAX_N = 10_000
 FAMILY_MAX_M = 100_000
+
+
+def _check_size(what: str, n: int, m: int) -> None:
+    """Refuse a graph over ``FAMILY_MAX_N`` vertices or ``FAMILY_MAX_M``
+    edges, before it is built."""
+    if n > FAMILY_MAX_N or m > FAMILY_MAX_M:
+        raise ValueError(
+            f"{what} is too large: "
+            f"the limit is {FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges"
+        )
 
 
 def build_family(spec: FamilySpec) -> Graph:
@@ -277,11 +287,7 @@ def build_family(spec: FamilySpec) -> Graph:
         n, m = size(*(max(p, 0) for p in params))
     except TypeError as exc:
         raise ValueError(f"bad parameter count for family {kind!r}: {params}") from exc
-    if n > FAMILY_MAX_N or m > FAMILY_MAX_M:
-        raise ValueError(
-            f"family {kind}:{','.join(map(str, params))} is too large: "
-            f"the limit is {FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges"
-        )
+    _check_size(f"family {kind}:{','.join(map(str, params))}", n, m)
     return build(*params)
 
 
@@ -474,7 +480,8 @@ def _from_graph6(data: bytes) -> Graph:
     n = 0
     for x in digits:
         n = n << 6 | x
-    # the length check comes first: a hostile n allocates nothing
+    # the size checks come first: a hostile n allocates nothing
+    _check_size(f"graph6 for n={n}", n, 0)
     pairs = n * (n - 1) // 2
     if len(body) != -(-pairs // 6):
         raise ValueError(f"graph6 for n={n} needs {-(-pairs // 6)} data bytes, got {len(body)}")
@@ -519,7 +526,8 @@ def _parse_edge_list(text: bytes) -> Graph:
         seen.add(key)
         edges.append(key)
         max_v = max(max_v, u, v)
-    return Graph(max_v + 1 if max_v >= 0 else 0, edges)
+    _check_size(f"edge list of n = {max_v + 1}, m = {len(edges)}", max_v + 1, len(edges))
+    return Graph(max_v + 1, edges)
 
 
 def parse_graph(text: bytes, format: str) -> Graph:

@@ -21,7 +21,6 @@ from .planar import is_planar, planarity_test, triangulations
 
 __all__ = [
     "Partition",
-    "CliqueCover",
     "PartitionResult",
     "TreewidthResult",
     "BisectionResult",
@@ -34,6 +33,7 @@ __all__ = [
     "treewidth_exact",
     "bisection_width_exact",
     "clique_cover_exact",
+    "schonheim_bound",
     "steiner_bounds",
     "DEFAULT_BUDGETS",
     "CLIQUE_COVER_MAX_N",
@@ -59,15 +59,6 @@ class Partition:
     def __post_init__(self):
         if self.certifies not in _CLASS_TESTS:
             raise ValueError(f"unknown partition kind {self.certifies!r}")
-
-
-@dataclass(frozen=True)
-class CliqueCover:
-    """Blocks of at most ``s`` vertices covering all edges of K_n."""
-
-    n: int
-    s: int
-    blocks: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -100,11 +91,12 @@ class BisectionResult:
 
 @dataclass(frozen=True)
 class CliqueCoverResult:
+    """Bounds on the fewest blocks covering K_n; ``blocks`` has ``upper``."""
+
     lower: int
     upper: int
-    cover: CliqueCover
+    blocks: tuple[tuple, ...]
     exact: bool
-    lower_exhaustive: bool
 
     @property
     def value(self) -> int:
@@ -113,7 +105,7 @@ class CliqueCoverResult:
         return self.lower
 
 
-#: Each partition kind's whole-class test, the error it raises and the
+#: Each partition kind's class test, the error it raises and the
 #: most vertices of one clique a class can hold: one in an independent
 #: set, two in a linear forest (three make a triangle), four in a planar
 #: graph (K5 is not planar).  A kind names its vertex budget in
@@ -235,33 +227,27 @@ def _fit_classes(
 
 
 def _min_partition(
-    n: int, fits: Callable[[int, int], bool], whole: bool, start: int, rows: list | None
+    n: int, fits: Callable[[int, int], bool], start: int, rows: list | None
 ) -> list:
     """The fewest classes, each kept feasible as vertices 0..n-1 join it
     in index order; returns the lexicographically least witness as
     vertex bitmasks.
 
     ``fits(cls, v)`` decides whether vertex ``v`` may join the class
-    with bitmask ``cls``, and ``whole`` whether all n vertices form one
-    class.  Every class property here is hereditary, so ``whole``
-    decides k = 1 as the n incremental tests would.  Class counts are
-    tried upward from ``start``, which must be at most the optimum: the
-    counts below it are infeasible, so skipping them leaves the first
-    feasible count and its witness unchanged.  ``rows`` switches on
-    ``_fit_classes``' forward check for colour classes.
+    with bitmask ``cls``.  Class counts are tried upward from ``start``
+    (one at least), which must be at most the optimum: the counts below
+    it are infeasible, so skipping them leaves the first feasible count
+    and its witness unchanged.  ``rows`` switches on ``_fit_classes``'
+    forward check for colour classes.
     """
-    if n == 0:
-        return []
-    if whole:
-        return [(1 << n) - 1]
-    for k in range(max(start, 2), n + 1):
+    for k in range(max(start, 1), n + 1):
         classes = _fit_classes(n, fits, k, rows)
         if classes is not None:
             return classes
     return []
 
 
-def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback, colour=False) -> PartitionResult:
+def _partition(g: Graph, kind: str, budget_n, fits, fallback, colour=False) -> PartitionResult:
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
 
@@ -278,7 +264,7 @@ def _partition(g: Graph, kind: str, budget_n, fits, whole, fallback, colour=Fals
     if exact:
         rows = _bit_rows(g)
         start = -(-_clique_number(rows) // _CLASS_TESTS[kind][2])
-        masks = _min_partition(g.n, fits(rows), whole(), start, rows if colour else None)
+        masks = _min_partition(g.n, fits(rows), start, rows if colour else None)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
         classes = fallback()
@@ -313,7 +299,7 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """
     return _partition(
         g, "chromatic", budget_n, lambda rows: lambda cls, v: not (rows[v] & cls),
-        lambda: g.m == 0, lambda: _greedy_coloring(g), colour=True,
+        lambda: _greedy_coloring(g), colour=True,
     )
 
 
@@ -366,7 +352,6 @@ def lva_exact(
     """
     return _partition(
         g, "lva", budget_n, _lva_feasible,
-        lambda: is_linear_forest(g, range(g.n)),
         lambda: (_colouring or chromatic_number(g, budget_n)).partition.classes,
     )
 
@@ -392,20 +377,18 @@ def lva_sweep(max_n: int = 8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _planar_class(g: Graph, verts: int, tested: dict) -> bool:
-    """Whether the vertices in bitmask ``verts`` induce a planar subgraph
-    of ``g``; ``tested`` keeps ``is_planar`` answers by bitmask."""
+def _stays_planar(g: Graph, rows: list, member: int, v: int, tested: dict) -> bool:
+    """Whether the planar class with bitmask ``member`` plus ``v``
+    induces a planar subgraph of ``g`` (``rows`` from ``_bit_rows``);
+    ``tested`` keeps ``is_planar`` answers by bitmask."""
+    if (rows[v] & member).bit_count() <= 1:
+        return True
+    verts = member | 1 << v
     verdict = tested.get(verts)
     if verdict is None:
         members = {u for u in range(g.n) if verts >> u & 1}
         verdict = tested[verts] = is_planar({u: members & g.adj[u] for u in members})
     return verdict
-
-
-def _stays_planar(g: Graph, rows: list, member: int, v: int, tested: dict) -> bool:
-    """Whether the planar class with bitmask ``member`` plus ``v``
-    induces a planar subgraph of ``g`` (``rows`` from ``_bit_rows``)."""
-    return (rows[v] & member).bit_count() <= 1 or _planar_class(g, member | 1 << v, tested)
 
 
 def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionResult:
@@ -427,7 +410,6 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     return _partition(
         g, "vertex_thickness", budget_n,
         lambda rows: lambda cls, v: _stays_planar(g, rows, cls, v, tested),
-        lambda: _planar_class(g, (1 << g.n) - 1, tested),
         lambda: [range(i, min(i + 4, g.n)) for i in range(0, g.n, 4)],
     )
 
@@ -669,7 +651,7 @@ def steiner_bounds(n: int, k: int) -> tuple[int, bool]:
     return lower, exists
 
 
-def _schonheim_bound(n: int, s: int) -> int:
+def schonheim_bound(n: int, s: int) -> int:
     """Schönheim's lower bound ⌈(n/s)·⌈(n-1)/(s-1)⌉⌉ (Pacific J. Math.
     14, 1964) on the blocks of at most s vertices that cover the edges
     of K_n, for n >= 2 and s >= 2.
@@ -682,36 +664,28 @@ def _schonheim_bound(n: int, s: int) -> int:
     return -(-n * -(-(n - 1) // (s - 1)) // s)
 
 
-def clique_cover_exact(n: int, s: int, *, max_value: int | None = None) -> CliqueCoverResult:
+def clique_cover_exact(n: int, s: int) -> CliqueCoverResult:
     """Minimum number of ≤ s-vertex blocks covering every edge of K_n.
 
     The first block is fixed to {0,...,s-1}, justified by the
     transitivity of the symmetric group on equal-size vertex subsets;
     :func:`~affinecover.drawing.exact_set_cover` covers the remaining
-    pairs with at most ``max_value - 1`` more blocks, so a search that
-    exhausts that size proves the lower bound ``max_value + 1``.  Its
-    deepening starts at :func:`_schonheim_bound` less the fixed block,
-    which no cover of the rest can beat.
-    ``lower_exhaustive`` is true when the search reached the value
-    within ``max_value`` or proved, by search or by Schönheim's bound,
-    more than the counting bound.
+    pairs.  Its deepening starts at :func:`schonheim_bound` less the
+    fixed block, which no cover of the rest can beat.
     """
     if s not in CLIQUE_COVER_MAX_N:
         raise ValueError("block order must be 3 or 4")
     if n > CLIQUE_COVER_MAX_N[s]:
         raise ValueError(f"n={n} beyond search budget for block order {s}")
     if n < 2:
-        return CliqueCoverResult(0, 0, CliqueCover(n, s, ()), True, True)
+        return CliqueCoverResult(0, 0, (), True)
     if n <= s:
-        return CliqueCoverResult(1, 1, CliqueCover(n, s, (tuple(range(n)),)), True, True)
+        return CliqueCoverResult(1, 1, (tuple(range(n)),), True)
     pair_index = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     blocks = list(itertools.combinations(range(n), s))
     masks = [sum(1 << pair_index[p] for p in itertools.combinations(b, 2)) for b in blocks]
     full = (1 << len(pair_index)) - 1
-    rest = None if max_value is None else max_value - 1
-    floor = _schonheim_bound(n, s) - 1
-    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], rest, floor)
-    lower, upper = lower + 1, len(chosen) + 1
-    cover = CliqueCover(n, s, tuple(blocks[i] for i in [0, *chosen]))
-    reached = exact and (max_value is None or upper <= max_value)
-    return CliqueCoverResult(lower, upper, cover, exact, reached or lower > steiner_bounds(n, s)[0])
+    floor = schonheim_bound(n, s) - 1
+    chosen, exact, lower = exact_set_cover(masks, full & ~masks[0], floor)
+    cover = tuple(blocks[i] for i in [0, *chosen])
+    return CliqueCoverResult(lower + 1, len(chosen) + 1, cover, exact)

@@ -277,21 +277,21 @@ def set_cover_oracle(masks, full, node_cap=2_000_000):
     return best, not capped
 
 
-def clique_cover_oracle(n, s, max_value=None, node_cap=5_000_000):
+def clique_cover_oracle(n, s, node_cap=5_000_000):
     """Fewest ≤ s-vertex blocks covering the edges of K_n, by the
     private search ``solvers.clique_cover_exact`` ran before it called
     ``exact_set_cover``: block counts k upward from the counting bound
-    up to the greedy count (or ``max_value``), each a depth-first search
-    with block {0, ..., s-1} fixed and ``node_cap`` nodes per count.
+    up to the greedy count, each a depth-first search with block
+    {0, ..., s-1} fixed and ``node_cap`` nodes per count.
 
-    Returns (lower, upper, exact, lower_exhaustive, blocks) with the
-    meaning of ``CliqueCoverResult``.
+    Returns (lower, upper, exact, blocks) with the meaning of
+    ``CliqueCoverResult``.
     """
     pairs = list(itertools.combinations(range(n), 2))
     if n < 2:
-        return 0, 0, True, True, ()
+        return 0, 0, True, ()
     if n <= s:
-        return 1, 1, True, True, (tuple(range(n)),)
+        return 1, 1, True, (tuple(range(n)),)
     pair_index = {p: i for i, p in enumerate(pairs)}
     full = (1 << len(pairs)) - 1
     blocks = list(itertools.combinations(range(n), s))
@@ -300,7 +300,6 @@ def clique_cover_oracle(n, s, max_value=None, node_cap=5_000_000):
     greedy = greedy_set_cover(masks, full)
     per_block = s * (s - 1) // 2
     lb0 = -(-len(pairs) // per_block)
-    hi = len(greedy) if max_value is None else max_value
     chosen, nodes = [], 0
 
     class CapHit(Exception):
@@ -330,13 +329,13 @@ def clique_cover_oracle(n, s, max_value=None, node_cap=5_000_000):
         return False
 
     lower = lb0
-    for k in range(lb0, hi + 1):
+    for k in range(lb0, len(greedy) + 1):
         chosen.clear()
         nodes = 0
         try:
             if dfs(0, k):
-                return k, k, True, True, tuple(blocks[i] for i in chosen)
+                return k, k, True, tuple(blocks[i] for i in chosen)
         except CapHit:
-            return lower, len(greedy), False, lower > lb0, tuple(blocks[i] for i in greedy)
+            return lower, len(greedy), False, tuple(blocks[i] for i in greedy)
         lower = k + 1
-    return lower, len(greedy), lower == len(greedy), lower > lb0, tuple(blocks[i] for i in greedy)
+    return lower, len(greedy), lower == len(greedy), tuple(blocks[i] for i in greedy)

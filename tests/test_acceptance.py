@@ -258,9 +258,9 @@ def test_criterion_02_complete_graph_clique_covers():
     ok = ok and r.value == 7 and r.exact
 
     t0 = time.time()
-    r = clique_cover_exact(9, 4, max_value=6)
-    runs.append(("c(9,4)>=", r.lower, time.time() - t0))
-    ok = ok and r.lower >= 7 and r.lower_exhaustive
+    r = clique_cover_exact(9, 4)
+    runs.append(("c(9,4)", r.value, time.time() - t0))
+    ok = ok and r.value == 8 and r.exact
 
     ok = ok and all(dt < 120.0 for _, _, dt in runs)
     detail = ", ".join(f"{name}{val} [{dt:.1f}s]" for name, val, dt in runs)

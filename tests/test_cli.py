@@ -300,6 +300,22 @@ def test_bounds_oversized_family_builds_nothing(monkeypatch, capsys):
     )
 
 
+def test_bounds_large_edge_ids_build_nothing(tmp_path, monkeypatch, capsys):
+    """An 8-byte edge list naming vertex 30000 asks for 30,001 vertices;
+    it is refused before any graph is built."""
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"0 30000\n")
+    built = []
+    monkeypatch.setattr(Graph, "__init__", lambda self, *a, **k: built.append(a))
+    assert main(["bounds", "--edges", str(edges)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (
+        f"error: bad edge list {str(edges)!r}: edge list of n = 30001, m = 1 is too large: "
+        f"the limit is {FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges\n"
+    )
+
+
 def test_bounds_negative_budget_flag(capsys):
     assert main(["bounds", "--family", "complete:6", "--budget-n", "-3"]) == 2
     captured = capsys.readouterr()
@@ -361,10 +377,10 @@ def test_bounds_searches_one_colouring_per_report(monkeypatch, capsys):
     colourings = []
     min_partition = solvers._min_partition
 
-    def spy(n, fits, whole, start, rows):
+    def spy(n, fits, start, rows):
         if rows is not None:
             colourings.append(n)
-        return min_partition(n, fits, whole, start, rows)
+        return min_partition(n, fits, start, rows)
 
     monkeypatch.setattr(solvers, "_min_partition", spy)
     assert main(["bounds", *BOUNDS_GOLDEN["gnp_22"]]) == 0

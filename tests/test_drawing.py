@@ -785,13 +785,6 @@ def brute_force_cover(masks, full):
     return brute_min_cover(bits(full), [bits(mk & full) for mk in masks])
 
 
-def covers(masks, full, chosen):
-    union = 0
-    for i in chosen:
-        union |= masks[i]
-    return union & full == full
-
-
 @st.composite
 def set_systems(draw):
     """At most 14 sets over at most 16 elements, some repeated, with a
@@ -815,19 +808,6 @@ def test_exact_set_cover_matches_oracle(system):
     chosen, exact, lower = exact_set_cover(masks, full)
     assert (chosen, exact) == set_cover_oracle(masks, full)
     assert exact and lower == len(chosen) == brute_force_cover(masks, full)
-
-
-@given(set_systems(), st.integers(-1, 8))
-@settings(max_examples=300, deadline=None)
-def test_exact_set_cover_max_size_proves_its_lower_bound(system, max_size):
-    masks, full = system
-    chosen, exact, lower = exact_set_cover(masks, full, max_size)
-    best = brute_force_cover(masks, full)
-    assert covers(masks, full, chosen) and exact == (lower == len(chosen))
-    # a lower bound above max_size means no cover of size <= max_size
-    assert lower <= best <= len(chosen)
-    if best <= max_size:
-        assert exact and (chosen, exact) == set_cover_oracle(masks, full)
 
 
 def seeded_set_systems(seed, count):

@@ -453,6 +453,18 @@ def test_parse_edge_list_errors():
         parse_graph(b"not-a-graph6\xff", "graph6")
 
 
+def test_parsed_graph_over_the_limit_is_refused():
+    """The largest id decides the vertex count, so one line can ask for
+    any number of vertices; past ``FAMILY_MAX_N`` nothing is built."""
+    assert parse_graph(f"0 {FAMILY_MAX_N - 1}\n".encode(), "edge_list").n == FAMILY_MAX_N
+    with pytest.raises(ValueError, match="is too large: the limit is"):
+        parse_graph(f"0 {FAMILY_MAX_N}\n".encode(), "edge_list")
+    n = FAMILY_MAX_N + 1
+    head = bytes(63 + x for x in (63, n >> 12 & 63, n >> 6 & 63, n & 63))
+    with pytest.raises(ValueError, match="is too large: the limit is"):
+        parse_graph(head, "graph6")
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 255, 300])
 def test_graph6_codec_matches_networkx(n):
     rng = random.Random(n)

@@ -56,12 +56,12 @@ from affinecover.solvers import (
     _fit_classes,
     _minor_min_width,
     _greedy_elimination_width,
-    _schonheim_bound,
     _stays_planar,
     bisection_width_exact,
     chromatic_number,
     clique_cover_exact,
     lva_exact,
+    schonheim_bound,
     steiner_bounds,
     treewidth_exact,
     validate_partition,
@@ -333,10 +333,9 @@ def test_clique_number_matches_networkx(g):
     "g", [balanced_multipartite(4, 16), complete_graph(14)], ids=["K4,4,4,4", "K14"]
 )
 def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
-    """Each exact partition search tries ⌈ω / h⌉ classes first (two at
-    least, since one is the whole-graph test), h = 1, 2, 4 for colour
-    classes, linear forests and planar classes, and every count from
-    there up to its value."""
+    """Each exact partition search tries ⌈ω / h⌉ classes first, h = 1,
+    2, 4 for colour classes, linear forests and planar classes, and
+    every count from there up to its value."""
     omega = max(map(len, nx.find_cliques(to_networkx(g))))
     tried = []
     fit_classes = solvers._fit_classes
@@ -350,7 +349,7 @@ def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
         tried.clear()
         res = search(g)
         assert res.exact
-        assert tried == list(range(max(-(-omega // per_class), 2), res.value + 1))
+        assert tried == list(range(-(-omega // per_class), res.value + 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -965,10 +964,10 @@ def test_bisection_budget_flag():
 # ---------------------------------------------------------------------------
 
 
-def check_cover(n, s, cover):
-    assert all(len(b) <= s for b in cover.blocks)
+def check_cover(n, s, blocks):
+    assert all(len(b) <= s for b in blocks)
     covered = set()
-    for b in cover.blocks:
+    for b in blocks:
         covered |= set(itertools.combinations(sorted(b), 2))
     assert covered == set(itertools.combinations(range(n), 2))
 
@@ -976,31 +975,25 @@ def check_cover(n, s, cover):
 def test_clique_cover_k5_k4():
     res = clique_cover_exact(5, 4)
     assert res.exact and res.lower == res.upper == 3
-    check_cover(5, 4, res.cover)
+    check_cover(5, 4, res.blocks)
 
 
 def test_clique_cover_k6_k4():
     res = clique_cover_exact(6, 4)
     assert res.exact and res.lower == res.upper == 3
-    check_cover(6, 4, res.cover)
+    check_cover(6, 4, res.blocks)
 
 
 def test_clique_cover_k7_k3():
     res = clique_cover_exact(7, 3)
     assert res.exact and res.lower == res.upper == 7
-    check_cover(7, 3, res.cover)
+    check_cover(7, 3, res.blocks)
 
 
 def test_clique_cover_k9_k3_steiner():
     res = clique_cover_exact(9, 3)
     assert res.exact and res.value == 12  # resolvable triple system exists
-    check_cover(9, 3, res.cover)
-
-
-def test_clique_cover_k9_k4_exhausts_six():
-    res = clique_cover_exact(9, 4, max_value=6)
-    assert res.lower == 7 and res.lower_exhaustive
-    check_cover(9, 4, res.cover)  # fallback witness is still a valid cover
+    check_cover(9, 3, res.blocks)
 
 
 def test_clique_cover_tiny():
@@ -1010,28 +1003,27 @@ def test_clique_cover_tiny():
     # five of the six edges: three blocks are needed
     res = clique_cover_exact(4, 3)
     assert res.exact and res.value == 3
-    check_cover(4, 3, res.cover)
+    check_cover(4, 3, res.blocks)
 
 
 #: The covers whose oracle search ends at its node cap (about 5 s on
 #: each), with the fields ``clique_cover_exact`` returns: (10, 3) meets
 #: Schönheim's bound of 17, and (12, 3) stops at the set-cover node cap
 #: with Schönheim's 24 proven.
-CAPPED_CLIQUE_COVERS = {(10, 3): (17, 17, True, True), (12, 3): (24, 26, False, True)}
+CAPPED_CLIQUE_COVERS = {(10, 3): (17, 17, True), (12, 3): (24, 26, False)}
 
 
 @pytest.mark.parametrize(
     "n, s", [(n, s) for s, top in CLIQUE_COVER_MAX_N.items() for n in range(top + 1)]
 )
 def test_clique_cover_matches_oracle(n, s):
-    for max_value in (None, 4, 5, 6, 7):
-        res = clique_cover_exact(n, s, max_value=max_value)
-        check_cover(n, s, res.cover)
-        fields = (res.lower, res.upper, res.exact, res.lower_exhaustive)
-        if max_value is None and (n, s) in CAPPED_CLIQUE_COVERS:
-            assert fields == CAPPED_CLIQUE_COVERS[n, s]
-        else:
-            assert fields == clique_cover_oracle(n, s, max_value)[:4]
+    res = clique_cover_exact(n, s)
+    check_cover(n, s, res.blocks)
+    fields = (res.lower, res.upper, res.exact)
+    if (n, s) in CAPPED_CLIQUE_COVERS:
+        assert fields == CAPPED_CLIQUE_COVERS[n, s]
+    else:
+        assert fields == clique_cover_oracle(n, s)[:3]
 
 
 def test_clique_cover_node_cap_keeps_a_proven_interval(monkeypatch):
@@ -1039,7 +1031,7 @@ def test_clique_cover_node_cap_keeps_a_proven_interval(monkeypatch):
     # the minimum is 9 and Schönheim's bound 8, so the search must run
     res = clique_cover_exact(10, 4)
     assert not res.exact and steiner_bounds(10, 4)[0] <= res.lower <= 9 <= res.upper
-    assert res.cover.blocks == clique_cover_oracle(10, 4, node_cap=0)[4]
+    assert res.blocks == clique_cover_oracle(10, 4, node_cap=0)[3]
 
 
 def test_clique_cover_budget_rejects():
@@ -1072,12 +1064,12 @@ def test_steiner_examples():
 def test_schonheim_bound_against_oracle(n, s):
     """Schönheim's bound never passes the cover number, and meets it for
     triangles (Fort & Hedlund)."""
-    bound = _schonheim_bound(n, s)
+    bound = schonheim_bound(n, s)
     assert bound >= steiner_bounds(n, s)[0]
     if (n, s) in CAPPED_CLIQUE_COVERS:
         # the oracle stops at its node cap here; a checked cover bounds the value
         res = clique_cover_exact(n, s)
-        check_cover(n, s, res.cover)
+        check_cover(n, s, res.blocks)
         assert bound <= res.upper
         return
     _, upper, exact, *_ = clique_cover_oracle(n, s)
