@@ -13,8 +13,8 @@ print(f"{'graph':>6} {'claimed':>8} {'measured':>9} {'verified':>9} {'structure'
 for n in range(4, 9):
     res = kn_small_plane_cover(n)
     measured, _ = min_edge_plane_cover(res.drawing)
-    report = kn_structural_checks(res.drawing, res.witness)
+    sound = kn_structural_checks(res.drawing, res.witness) == ()
     print(
         f"{'K' + str(n):>6} {res.witness.count:>8} {measured:>9} "
-        f"{str(res.drawing.verified):>9} {str(report.ok):>10}"
+        f"{str(res.drawing.verified):>9} {str(sound):>10}"
     )

@@ -74,10 +74,6 @@ class CertificateFile:
     def graph(self) -> Graph:
         return self.drawing.graph
 
-    @property
-    def version(self) -> int:
-        return CERT_VERSION
-
 
 def certificate_from_result(res, construction: str, seed=None) -> CertificateFile:
     """Wrap a construction result as a certificate."""
@@ -140,7 +136,7 @@ def _canonical_json(payload) -> bytes:
 def emit_certificate(cert: CertificateFile) -> bytes:
     """Serialize to canonical bytes (stable across emits)."""
     payload = {
-        "version": cert.version,
+        "version": CERT_VERSION,
         "graph": to_graph6(cert.graph).decode("ascii"),
         "drawing": [
             [_encode_frac(c) for c in point] for point in cert.drawing.points

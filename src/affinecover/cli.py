@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,10 +34,6 @@ from .export import FORMATS, render
 from .graphs import FAMILY_KINDS, FamilySpec, Graph, build_family, complete_graph, parse_graph
 from .solvers import lva_sweep, steiner_bounds
 
-BUDGET_ENV = "AFFINECOVER_BUDGET_N"
-
-_FAMILY_ALIASES = {"c4xp": "c4_prism_stack"}
-
 
 class UsageError(Exception):
     """Bad arguments or an inapplicable request; maps to exit status 2."""
@@ -51,7 +46,6 @@ class UsageError(Exception):
 
 def _parse_family(text: str) -> FamilySpec:
     kind, sep, params = text.partition(":")
-    kind = _FAMILY_ALIASES.get(kind, kind)
     if kind not in FAMILY_KINDS:
         known = ", ".join(FAMILY_KINDS)
         raise UsageError(f"unknown family kind {kind!r} (known: {known})")
@@ -98,19 +92,9 @@ def _graph_label(args) -> str:
 
 
 def _resolve_budget(args) -> int | None:
-    if args.budget_n is not None:
-        budget, source = args.budget_n, "--budget-n"
-    else:
-        env = os.environ.get(BUDGET_ENV)
-        if env is None:
-            return None
-        try:
-            budget, source = int(env), BUDGET_ENV
-        except ValueError:
-            raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise UsageError(f"{source} must not be negative, got {budget}")
-    return budget
+    if args.budget_n is not None and args.budget_n < 0:
+        raise UsageError(f"--budget-n must not be negative, got {args.budget_n}")
+    return args.budget_n
 
 
 def _fmt(value) -> str:
@@ -302,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-n",
         type=int,
         default=None,
-        help=f"largest n the exact solvers may attempt (overrides {BUDGET_ENV})",
+        help="largest n the exact solvers may attempt",
     )
     p.set_defaults(func=cmd_bounds)
 

@@ -46,7 +46,7 @@ from .graphs import (
     nested_squares,
     nested_triangles,
 )
-from .planar import TrackAssignment, grid_drawing, tree_tracks
+from .planar import grid_drawing, tree_tracks
 from .solvers import lva_exact, vertex_thickness_exact
 
 __all__ = [
@@ -481,17 +481,18 @@ _DIAGONALS = (
 )
 
 
-def spiral_two_lines(g: Graph, tracks: TrackAssignment) -> ConstructionResult:
+def spiral_two_lines(g: Graph, tracks: tuple[int, ...]) -> ConstructionResult:
     """Draw ``g`` on the two diagonal lines y = x and y = -x.
 
-    Track j occupies the j-th quarter-turn of a spiral: its vertices sit
-    on one diagonal ray at radii in [2^j, 2^(j+1)), ordered to follow
-    their parents' order on track j - 1.  Edges must stay within a track
-    or join consecutive tracks.  Works for trees laid out by
+    ``tracks[v]`` is the track of vertex v.  Track j occupies the j-th
+    quarter-turn of a spiral: its vertices sit on one diagonal ray at
+    radii in [2^j, 2^(j+1)), ordered to follow their parents' order on
+    track j - 1.  Edges must stay within a track or join consecutive
+    tracks.  Works for trees laid out by
     :func:`affinecover.planar.tree_tracks`; anything that still crosses
     raises :class:`ConstructionError`.
     """
-    t = tracks.track_of
+    t = tracks
     if len(t) != g.n:
         raise ValueError("track assignment length must match the vertex count")
     if any(x < 0 for x in t):
@@ -678,8 +679,7 @@ def prism_stack_3d(k: int, base: str = "C4") -> ConstructionResult:
         "line_constant": PRISM_LINE_CONSTANT,
     }
     d = _verified(g, points, meta)
-    count, witness = edge_line_count(d)
-    d.meta["line_count"] = count
+    _, witness = edge_line_count(d)
     claimed = math.ceil(PRISM_LINE_CONSTANT * n ** (2.0 / 3.0))
     return _package(d, witness, claimed)
 

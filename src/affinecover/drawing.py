@@ -546,12 +546,6 @@ def segment_slope_count(d: Drawing) -> tuple:
     return segments, len(slopes)
 
 
-@dataclass(frozen=True)
-class KnReport:
-    ok: bool
-    violations: tuple
-
-
 def _strictly_inside_triangle(x, a, b, c, normal) -> bool:
     drop = max(range(3), key=lambda i: abs(normal[i]))
     keep = [i for i in range(3) if i != drop]
@@ -562,14 +556,15 @@ def _strictly_inside_triangle(x, a, b, c, normal) -> bool:
     return s1 != 0 and s1 == s2 == s3
 
 
-def kn_structural_checks(d: Drawing, w: CoverWitness) -> KnReport:
+def kn_structural_checks(d: Drawing, w: CoverWitness) -> tuple:
     """Structural sanity of a plane cover of a complete graph drawing.
 
     Every plane with exactly four assigned vertices must hold one point
     strictly inside the triangle of the other three; no two four-vertex
     planes may share three or more vertices; no plane may geometrically
     contain five or more vertex points.  A violation on a verified
-    drawing indicates a kernel bug.
+    drawing indicates a kernel bug.  Returns the violations, each
+    ``(plane index, vertices, reason)``; empty when the cover is sound.
     """
     _require_verified(d)
     g = d.graph
@@ -607,7 +602,7 @@ def kn_structural_checks(d: Drawing, w: CoverWitness) -> KnReport:
         on_plane = [v for v in range(g.n) if key is not None and key_contains(key, d.grid[v])]
         if len(on_plane) >= 5:
             violations.append((i, tuple(on_plane), "plane contains 5+ vertex points"))
-    return KnReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

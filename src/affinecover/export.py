@@ -14,8 +14,8 @@ from .geometry import CanonLine
 
 __all__ = ["FORMATS", "render"]
 
-#: Accepted ``--format`` spellings; "svg_iso3d" is an alias of "svg-iso3d".
-FORMATS = ("svg2d", "svg-iso3d", "svg_iso3d", "obj")
+#: Accepted ``--format`` values.
+FORMATS = ("svg2d", "svg-iso3d", "obj")
 
 _PALETTE = (
     "#1f77b4",
@@ -135,7 +135,6 @@ def render(cert: CertificateFile, fmt: str) -> str:
     Raises ValueError when an SVG format does not match the drawing's
     dimension (``svg2d`` needs 2D, ``svg-iso3d`` needs 3D).
     """
-    fmt = fmt.replace("_", "-")
     if fmt == "obj":
         return _render_obj(cert)
     if fmt == "svg2d":

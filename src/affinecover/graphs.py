@@ -254,29 +254,30 @@ _FAMILIES = {
 
 FAMILY_KINDS = tuple(_FAMILIES)
 
-#: The largest graph ``build_family`` builds or ``parse_graph`` reads,
-#: in vertices and in edges: far above every size the tests, the README
+#: The largest graph any input path builds, in vertices and in edges:
+#: ``build_family`` and both ``parse_graph`` formats check it before
+#: building anything.  It lies far above every size the tests, the README
 #: and the benchmark use (complete_binary_tree:10 has 2,047 vertices),
 #: and far below one that would take a sizeable share of memory (each
 #: edge costs some 80 bytes, so complete:800 takes 49 MiB).
-FAMILY_MAX_N = 10_000
-FAMILY_MAX_M = 100_000
+GRAPH_MAX_N = 10_000
+GRAPH_MAX_M = 100_000
 
 
 def _check_size(what: str, n: int, m: int) -> None:
-    """Refuse a graph over ``FAMILY_MAX_N`` vertices or ``FAMILY_MAX_M``
+    """Refuse a graph over ``GRAPH_MAX_N`` vertices or ``GRAPH_MAX_M``
     edges, before it is built."""
-    if n > FAMILY_MAX_N or m > FAMILY_MAX_M:
+    if n > GRAPH_MAX_N or m > GRAPH_MAX_M:
         raise ValueError(
             f"{what} is too large: "
-            f"the limit is {FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges"
+            f"the limit is {GRAPH_MAX_N} vertices and {GRAPH_MAX_M} edges"
         )
 
 
 def build_family(spec: FamilySpec) -> Graph:
     """The graph of ``spec``; a ``ValueError`` for an unknown kind, a
-    wrong parameter count, or an instance over ``FAMILY_MAX_N`` vertices
-    or ``FAMILY_MAX_M`` edges, which is refused before anything is
+    wrong parameter count, or an instance over ``GRAPH_MAX_N`` vertices
+    or ``GRAPH_MAX_M`` edges, which is refused before anything is
     built."""
     kind, params = spec.kind, spec.params
     if kind not in _FAMILIES:
@@ -480,11 +481,14 @@ def _from_graph6(data: bytes) -> Graph:
     n = 0
     for x in digits:
         n = n << 6 | x
-    # the size checks come first: a hostile n allocates nothing
+    # the size checks come first: a hostile n or m builds no edge list
     _check_size(f"graph6 for n={n}", n, 0)
     pairs = n * (n - 1) // 2
     if len(body) != -(-pairs // 6):
         raise ValueError(f"graph6 for n={n} needs {-(-pairs // 6)} data bytes, got {len(body)}")
+    # each byte holds six bits; the last 6 * len(body) - pairs are padding
+    m = (int.from_bytes(bytes(body), "big") >> (6 * len(body) - pairs)).bit_count()
+    _check_size(f"graph6 for n={n}, m={m}", n, m)
     edges = []
     j, start = 1, 0  # column j holds the pairs k in [start, start + j)
     for pos, x in enumerate(body):

@@ -15,7 +15,6 @@ the external library is never trusted for correctness claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .drawing import Drawing, verify_crossing_free
 from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph
 
 __all__ = [
-    "TrackAssignment",
     "DualBoundResult",
     "is_planar",
     "planarity_test",
@@ -36,13 +34,6 @@ __all__ = [
     "tree_tracks",
     "triangulations",
 ]
-
-
-@dataclass(frozen=True)
-class TrackAssignment:
-    """Assignment of vertices to integer tracks (levels)."""
-
-    track_of: tuple[int, ...]
 
 
 class DualBoundResult(NamedTuple):
@@ -490,8 +481,8 @@ def dual_circumference_bound(g: Graph) -> DualBoundResult:
 # ---------------------------------------------------------------------------
 
 
-def tree_tracks(g: Graph, root: int) -> TrackAssignment:
-    """Assign each vertex of a tree its distance from ``root``.
+def tree_tracks(g: Graph, root: int) -> tuple[int, ...]:
+    """The track of each vertex of a tree: its distance from ``root``.
 
     Every edge then spans two adjacent tracks.  Raises ``ValueError``
     for graphs that are not trees (cyclic or disconnected).
@@ -501,8 +492,4 @@ def tree_tracks(g: Graph, root: int) -> TrackAssignment:
     dist = bfs_layers(g, root)
     if g.m != g.n - 1 or -1 in dist:
         raise ValueError("input graph is not a tree")
-    track_of = tuple(dist)
-    for u, v in g.edges:
-        if abs(track_of[u] - track_of[v]) != 1:
-            raise AssertionError("tree edge must span adjacent tracks")
-    return TrackAssignment(track_of=track_of)
+    return tuple(dist)

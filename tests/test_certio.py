@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecover.certio import (
-    CERT_VERSION,
     certificate_from_result,
     emit_certificate,
     load_certificate,
@@ -59,7 +58,6 @@ def test_round_trip_bytes_and_objects():
         assert data == _canonical_bytes(json.loads(data))
         cert2 = parse_certificate(data)
         assert emit_certificate(cert2) == data  # byte-exact round trip
-        assert cert2.version == CERT_VERSION
         assert cert2.graph == cert.graph
         assert cert2.drawing.points == cert.drawing.points
         assert cert2.witness.kind == cert.witness.kind

@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -24,7 +25,14 @@ from affinecover.certio import (
 from affinecover.cli import main
 from affinecover.constructions import DRAW_TARGETS, ConstructionResult
 from affinecover.drawing import Drawing, DrawingViolation, edge_line_count, verify_crossing_free
-from affinecover.graphs import FAMILY_MAX_M, FAMILY_MAX_N, Graph, path_graph
+from affinecover.graphs import (
+    GRAPH_MAX_M,
+    GRAPH_MAX_N,
+    Graph,
+    complete_graph,
+    path_graph,
+    to_graph6,
+)
 from affinecover.solvers import lva_exact, lva_sweep
 
 
@@ -58,15 +66,10 @@ def test_draw_path_single_line(tmp_path, capsys):
     assert verify_certificate(cert).verified
 
 
-def test_draw_prism_family_alias(tmp_path, capsys):
+def test_draw_family_has_one_spelling(tmp_path, capsys):
     rc, out = _draw(tmp_path, "--family", "c4xp:8", "--target", "prism3d")
-    assert rc == 0
-    assert "measured" in capsys.readouterr().out
-    cert = load_certificate(out)
-    assert cert.graph.n == 32
-    assert verify_certificate(cert).verified
-    rc2, _ = _draw(tmp_path, "--family", "c4_prism_stack:8", "--target", "prism3d")
-    assert rc2 == 0
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: unknown family kind 'c4xp'")
 
 
 def test_draw_seed_recorded(tmp_path):
@@ -202,13 +205,13 @@ def test_verify_good_and_tampered(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
 
 
-def test_verify_full_size_spiral_and_moved_vertex(tmp_path, capsys, monkeypatch):
+def _moved_vertex_spiral(tmp_path):
+    """The certificate of complete_binary_tree:10 on two lines, and one
+    with a vertex moved onto the midpoint of an edge, with its drawing."""
     # 2,047 vertices on the two diagonals: nearly every pair of edge
     # boxes overlaps, so this is the drawing the 2D sweep is for
     rc, out = _draw(tmp_path, "--family", "complete_binary_tree:10", "--target", "two_lines")
     assert rc == 0
-    assert main(["verify", str(out)]) == 0
-
     cert = load_certificate(out)
     d = cert.drawing
     edges = sorted(d.graph.edges)
@@ -219,6 +222,12 @@ def test_verify_full_size_spiral_and_moved_vertex(tmp_path, capsys, monkeypatch)
     moved = Drawing(d.graph, tuple(pts))
     bad = tmp_path / "moved.json"
     bad.write_bytes(emit_certificate(replace(cert, drawing=moved)))
+    return out, bad, moved
+
+
+def test_verify_full_size_spiral_and_moved_vertex(tmp_path, capsys, monkeypatch):
+    out, bad, moved = _moved_vertex_spiral(tmp_path)
+    assert main(["verify", str(out)]) == 0
     capsys.readouterr()
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
@@ -254,29 +263,13 @@ def test_bounds_table_output(capsys):
     assert row.split()[1:3] == ["15", "15"]
 
 
-def test_bounds_budget_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("AFFINECOVER_BUDGET_N", "not-a-number")
-    rc = main(["bounds", "--family", "complete:12", "--budget-n", "4"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "rho13" in out
-
-
-def test_bounds_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("AFFINECOVER_BUDGET_N", "4")
-    rc = main(["bounds", "--family", "complete:12"])
-    assert rc == 0
-    row = next(
-        l
-        for l in capsys.readouterr().out.splitlines()
-        if l.split() and l.split()[0] == "rho13"
-    )
-    assert row.split()[1] == "66"
-
-
-def test_bounds_bad_env_without_flag(monkeypatch):
-    monkeypatch.setenv("AFFINECOVER_BUDGET_N", "not-a-number")
-    assert main(["bounds", "--family", "complete:6"]) == 2
+def test_bounds_budget_is_set_by_the_flag_alone(monkeypatch, capsys):
+    """A budget of 0 would widen seven rows of this report (pi12 to
+    0..inf); the environment does not set it."""
+    monkeypatch.setenv("AFFINECOVER_BUDGET_N", "0")
+    assert main(["bounds", "--graph6", "MhZcxlIigyy`Fmw}_"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "bounds" / "gnp_14.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_bounds_non_ascii_graph6_is_a_usage_error(capsys):
@@ -296,7 +289,7 @@ def test_bounds_oversized_family_builds_nothing(monkeypatch, capsys):
     assert captured.out == "" and built == []
     assert captured.err == (
         "error: family complete:20000 is too large: the limit is "
-        f"{FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges\n"
+        f"{GRAPH_MAX_N} vertices and {GRAPH_MAX_M} edges\n"
     )
 
 
@@ -312,7 +305,43 @@ def test_bounds_large_edge_ids_build_nothing(tmp_path, monkeypatch, capsys):
     assert captured.out == "" and built == []
     assert captured.err == (
         f"error: bad edge list {str(edges)!r}: edge list of n = 30001, m = 1 is too large: "
-        f"the limit is {FAMILY_MAX_N} vertices and {FAMILY_MAX_M} edges\n"
+        f"the limit is {GRAPH_MAX_N} vertices and {GRAPH_MAX_M} edges\n"
+    )
+
+
+def _k448_graph6() -> str:
+    """The graph6 of K448: 16,692 bytes naming 100,128 edges, over the
+    edge limit though its 448 vertices are within the vertex limit."""
+    return to_graph6(complete_graph(448)).decode()
+
+
+def test_bounds_graph6_over_edge_limit_builds_nothing(monkeypatch, capsys):
+    g6 = _k448_graph6()
+    built = []
+    monkeypatch.setattr(Graph, "__init__", lambda self, *a, **k: built.append(a))
+    assert main(["bounds", "--graph6", g6]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (
+        "error: bad graph6 string: malformed graph6 input: "
+        "graph6 for n=448, m=100128 is too large: "
+        f"the limit is {GRAPH_MAX_N} vertices and {GRAPH_MAX_M} edges\n"
+    )
+
+
+def test_verify_certificate_graph_over_edge_limit(tmp_path, capsys):
+    rc, out = _draw(tmp_path, "--family", "complete:6", "--target", "rho23_kn")
+    assert rc == 0
+    obj = json.loads(out.read_bytes())
+    obj["graph"] = _k448_graph6()
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed graph6 input: graph6 for n=448, m=100128 is too large: "
+        f"the limit is {GRAPH_MAX_N} vertices and {GRAPH_MAX_M} edges\n"
     )
 
 
@@ -321,14 +350,6 @@ def test_bounds_negative_budget_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --budget-n must not be negative, got -3\n"
-
-
-def test_bounds_negative_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("AFFINECOVER_BUDGET_N", "-3")
-    assert main(["bounds", "--family", "complete:6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: AFFINECOVER_BUDGET_N must not be negative, got -3\n"
 
 
 def test_bounds_zero_budget_is_accepted(capsys):
@@ -509,14 +530,17 @@ def test_export_svg_bytes_pinned(tmp_path, draw_args, fmt, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_export_underscore_format_spelling(tmp_path):
+def test_export_format_has_one_spelling(tmp_path, capsys):
     rc, cert_path = _draw(tmp_path, "--family", "complete:6", "--target", "rho23_kn")
     assert rc == 0
     out = tmp_path / "k6b.svg"
+    capsys.readouterr()
     assert (
         main(["export", str(cert_path), "--format", "svg_iso3d", "--out", str(out)])
-        == 0
+        == 2
     )
+    assert "invalid choice: 'svg_iso3d'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -690,3 +714,70 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "path.json").is_file()
     assert (tmp_path / "tree.json").is_file()
     assert "<svg" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+# ---------------------------------------------------------------------------
+
+#: The address-space and wall limits each hostile-input row runs under;
+#: a plain ``bounds --family complete:6`` runs within half this space.
+HOSTILE_AS_BYTES = 512 * 2**20
+HOSTILE_WALL_S = 20
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+#: (argv built in a scratch directory, the exit status it must end with):
+#: 2 for input refused as malformed or too large, 1 for a drawing that
+#: fails verification.
+HOSTILE_INPUTS = [
+    pytest.param(
+        lambda tmp: ["verify", _write(tmp, "deep.json", "[" * 100000 + "]" * 100000)],
+        2,
+        id="verify-deep-json",
+    ),
+    pytest.param(
+        lambda tmp: ["verify", _write(tmp, "number.json", "9" * 5000)],
+        2,
+        id="verify-long-number",
+    ),
+    pytest.param(
+        lambda tmp: ["bounds", "--edges", _write(tmp, "ids.txt", "0 3000000\n")],
+        2,
+        id="bounds-large-edge-ids",
+    ),
+    pytest.param(lambda tmp: ["bounds", "--family", "complete:100000"], 2, id="bounds-huge-family"),
+    pytest.param(
+        lambda tmp: ["experiment", "lva-sweep", "--max-n", "12"], 2, id="experiment-long-sweep"
+    ),
+    pytest.param(
+        lambda tmp: ["verify", str(_moved_vertex_spiral(tmp)[1])],
+        1,
+        id="verify-moved-vertex-spiral",
+    ),
+    pytest.param(
+        lambda tmp: ["bounds", "--graph6", _k448_graph6()], 2, id="bounds-graph6-over-edge-limit"
+    ),
+]
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (HOSTILE_AS_BYTES, HOSTILE_AS_BYTES))
+
+
+@pytest.mark.parametrize("argv, status", HOSTILE_INPUTS)
+def test_hostile_input_ends_cleanly_within_limits(tmp_path, argv, status):
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinecover", *argv(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=HOSTILE_WALL_S,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr

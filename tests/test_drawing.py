@@ -345,8 +345,7 @@ def test_kn_checks_flat_k4():
     pts = [(0, 0, 0), (4, 0, 0), (2, 3, 0), (2, 1, 0)]
     d = verify_crossing_free(make(complete_graph(4), pts))
     _, w = min_edge_plane_cover(d)
-    report = kn_structural_checks(d, w)
-    assert report.ok and report.violations == ()
+    assert kn_structural_checks(d, w) == ()
 
 
 def test_kn_checks_requires_complete_graph():

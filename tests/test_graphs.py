@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from affinecover.graphs import (
     _FAMILIES,
     FAMILY_KINDS,
-    FAMILY_MAX_N,
+    GRAPH_MAX_M,
+    GRAPH_MAX_N,
     FamilySpec,
     Graph,
     brute_force_isomorphic,
@@ -202,12 +203,12 @@ def test_family_size_is_read_off_the_parameters(kind, params):
 @pytest.mark.parametrize(
     "kind, params",
     [
-        ("complete", (FAMILY_MAX_N + 1,)),
+        ("complete", (GRAPH_MAX_N + 1,)),
         ("complete", (448,)),  # 100,128 edges
         ("complete_bipartite", (317, 317)),
-        ("path", (FAMILY_MAX_N + 1,)),
+        ("path", (GRAPH_MAX_N + 1,)),
         ("complete_binary_tree", (10**12,)),
-        ("caterpillar", (2, 0, FAMILY_MAX_N)),
+        ("caterpillar", (2, 0, GRAPH_MAX_N)),
         ("balanced_multipartite", (10**12, 10**12)),
     ],
 )
@@ -455,14 +456,30 @@ def test_parse_edge_list_errors():
 
 def test_parsed_graph_over_the_limit_is_refused():
     """The largest id decides the vertex count, so one line can ask for
-    any number of vertices; past ``FAMILY_MAX_N`` nothing is built."""
-    assert parse_graph(f"0 {FAMILY_MAX_N - 1}\n".encode(), "edge_list").n == FAMILY_MAX_N
+    any number of vertices; past ``GRAPH_MAX_N`` nothing is built."""
+    assert parse_graph(f"0 {GRAPH_MAX_N - 1}\n".encode(), "edge_list").n == GRAPH_MAX_N
     with pytest.raises(ValueError, match="is too large: the limit is"):
-        parse_graph(f"0 {FAMILY_MAX_N}\n".encode(), "edge_list")
-    n = FAMILY_MAX_N + 1
+        parse_graph(f"0 {GRAPH_MAX_N}\n".encode(), "edge_list")
+    n = GRAPH_MAX_N + 1
     head = bytes(63 + x for x in (63, n >> 12 & 63, n >> 6 & 63, n & 63))
     with pytest.raises(ValueError, match="is too large: the limit is"):
         parse_graph(head, "graph6")
+
+
+def test_graph6_over_the_edge_limit_is_refused():
+    """The body's set bits are the edges, padding bits aside: K447 has
+    99,681 edges and K448 100,128, one side of the limit each."""
+    assert GRAPH_MAX_M == 100_000
+    assert parse_graph(to_graph6(complete_graph(447)), "graph6").m == 99_681
+    with pytest.raises(ValueError, match=r"n=448, m=100128 is too large: the limit is"):
+        parse_graph(to_graph6(complete_graph(448)), "graph6")
+    # exactly at the limit, with both padding bits of the last byte set
+    n = 449
+    g = Graph(n, sorted(complete_graph(n).edges)[: GRAPH_MAX_M])
+    data = bytearray(to_graph6(g))
+    assert 6 * (len(data) - 4) - n * (n - 1) // 2 == 2
+    data[-1] = ((data[-1] - 63) | 0b11) + 63  # graph6 writes each 6-bit value plus 63
+    assert parse_graph(bytes(data), "graph6") == g
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 255, 300])
