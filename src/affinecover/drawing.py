@@ -23,11 +23,12 @@ comparison with a key, and a ``Fraction`` canonical record is built
 once per distinct line or plane.
 
 The verifier decides a 2D drawing's edge pairs with a Shamos-Hoey
-sweep in O(m log m) (:func:`_sweep_clear`).  In 3D, and in 2D once the
-sweep has found a contact, a box sweep tests the pairs whose bounding
-boxes overlap and names the least offending pair; in 3D it skips every
-pair whose supporting lines are skew by their Plucker product.  The
-verifier has no side effects: it returns a verified copy or raises.
+sweep in O(m log m) (:func:`_sweep_clear`); once that sweep has found a
+contact, a box sweep tests the pairs whose bounding boxes overlap and
+names the least offending pair.  In 3D (:func:`_least_contact_3d`) the
+pairs that share an endpoint are decided at that endpoint, and a box
+sweep sends only the coplanar pairs of the rest to the exact kernel.
+The verifier has no side effects: it returns a verified copy or raises.
 
 ``WITNESS_KINDS`` is the one table of cover witness kinds; ``EDGE_KINDS``
 cover edges (the rest cover vertices) and ``LINE_KINDS`` use lines (the
@@ -36,6 +37,7 @@ rest use planes).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from copy import copy
 from dataclasses import dataclass, field
@@ -48,6 +50,7 @@ from .geometry import (
     canon_line,
     canonical_plane_through_segment,
     collinear,
+    coplanar_segments_meet,
     forbidden_contact,
     integerize,
     is_canonical,
@@ -223,6 +226,51 @@ def _sweep_clear(grid: Sequence, edges: Sequence) -> bool:
     return True
 
 
+def _least_contact_3d(grid: Sequence, edges: Sequence) -> tuple | None:
+    """Least index pair (i, j), i < j, of edges of a 3D drawing that meet
+    outside one shared endpoint; None when no two edges do.
+
+    Edges [s, p] and [s, q] meet somewhere other than s exactly when
+    p - s and q - s are multiples of one primitive integer vector, so a
+    dict keyed by (vertex, primitive direction away from it) over the
+    2m edge ends decides every pair that shares an endpoint.  The pairs
+    that share none are swept over one record per edge, sorted by the
+    low x of its bounding box: each edge meets the later edges whose low
+    x is at most its high x, and a pair whose boxes overlap in y and z
+    and whose lines are coplanar goes to the integer kernel
+    :func:`~affinecover.geometry.coplanar_segments_meet`.  With u = b - a
+    and m = a x b for each edge [a, b] (Plucker coordinates), the lines
+    are coplanar iff u1 . m2 + u2 . m1 = 0.
+    """
+    first = None
+    rays: dict = {}  # (vertex, primitive direction away from it) -> first edge
+    recs = []
+    for i, (s, t) in enumerate(edges):
+        a = grid[s]
+        (ax, ay, az), (bx, by, bz) = a, grid[t]
+        u = (bx - ax, by - ay, bz - az)
+        g = math.gcd(*u)
+        for key in ((s, *(x // g for x in u)), (t, *(-x // g for x in u))):
+            j = rays.setdefault(key, i)
+            if j != i and (first is None or (j, i) < first):
+                first = (j, i)
+        recs.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), min(az, bz), max(az, bz), *u,
+                     ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx, s, t, i, a))
+    recs.sort()
+    starts = [r[0] for r in recs]
+    for k, (_, hx, ly, hy, lz, hz, u0, u1, u2, m0, m1, m2, s, t, i, a) in enumerate(recs):
+        for _, _, ly2, hy2, lz2, hz2, v0, v1, v2, n0, n1, n2, s2, t2, j, c in recs[k + 1 : bisect_right(starts, hx, k + 1)]:
+            if hy2 < ly or hy < ly2 or hz2 < lz or hz < lz2 or s2 == s or s2 == t or t2 == s or t2 == t:
+                continue  # disjoint boxes, or decided at the shared endpoint
+            if u0 * n0 + u1 * n1 + u2 * n2 + v0 * m0 + v1 * m1 + v2 * m2:
+                continue  # skew lines
+            if coplanar_segments_meet(a, (u0, u1, u2), c, (v0, v1, v2)):
+                pair = (i, j) if i < j else (j, i)
+                if first is None or pair < first:
+                    first = pair
+    return first
+
+
 def verify_crossing_free(d: Drawing) -> Drawing:
     """Certify crossing-freeness; returns a copy with the verified flag.
 
@@ -231,15 +279,14 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     no vertex point may lie inside an edge it is not an end of.
 
     In 2D, :func:`_sweep_clear` decides the edge pairs in O(m log m).
-    Only when it finds a contact, or in 3D, does the box sweep run: the
-    edges are sorted by the low x of their bounding boxes, each edge is
-    paired with the later edges whose low x is at most its high x, and
-    those that also overlap it in y (and z) go to the exact integer test
-    :func:`~affinecover.geometry.forbidden_contact`.  In 3D a pair whose
-    supporting lines are skew cannot meet and is skipped: with u = b - a
-    and m = a x b for each edge [a, b] (Plucker coordinates), the lines
-    are coplanar iff u1 . m2 + u2 . m1 = 0.  Adjacent edges share a
-    point, so they give 0 and still reach the test.  Once no two edges
+    Only when it finds a contact does the box sweep run: the edges are
+    sorted by the low x of their bounding boxes, each edge is paired
+    with the later edges whose low x is at most its high x, and those
+    that also overlap it in y go to the exact integer test
+    :func:`~affinecover.geometry.forbidden_contact`.  In 3D,
+    :func:`_least_contact_3d` decides the pairs that share an endpoint
+    at that endpoint, in O(m), and sweeps the others the same way,
+    sending only the coplanar ones to the exact test.  Once no two edges
     meet, a vertex with an edge cannot lie inside another edge, so only
     the isolated vertices are then tested, each against the edges whose
     x-interval holds its x (bisection over those vertices sorted by x).
@@ -248,52 +295,34 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     in the order of the pairwise loop this replaces: every
     ("edge_edge", e, f) pair before any ("vertex_edge", v, e) pair,
     edge pairs ordered by ``sorted(edges)`` with e < f, vertex pairs
-    vertex-major.  The box sweep finds all offending pairs and reports
-    the least.
+    vertex-major.  Both sweeps find all offending pairs and report the
+    least.
     """
     g = d.graph
     grid = d.grid
-    dim = d.dim
     edges = sorted(g.edges)
     ends = [(grid[u], grid[v]) for u, v in edges]
 
-    def extent(axis: int) -> tuple:
-        if axis == dim:  # 2D boxes get z = 0
-            return [0] * len(ends), [0] * len(ends)
-        return [min(p[axis], q[axis]) for p, q in ends], [max(p[axis], q[axis]) for p, q in ends]
-
-    # box of edge i: [lx, hx] x [ly, hy] x [lz, hz]
-    (lx, hx), (ly, hy), (lz, hz) = extent(0), extent(1), extent(2)
-
     first = None
-    if dim == 3 or not _sweep_clear(grid, edges):
-        spatial = dim == 3
-        if spatial:  # Plucker coordinates (u, m) of each edge's line
-            plucker = [
-                (b[0] - a[0], b[1] - a[1], b[2] - a[2],
-                 a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-                for a, b in ends
-            ]
+    if d.dim == 3:
+        first = _least_contact_3d(grid, edges)
+    elif not _sweep_clear(grid, edges):
+        # box of edge i: [lx, hx] x [ly, hy]
+        lx, hx = [min(p[0], q[0]) for p, q in ends], [max(p[0], q[0]) for p, q in ends]
+        ly, hy = [min(p[1], q[1]) for p, q in ends], [max(p[1], q[1]) for p, q in ends]
         order = sorted(range(len(edges)), key=lx.__getitem__)
         starts = [lx[i] for i in order]
         for k, i in enumerate(order):
-            p, q = ends[i]
-            li_y, hi_y, li_z, hi_z = ly[i], hy[i], lz[i], hz[i]
-            if spatial:
-                u0, u1, u2, m0, m1, m2 = plucker[i]
+            li_y, hi_y = ly[i], hy[i]
             for j in order[k + 1 : bisect_right(starts, hx[i], k + 1)]:
-                if hy[j] < li_y or hi_y < ly[j] or hz[j] < li_z or hi_z < lz[j]:
+                if hy[j] < li_y or hi_y < ly[j]:
                     continue
-                if spatial:
-                    v0, v1, v2, n0, n1, n2 = plucker[j]
-                    if u0 * n0 + u1 * n1 + u2 * n2 + v0 * m0 + v1 * m1 + v2 * m2:
-                        continue  # skew lines
-                if forbidden_contact(p, q, *ends[j]):
+                if forbidden_contact(*ends[i], *ends[j]):
                     pair = (i, j) if i < j else (j, i)
                     if first is None or pair < first:
                         first = pair
-        if first is not None:
-            raise DrawingViolation(("edge_edge", edges[first[0]], edges[first[1]]))
+    if first is not None:
+        raise DrawingViolation(("edge_edge", edges[first[0]], edges[first[1]]))
 
     # A vertex with an edge f inside edge e would have made f meet e
     # outside a shared endpoint, so past the edge pairs only isolated
@@ -302,16 +331,14 @@ def verify_crossing_free(d: Drawing) -> Drawing:
     by_x = sorted((v for v in range(g.n) if v not in ended), key=lambda v: grid[v][0])
     xs = [grid[v][0] for v in by_x]
     for i, (a, b) in enumerate(ends if by_x else ()):
-        for v in by_x[bisect_left(xs, lx[i]) : bisect_right(xs, hx[i])]:
+        lo, hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+        for v in by_x[bisect_left(xs, lo) : bisect_right(xs, hi)]:
             p = grid[v]
-            if not ly[i] <= p[1] <= hy[i]:
-                continue
-            if dim == 3 and not lz[i] <= p[2] <= hz[i]:
-                continue
             # inside the box and on the line: on the closed segment, and
             # not at an end since distinct vertices have distinct points
-            if collinear(a, b, p) and (first is None or (v, i) < first):
-                first = (v, i)
+            if all(min(s, t) <= c <= max(s, t) for s, t, c in zip(a, b, p)) and collinear(a, b, p):
+                if first is None or (v, i) < first:
+                    first = (v, i)
     if first is not None:
         raise DrawingViolation(("vertex_edge", first[0], edges[first[1]]))
     # a shallow copy keeps the grid without normalizing the points again

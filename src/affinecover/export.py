@@ -132,9 +132,12 @@ def _render_obj(cert: CertificateFile) -> str:
 def render(cert: CertificateFile, fmt: str) -> str:
     """``cert`` rendered in format ``fmt`` (one of :data:`FORMATS`).
 
-    Raises ValueError when an SVG format does not match the drawing's
-    dimension (``svg2d`` needs 2D, ``svg-iso3d`` needs 3D).
+    Raises ValueError on any other format, and when an SVG format does
+    not match the drawing's dimension (``svg2d`` needs 2D, ``svg-iso3d``
+    needs 3D).
     """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}: expected one of {', '.join(FORMATS)}")
     if fmt == "obj":
         return _render_obj(cert)
     if fmt == "svg2d":

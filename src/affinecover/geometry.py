@@ -4,7 +4,8 @@ Points are tuples of ``fractions.Fraction`` (or int) in dimension 2 or
 3; every predicate is exact, with no epsilons, since crossing-freeness
 and "edge lies on this line/plane" are equality statements.  The
 program decides with :func:`forbidden_contact` (do two segments meet
-anywhere but in one common endpoint?), :func:`collinear` and
+anywhere but in one common endpoint?) and its 3D kernel
+:func:`coplanar_segments_meet`, :func:`collinear` and
 :func:`orient`; with integer keys of lines and planes on
 :func:`integerize`d points (the key builders :func:`line_key` and
 :func:`plane_key`, and :func:`key_contains`); and with the canonical
@@ -155,23 +156,38 @@ def _segments_meet_2d(a, b, c, d) -> bool:
 
 
 def _segments_meet_3d(a, b, c, d) -> bool:
-    ax, ay, az = a
-    cx, cy, cz = c
-    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
-    vx, vy, vz = d[0] - cx, d[1] - cy, d[2] - cz
-    wx, wy, wz = cx - ax, cy - ay, cz - az
-    n = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-    if n[0] * wx + n[1] * wy + n[2] * wz:
+    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    v = (d[0] - c[0], d[1] - c[1], d[2] - c[2])
+    n = _cross3(u, v)
+    if n[0] * (c[0] - a[0]) + n[1] * (c[1] - a[1]) + n[2] * (c[2] - a[2]):
         return False  # bounding lines are skew: no common point at all
-    # coplanar: reduce to 2D by dropping the dominant axis of a plane normal
-    if _is_zero(n):
-        n = (uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx)
-    if _is_zero(n):
-        return _collinear_segments_meet(a, b, c, d)
-    mags = [abs(x) for x in n]
-    drop = mags.index(max(mags))
-    i, j = (1, 2) if drop == 0 else (0, 2) if drop == 1 else (0, 1)
-    return _segments_meet_2d((a[i], a[j]), (b[i], b[j]), (c[i], c[j]), (d[i], d[j]))
+    return coplanar_segments_meet(a, u, c, v)
+
+
+def coplanar_segments_meet(a, u, c, v) -> bool:
+    """Integer kernel: do segments [a, a + u] and [c, c + v] in 3D meet?
+
+    Their lines must be coplanar and the segments must share no
+    endpoint.  With w = c - a, nonparallel lines cross at a + t u =
+    c + s v where, by Binet-Cauchy, t = (wu vv - wv uv) / nn and
+    s = (wu uv - wv uu) / nn, nn = uu vv - uv^2 = |u x v|^2 (xy the dot
+    product of x and y); the segments meet iff t and s lie in [0, 1].
+    Parallel lines (nn = 0) meet only when w is parallel to u too
+    (wu^2 = uu ww), and then [c, c + v] spans wu .. wu + uv on the line
+    of [a, a + u], which spans 0 .. uu in the same units.
+    """
+    w0, w1, w2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    uu, uv, vv = u0 * u0 + u1 * u1 + u2 * u2, u0 * v0 + u1 * v1 + u2 * v2, v0 * v0 + v1 * v1 + v2 * v2
+    wu, wv = w0 * u0 + w1 * u1 + w2 * u2, w0 * v0 + w1 * v1 + w2 * v2
+    nn = uu * vv - uv * uv
+    if nn:
+        t, s = wu * vv - wv * uv, wu * uv - wv * uu
+        return 0 <= t <= nn and 0 <= s <= nn
+    if wu * wu != uu * (w0 * w0 + w1 * w1 + w2 * w2):
+        return False  # distinct parallel lines
+    return min(wu, wu + uv) <= uu and max(wu, wu + uv) >= 0
 
 
 def forbidden_contact(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> bool:
@@ -184,7 +200,8 @@ def forbidden_contact(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> bool:
     and a common endpoint must be the identical point.  Segments
     [s, p] and [s, q] with a common endpoint s meet elsewhere exactly
     when p - s and q - s point the same way: their cross product is
-    zero and their dot product positive.
+    zero and their dot product positive.  Other 3D pairs go to
+    :func:`coplanar_segments_meet` when their lines are not skew.
     """
     if a == c or a == d or b == c or b == d:
         s, p = (a, b) if a == c or a == d else (b, a)
@@ -403,16 +420,20 @@ def plane_from_key(key: tuple, scale: int) -> CanonPlane:
 def scaled_key(obj, scale: int) -> tuple | None:
     """Key of a canonical line or plane record on points scaled by ``scale``.
 
-    None when the scaled moment or offset is not an integer: then no
-    integer point lies on the object.
+    Integer arithmetic only: a plane's key is (normal, scale * offset),
+    a line's (direction, moment of its base times ``scale``), with the
+    base first scaled to ints by the common denominator ``den`` of its
+    coordinates and the moment then divided by ``den``.  None when that
+    division (or the offset's) leaves a remainder: then no integer point
+    lies on the object.
     """
     if isinstance(obj, CanonPlane):
-        n, c = obj.normal, obj.offset * scale
+        n, den, c = obj.normal, obj.offset.denominator, obj.offset.numerator * scale
     else:
-        n, b = obj.direction, [x * scale for x in obj.base]
+        n = obj.direction
+        den = math.lcm(*(x.denominator for x in obj.base))
+        b = [x.numerator * (den // x.denominator) * scale for x in obj.base]
         c = b[0] * n[1] - b[1] * n[0] if obj.dim == 2 else _cross3(b, n)
     if isinstance(c, tuple):
-        if any(x.denominator != 1 for x in c):
-            return None
-        return n, tuple(int(x) for x in c)
-    return (n, int(c)) if c.denominator == 1 else None
+        return None if any(x % den for x in c) else (n, tuple(x // den for x in c))
+    return None if c % den else (n, c // den)

@@ -8,6 +8,7 @@ built on top of them are reproducible byte-for-byte.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -462,14 +463,18 @@ def to_graph6(g: Graph) -> bytes:
     return bytes(x + 63 for x in head) + bytes(x + 63 for x in body)
 
 
+_GRAPH6_BYTES = bytes(range(63, 127))
+_GRAPH6_VALUES = bytes(max(c - 63, 0) for c in range(256))  # translate table: byte -> its 6-bit value
+
+
 def _from_graph6(data: bytes) -> Graph:
     if data.startswith(b">>graph6<<"):
         data = data[10:]
     if not data:
         raise ValueError("empty graph6 string")
-    if any(not 63 <= c <= 126 for c in data):
+    if data.translate(None, _GRAPH6_BYTES):  # C-level passes: no per-byte Python
         raise ValueError("graph6 bytes must lie in range(63, 127)")
-    vals = [c - 63 for c in data]
+    vals = data.translate(_GRAPH6_VALUES)
     if vals[0] < 63:
         digits, body = vals[:1], vals[1:]
     elif len(vals) >= 4 and vals[1] < 63:
@@ -487,13 +492,13 @@ def _from_graph6(data: bytes) -> Graph:
     if len(body) != -(-pairs // 6):
         raise ValueError(f"graph6 for n={n} needs {-(-pairs // 6)} data bytes, got {len(body)}")
     # each byte holds six bits; the last 6 * len(body) - pairs are padding
-    m = (int.from_bytes(bytes(body), "big") >> (6 * len(body) - pairs)).bit_count()
+    m = (int.from_bytes(body, "big") >> (6 * len(body) - pairs)).bit_count()
     _check_size(f"graph6 for n={n}, m={m}", n, m)
     edges = []
     j, start = 1, 0  # column j holds the pairs k in [start, start + j)
-    for pos, x in enumerate(body):
-        if not x:
-            continue
+    for hit in re.finditer(rb"[^\0]", body):  # only the nonzero bytes hold edges
+        pos = hit.start()
+        x = body[pos]
         for r in range(6):
             k = 6 * pos + r
             if not x & 32 >> r or k >= pairs:

@@ -25,6 +25,7 @@ from affinecover.certio import (
 from affinecover.cli import main
 from affinecover.constructions import DRAW_TARGETS, ConstructionResult
 from affinecover.drawing import Drawing, DrawingViolation, edge_line_count, verify_crossing_free
+from affinecover.export import render
 from affinecover.graphs import (
     GRAPH_MAX_M,
     GRAPH_MAX_N,
@@ -541,6 +542,17 @@ def test_export_format_has_one_spelling(tmp_path, capsys):
     )
     assert "invalid choice: 'svg_iso3d'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_render_refuses_unknown_format(tmp_path):
+    # only argparse's choices kept an unknown format from rendering as
+    # svg-iso3d; render itself now refuses it
+    rc, cert_path = _draw(tmp_path, "--family", "complete:6", "--target", "rho23_kn")
+    assert rc == 0
+    cert = load_certificate(cert_path)
+    for fmt in ("png", "svg_iso3d", "SVG2D", ""):
+        with pytest.raises(ValueError, match="unknown format"):
+            render(cert, fmt)
 
 
 # ---------------------------------------------------------------------------

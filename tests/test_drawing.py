@@ -5,9 +5,10 @@ subset enumeration; segment/slope counts by hand enumeration and by the
 union-find they replaced (``reference.segment_count_oracle``); the sweep
 verifier by the pairwise loop it replaced (``reference_verify``), which
 meets edge pairs with the parametric ``reference.classify_oracle``
-instead of the kernel under test; the integer-keyed measurements and
-witness check by the per-pair canonical records and Fraction
-containment they replaced (``reference_*``).
+instead of the kernel under test, and the 3D edge-pair stage also by
+the least pair of ``forbidden_contact`` over all pairs; the
+integer-keyed measurements and witness check by the per-pair canonical
+records and Fraction containment they replaced (``reference_*``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecover import drawing
+from affinecover.constructions import kpq_plane_book, pach_multipartite, parallel_kpq_lines
 from affinecover.drawing import (
     EDGE_KINDS,
     LINE_KINDS,
@@ -49,6 +51,7 @@ from affinecover.geometry import (
     canon_plane,
     canonical_plane_through_segment,
     collinear,
+    forbidden_contact,
     integerize,
     is_canonical,
     line_contains_point,
@@ -579,6 +582,104 @@ def test_sweep_matches_reference_on_tampered_constructions():
             found = outcome(verify_crossing_free, moved)
             assert found is not None and found == outcome(reference_verify, moved)
             assert d.dim == 3 or _sweep_clear(moved.grid, edges) == (found[0] != "edge_edge")
+
+
+def least_contact(d):
+    """The least offending edge pair by ``forbidden_contact`` over all
+    pairs in ``sorted(edges)`` order, as ("edge_edge", e, f); else None."""
+    grid = d.grid
+    for e, f in itertools.combinations(sorted(d.graph.edges), 2):
+        if forbidden_contact(grid[e[0]], grid[e[1]], grid[f[0]], grid[f[1]]):
+            return ("edge_edge", e, f)
+    return None
+
+
+def test_3d_stage_matches_all_pairs_and_reference():
+    # Small random 3D drawings on [-R, R]^3, where shared endpoints on
+    # one ray, coplanar and collinear pairs are common, some with an
+    # isolated vertex at the midpoint of an edge; each also shifted past
+    # 2**61 and scaled, a map that keeps every incidence and so the
+    # outcome.
+    rng = random.Random(26)
+    counts = {"edge_edge": 0, "vertex_edge": 0, None: 0}
+    steps = [p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)]
+    for _ in range(3000):
+        r = rng.choice([1, 2, 3])
+        n = rng.randint(3, 8)
+        cube = list(itertools.product(range(-r, r + 1), repeat=3))
+        pts = rng.sample(cube, n)
+        if rng.random() < 0.5:  # up to four of them on one line
+            base, step = rng.choice(cube), rng.choice(steps)
+            line = [q for k in range(-2 * r, 2 * r + 1) if (q := tuple(b + k * x for b, x in zip(base, step))) in cube]
+            pts = list(dict.fromkeys(rng.sample(line, min(4, len(line))) + pts))[:n]
+            rng.shuffle(pts)
+        density = rng.choice([0.2, 0.35, 0.5])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        if edges and rng.random() < 0.3:
+            a, b = rng.choice(edges)
+            mid = tuple(Fraction(x + y, 2) for x, y in zip(pts[a], pts[b]))
+            if mid not in pts:
+                pts.append(mid)
+        scale = rng.choice([3, 2**60 + 1])
+        d = make(Graph(len(pts), edges), pts)
+        found = outcome(reference_verify, d)
+        assert found is None or found[0] == "vertex_edge" or found == least_contact(d)
+        assert outcome(verify_crossing_free, d) == found
+        assert outcome(verify_crossing_free, make(d.graph, [[c * scale + 2**61 for c in p] for p in pts])) == found
+        counts[found and found[0]] += 1
+    assert min(counts.values()) > 200
+
+
+def test_3d_stage_matches_reference_on_tampered_book():
+    # kpq_plane_book(5, 6): a vertex moved onto the midpoint of an edge
+    # on its own page (the spine lies on every page; edge (a, b) with
+    # a < 5 lies on page a // 2), or a new vertex on the ray of an
+    # existing edge at one of its ends, joined to that end
+    d = kpq_plane_book(5, 6).drawing
+    pts, edges = list(d.points), sorted(d.graph.edges)
+    moved = []
+    for v in range(d.graph.n):
+        for a, b in edges:
+            mid = tuple((x + y) / 2 for x, y in zip(pts[a], pts[b]))
+            if v not in (a, b) and (v >= 5 or v // 2 == a // 2) and mid not in pts:
+                moved.append(Drawing(d.graph, tuple(pts[:v] + [mid] + pts[v + 1 :])))
+    rays = []
+    for s, t in edges:
+        for x, y in ((s, t), (t, s)):
+            for k in (Fraction(1, 2), 2):
+                far = tuple(c + k * (e - c) for c, e in zip(pts[x], pts[y]))
+                if far not in pts:
+                    rays.append(Drawing(Graph(d.graph.n + 1, edges + [(x, d.graph.n)]), tuple(pts + [far])))
+    rng = random.Random(6)
+    for case in rng.sample(moved, 40) + rng.sample(rays, 40):
+        found = outcome(verify_crossing_free, case)
+        assert found is not None and found == outcome(reference_verify, case)
+
+
+def test_coplanar_kernel_calls(monkeypatch):
+    # The kernel sees only coplanar pairs with no shared endpoint: on the
+    # K16,16 book, each of the 8 pages holds 16 * 15 pairs of edges from
+    # its two off-spine vertices to distinct spine vertices; on the skew
+    # layouts there are none.
+    layouts = (
+        (kpq_plane_book(16, 16).drawing, 1920),
+        (pach_multipartite(5, 30).drawing, 0),
+        (parallel_kpq_lines(12, 24).drawing, 0),
+    )
+    kernel = drawing.coplanar_segments_meet
+    calls = []
+
+    def spy(a, u, c, v):
+        ends = {a, tuple(x + y for x, y in zip(a, u)), c, tuple(x + y for x, y in zip(c, v))}
+        assert len(ends) == 4  # no shared endpoint
+        calls.append(1)
+        return kernel(a, u, c, v)
+
+    monkeypatch.setattr(drawing, "coplanar_segments_meet", spy)
+    for d, want in layouts:
+        calls.clear()
+        assert verify_crossing_free(d).verified
+        assert len(calls) == want
 
 
 # ---------------------------------------------------------------------------

@@ -486,3 +486,45 @@ def test_scaled_key_off_the_integer_points():
     assert scaled_key(plane, 2) is None
     line3 = canon_line(qpoint(0, 0, Fraction(1, 5)), qpoint(1, 1, Fraction(1, 5)))
     assert scaled_key(line3, 5) is not None and scaled_key(line3, 3) is None
+
+
+def reference_scaled_key(obj, scale):
+    """scaled_key as the Fraction formula: scale the base (offset), take
+    the moment, and keep it only when every component is an integer."""
+    if isinstance(obj, CanonPlane):
+        n, c = obj.normal, [obj.offset * scale]
+    else:
+        n, b = obj.direction, [x * scale for x in obj.base]
+        c = [b[0] * n[1] - b[1] * n[0]] if obj.dim == 2 else [
+            b[1] * n[2] - b[2] * n[1], b[2] * n[0] - b[0] * n[2], b[0] * n[1] - b[1] * n[0]
+        ]
+    if any(Fraction(x).denominator != 1 for x in c):
+        return None
+    c = tuple(int(x) for x in c)
+    return n, c if len(c) == 3 else c[0]
+
+
+def test_scaled_key_matches_fraction_formula():
+    rng = random.Random(31)
+
+    def point(dim):
+        return qpoint(*(Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 4, 5, 6, 12, 35])) for _ in range(dim)))
+
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        kind = rng.choice(["line2", "line3", "plane"])
+        if kind == "plane":
+            pts = [point(3) for _ in range(3)]
+            if collinear(*pts):
+                continue
+            obj = canon_plane(*pts)
+        else:
+            p, q = point(int(kind[-1])), point(int(kind[-1]))
+            if p == q:
+                continue
+            obj = canon_line(p, q)
+        scale = rng.choice([1, 2, 3, 6, 12, 35, 420, rng.randint(1, 10**6), 2**61 + 1])
+        key = scaled_key(obj, scale)
+        assert key == reference_scaled_key(obj, scale)
+        seen[key is None] += 1
+    assert min(seen.values()) > 200  # both outcomes are common

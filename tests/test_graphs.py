@@ -501,6 +501,45 @@ def test_graph6_long_size_prefixes():
         assert parse_graph(head + body, "graph6") == ref == complete_graph(5)
 
 
+def test_graph6_round_trips_atlas_and_random_graphs():
+    graphs = [from_networkx(nx.convert_node_labels_to_integers(a)) for a in nx.graph_atlas_g()]
+    rng = random.Random(17)
+    for _ in range(200):
+        n, p = rng.randint(0, 120), rng.random()
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        data = to_graph6(g)
+        assert parse_graph(data, "graph6") == g
+        assert to_graph6(parse_graph(data, "graph6")) == data
+
+
+#: Malformed graph6 inputs and their whole error messages, in the order
+#: the decoder checks them: header, bytes, size prefix, vertex limit,
+#: body length, edge limit.
+GRAPH6_ERRORS = {
+    b"": "empty graph6 string",
+    b">>graph6<<": "empty graph6 string",
+    b"@\x10": "graph6 bytes must lie in range(63, 127)",
+    b"\xffD~{": "graph6 bytes must lie in range(63, 127)",
+    b">>graph6<<D~\x7f": "graph6 bytes must lie in range(63, 127)",
+    b"~\x10": "graph6 bytes must lie in range(63, 127)",  # before the short prefix
+    b"~": "graph6 size prefix is truncated",
+    b"~~????": "graph6 size prefix is truncated",
+    b"~~~~~~~~": "graph6 for n=68719476735 is too large: the limit is 10000 vertices and 100000 edges",
+    b"~~~~~~~~?": "graph6 for n=68719476735 is too large: the limit is 10000 vertices and 100000 edges",
+    b"A__": "graph6 for n=2 needs 1 data bytes, got 2",
+    b"~?A?": "graph6 for n=128 needs 1355 data bytes, got 0",
+    to_graph6(complete_graph(448)): "graph6 for n=448, m=100128 is too large: the limit is 10000 vertices and 100000 edges",
+}
+
+
+def test_graph6_malformed_messages():
+    for text, message in GRAPH6_ERRORS.items():
+        with pytest.raises(ValueError) as exc:
+            parse_graph(text, "graph6")
+        assert str(exc.value) == f"malformed graph6 input: {message}"
+
+
 @pytest.mark.parametrize(
     "text",
     [
