@@ -18,9 +18,10 @@ too, and every call shares the cap ``SET_COVER_NODE_CAP``.
 The verifier, the measurements and the witness checks all run on that
 grid: lines and planes are grouped by their exact integer keys
 (:func:`~affinecover.geometry.line_key`,
-:func:`~affinecover.geometry.plane_key`), containment is an integer
-comparison with a key, and a ``Fraction`` canonical record is built
-once per distinct line or plane.
+:func:`~affinecover.geometry.plane_key`), sorted on those keys in the
+order of their records, containment is an integer comparison with a
+key, and a ``Fraction`` canonical record is built only for a line or
+plane that a witness keeps.
 
 The verifier decides a 2D drawing's edge pairs with a Shamos-Hoey
 sweep in O(m log m) (:func:`_sweep_clear`); once that sweep has found a
@@ -57,6 +58,7 @@ from .geometry import (
     key_contains,
     line_from_key,
     line_key,
+    line_order,
     orient,
     plane_from_key,
     plane_key,
@@ -154,12 +156,13 @@ class CoverWitness:
 
 
 def _distinct_edge_lines(d: Drawing) -> dict:
-    """Map canonical line -> sorted list of edges lying on it."""
+    """Map line key -> sorted list of edges lying on it, keys in the
+    order of their first edges."""
     grid = d.grid
     lines = {}
     for e in sorted(d.graph.edges):
         lines.setdefault(line_key(grid[e[0]], grid[e[1]]), []).append(e)
-    return {line_from_key(key, d.scale): es for key, es in lines.items()}
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +368,8 @@ def edge_line_count(d: Drawing) -> tuple:
     """
     _require_verified(d)
     lines = _distinct_edge_lines(d)
-    objects = tuple(lines.keys())
-    index = {line: i for i, line in enumerate(objects)}
-    assignment = {e: index[line] for line, es in lines.items() for e in es}
+    objects = tuple(line_from_key(key, d.scale) for key in lines)
+    assignment = {e: i for i, es in enumerate(lines.values()) for e in es}
     return len(objects), CoverWitness("lines_for_edges", objects, assignment)
 
 
@@ -468,15 +470,20 @@ def exact_set_cover(masks: Sequence[int], full: int, min_size: int = 0) -> tuple
     return best, lower == len(best), lower
 
 
-def _min_cover(kind: str, candidates: dict, items: Sequence, search: bool) -> tuple:
-    """Minimum cover of ``items`` by the ``candidates`` (object -> set of
-    items): exact when ``search`` is true, else greedy and flagged.
+def _min_cover(kind: str, candidates: dict, items: Sequence, search: bool, scale: int) -> tuple:
+    """Minimum cover of ``items`` by the ``candidates`` (line or plane key
+    at ``scale`` -> set of items): exact when ``search`` is true, else
+    greedy and flagged.
 
-    Returns (count, witness); the witness keeps the chosen objects in
-    sorted order and assigns each item to the first one holding it.
+    The keys are sorted in the order of their canonical records
+    (:func:`~affinecover.geometry.line_order`), and a record is built
+    only for a chosen key.  Returns (count, witness); the witness keeps
+    the chosen objects in sorted order and assigns each item to the
+    first one holding it.
     """
-    objects = sorted(candidates)
-    sets = [candidates[obj] for obj in objects]
+    line = kind in LINE_KINDS
+    keys = sorted(candidates, key=line_order if line else None)
+    sets = [candidates[key] for key in keys]
     bit = {item: 1 << i for i, item in enumerate(items)}
     masks = [sum(bit[item] for item in s) for s in sets]
     full = (1 << len(bit)) - 1
@@ -489,7 +496,8 @@ def _min_cover(kind: str, candidates: dict, items: Sequence, search: bool) -> tu
     for new_idx, i in enumerate(picked):
         for item in sorted(sets[i]):
             assignment.setdefault(item, new_idx)
-    w = CoverWitness(kind, tuple(objects[i] for i in picked), assignment, exact)
+    record = line_from_key if line else plane_from_key
+    w = CoverWitness(kind, tuple(record(keys[i], scale) for i in picked), assignment, exact)
     return w.count, w
 
 
@@ -512,8 +520,7 @@ def min_vertex_line_cover(d: Drawing, budget_n: int = 40) -> tuple:
     for u in range(g.n):
         for v in range(u + 1, g.n):
             members.setdefault(line_key(grid[u], grid[v]), set()).update((u, v))
-    lines = {line_from_key(key, d.scale): vs for key, vs in members.items()}
-    return _min_cover("lines_for_vertices", lines, range(g.n), g.n <= budget_n)
+    return _min_cover("lines_for_vertices", members, range(g.n), g.n <= budget_n, d.scale)
 
 
 def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
@@ -546,11 +553,10 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
             key = plane_key(a, b, c)
             if key is not None:
                 keyed.setdefault(key, set()).add(e)
-    candidates = {plane_from_key(key, d.scale): es for key, es in keyed.items()}
-    if not candidates:
+    if not keyed:
         u, v = edges[0]
-        candidates[canonical_plane_through_segment(d.points[u], d.points[v])] = set(edges)
-    return _min_cover("planes_for_edges", candidates, edges, g.m <= budget_m)
+        keyed[scaled_key(canonical_plane_through_segment(d.points[u], d.points[v]), d.scale)] = set(edges)
+    return _min_cover("planes_for_edges", keyed, edges, g.m <= budget_m, d.scale)
 
 
 def segment_slope_count(d: Drawing) -> tuple:
@@ -569,8 +575,7 @@ def segment_slope_count(d: Drawing) -> tuple:
     for es in lines.values():
         ends = [v for e in es for v in e]
         segments += len(es) - (len(ends) - len(set(ends)))
-    slopes = {line.direction for line in lines}
-    return segments, len(slopes)
+    return segments, len({direction for direction, _ in lines})
 
 
 def _strictly_inside_triangle(x, a, b, c, normal) -> bool:

@@ -8,7 +8,8 @@ anywhere but in one common endpoint?) and its 3D kernel
 :func:`coplanar_segments_meet`, :func:`collinear` and
 :func:`orient`; with integer keys of lines and planes on
 :func:`integerize`d points (the key builders :func:`line_key` and
-:func:`plane_key`, and :func:`key_contains`); and with the canonical
+:func:`plane_key`, :func:`key_contains`, and :func:`line_order`, which
+sorts line keys in the order of their records); and with the canonical
 records :class:`CanonLine` and :class:`CanonPlane`, which map any two
 pairs (triples) spanning the same line (plane) to one record.  The
 Fraction helpers :func:`point_strictly_inside_segment`,
@@ -351,22 +352,23 @@ def integerize(points: Iterable[QPoint]) -> tuple[list[tuple], int]:
 # (primitive direction d, moment p x d) and a plane by (primitive normal
 # n, n . p), with p any of its points; in 2D the moment is the integer
 # p_x d_y - p_y d_x.  Two pairs (triples) span the same line (plane)
-# exactly when their keys are equal, so grouping and containment need
-# no Fraction; ``line_from_key``/``plane_from_key`` build the canonical
-# record of a key, once per distinct object.
+# exactly when their keys are equal, so grouping, ordering
+# (``line_order``) and containment need no Fraction;
+# ``line_from_key``/``plane_from_key`` build the canonical record of a
+# key, only for the objects a witness keeps.
 
 
 def _primitive(v: tuple) -> tuple:
     """A nonzero integer vector divided by its gcd, first nonzero component positive."""
     g = math.gcd(*v)
-    if next(x for x in v if x) < 0:
+    if (v[0] or v[1] or v[-1]) < 0:  # the first nonzero component, in 2D and 3D
         g = -g
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def line_key(p: tuple, q: tuple) -> tuple:
     """Key (direction, moment) of the line through distinct integer points."""
-    d = _primitive(tuple(b - a for a, b in zip(p, q)))
+    d = _primitive(tuple([b - a for a, b in zip(p, q)]))
     if len(d) == 2:
         return d, p[0] * d[1] - p[1] * d[0]
     return d, _cross3(p, d)
@@ -375,8 +377,8 @@ def line_key(p: tuple, q: tuple) -> tuple:
 def plane_key(p: tuple, q: tuple, r: tuple) -> tuple | None:
     """Key (normal, offset) of the plane through three integer 3D points;
     None when they are collinear."""
-    n = _cross3(_sub(q, p), _sub(r, p))
-    if _is_zero(n):
+    n = _cross3((q[0] - p[0], q[1] - p[1], q[2] - p[2]), (r[0] - p[0], r[1] - p[1], r[2] - p[2]))
+    if n == (0, 0, 0):
         return None
     n = _primitive(n)
     return n, n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
@@ -392,21 +394,29 @@ def key_contains(key: tuple, p: tuple) -> bool:
     return v[0] * p[0] + v[1] * p[1] + v[2] * p[2] == c
 
 
-def line_from_key(key: tuple, scale: int) -> CanonLine:
-    """The :class:`CanonLine` of a line key taken at ``scale``.
+def line_order(key: tuple) -> tuple:
+    """(direction, base numerators) of a line key.  The base is the point
+    of the line that is 0 on the direction's pivot axis, solved from the
+    moment; its coordinates are these numerators over pivot * scale.
 
-    The base is the point of the line that is 0 on the direction's pivot
-    axis, solved from the moment and divided by ``scale``.
+    Lines of one direction share that positive denominator, so line keys
+    taken at one scale sort by this exactly as their :class:`CanonLine`
+    records do; plane keys already sort as their :class:`CanonPlane`
+    records do.
     """
     d, m = key
     if len(d) == 2:
-        num = (0, -m) if d[0] else (m, 0)
-    elif d[0]:
-        num = (0, -m[2], m[1])
-    elif d[1]:
-        num = (m[2], 0, -m[0])
-    else:
-        num = (-m[1], m[0], 0)
+        return d, (0, -m) if d[0] else (m, 0)
+    if d[0]:
+        return d, (0, -m[2], m[1])
+    if d[1]:
+        return d, (m[2], 0, -m[0])
+    return d, (-m[1], m[0], 0)
+
+
+def line_from_key(key: tuple, scale: int) -> CanonLine:
+    """The :class:`CanonLine` of a line key taken at ``scale``."""
+    d, num = line_order(key)
     den = next(x for x in d if x) * scale
     return CanonLine(len(d), d, tuple(Fraction(x, den) for x in num))
 

@@ -460,11 +460,12 @@ def to_graph6(g: Graph) -> bytes:
     for i, j in g.edges:
         k = j * (j - 1) // 2 + i
         body[k // 6] |= 32 >> k % 6
-    return bytes(x + 63 for x in head) + bytes(x + 63 for x in body)
+    return bytes(head).translate(_GRAPH6_CHARS) + body.translate(_GRAPH6_CHARS)
 
 
 _GRAPH6_BYTES = bytes(range(63, 127))
 _GRAPH6_VALUES = bytes(max(c - 63, 0) for c in range(256))  # translate table: byte -> its 6-bit value
+_GRAPH6_CHARS = bytes((x + 63) % 256 for x in range(256))  # translate table: 6-bit value -> its byte
 
 
 def _from_graph6(data: bytes) -> Graph:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from affinecover.drawing import greedy_set_cover
+from affinecover.drawing import CoverWitness, exact_set_cover, greedy_set_cover
 from affinecover.graphs import Graph
 from affinecover.planar import _stacked_triangulation, planarity_test, triangulations
 
@@ -275,6 +275,33 @@ def set_cover_oracle(masks, full, node_cap=2_000_000):
 
     dfs(full, [])
     return best, not capped
+
+
+def record_min_cover(kind, candidates, items, search):
+    """Minimum cover of ``items`` by ``candidates`` (canonical line or
+    plane record -> set of items), as ``drawing`` solved it before it
+    sorted integer keys: the records themselves are sorted, exact when
+    ``search`` is true, else greedy and flagged.
+
+    Returns (count, witness): the chosen records in sorted order, each
+    item assigned to the first one holding it.
+    """
+    objects = sorted(candidates)
+    sets = [candidates[obj] for obj in objects]
+    bit = {item: 1 << i for i, item in enumerate(items)}
+    masks = [sum(bit[item] for item in s) for s in sets]
+    full = (1 << len(bit)) - 1
+    if search:
+        chosen, exact, _ = exact_set_cover(masks, full)
+    else:
+        chosen, exact = greedy_set_cover(masks, full), False
+    picked = sorted(chosen)
+    assignment = {}
+    for new_idx, i in enumerate(picked):
+        for item in sorted(sets[i]):
+            assignment.setdefault(item, new_idx)
+    w = CoverWitness(kind, tuple(objects[i] for i in picked), assignment, exact)
+    return w.count, w
 
 
 def clique_cover_oracle(n, s, node_cap=5_000_000):

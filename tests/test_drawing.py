@@ -8,7 +8,10 @@ meets edge pairs with the parametric ``reference.classify_oracle``
 instead of the kernel under test, and the 3D edge-pair stage also by
 the least pair of ``forbidden_contact`` over all pairs; the
 integer-keyed measurements and witness check by the per-pair canonical
-records and Fraction containment they replaced (``reference_*``).
+records and Fraction containment they replaced (``reference_*``), the
+covers sorted and solved on those records by
+``reference.record_min_cover``, also on rational affine images of the
+drawings (scale > 1).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from affinecover.drawing import (
     Drawing,
     DrawingViolation,
     WitnessViolation,
-    _min_cover,
     _require_verified,
     _sweep_clear,
     edge_line_count,
@@ -60,7 +62,7 @@ from affinecover.geometry import (
     qpoint,
 )
 from affinecover.graphs import Graph, complete_graph, path_graph
-from reference import classify_oracle, segment_count_oracle, set_cover_oracle
+from reference import classify_oracle, record_min_cover, segment_count_oracle, set_cover_oracle
 
 
 def make(graph, pts, meta=None):
@@ -282,6 +284,20 @@ def test_plane_cover_collinear_matching_3d():
     count, w = min_edge_plane_cover(d)
     assert count == 1
     verify_cover_witness(d, w)
+
+
+@pytest.mark.parametrize("m, exact", [(5, True), (62, False)])
+def test_plane_cover_all_collinear_fallback(m, exact):
+    # every vertex on the x-axis: no edge spans a plane with a third
+    # vertex, so the one canonical plane through the first edge covers
+    # all; past budget_m = 60 edges it comes from the greedy cover
+    plane = CanonPlane((0, 0, 1), Fraction(0))
+    d = verify_crossing_free(make(path_graph(m + 1), [(i, 0, 0) for i in range(m + 1)]))
+    assert min_edge_plane_cover(d) == (1, CoverWitness("planes_for_edges", (plane,), dict.fromkeys(d.graph.edges, 0), exact))
+    # the same at scale 6: the plane's offset is a fraction
+    d = verify_crossing_free(make(path_graph(m + 1), [(Fraction(i, 3), 0, Fraction(5, 2)) for i in range(m + 1)]))
+    plane = plane._replace(offset=Fraction(5, 2))
+    assert min_edge_plane_cover(d) == (1, CoverWitness("planes_for_edges", (plane,), dict.fromkeys(d.graph.edges, 0), exact))
 
 
 def test_plane_cover_matches_brute_force_small():
@@ -705,7 +721,7 @@ def reference_min_vertex_line_cover(d, budget_n=40):
     members = {}
     for u, v in itertools.combinations(range(n), 2):
         members.setdefault(canon_line(d.points[u], d.points[v]), set()).update((u, v))
-    return _min_cover("lines_for_vertices", members, range(n), n <= budget_n)
+    return record_min_cover("lines_for_vertices", members, range(n), n <= budget_n)
 
 
 def reference_min_edge_plane_cover(d, budget_m=60):
@@ -727,7 +743,7 @@ def reference_min_edge_plane_cover(d, budget_m=60):
             candidates.setdefault(canonical_plane_through_segment(pts[u], pts[v]), set())
     for plane, covered in candidates.items():
         covered.update(e for e in edges if all(plane_contains_point(plane, pts[x]) for x in e))
-    return _min_cover("planes_for_edges", candidates, edges, len(edges) <= budget_m)
+    return record_min_cover("planes_for_edges", candidates, edges, len(edges) <= budget_m)
 
 
 def reference_verify_cover_witness(d, w):
@@ -802,16 +818,35 @@ def test_segment_count_matches_union_find(d):
     assert segment_slope_count(d) == (segment_count_oracle(groups), len(slopes))
 
 
-@given(st.sampled_from([2, 3]).flatmap(grid_drawings))
+def rational_image(d, rng):
+    """``d`` under a random invertible affine map p -> (M p + t) / den,
+    M upper triangular with a nonzero diagonal, then sheared: the map
+    keeps every incidence and crossing, and the image's coordinates have
+    denominators (scale > 1)."""
+    dim, den = d.dim, rng.choice((2, 6, 35))
+    m = [[rng.choice((-3, -1, 1, 2)) if i == j else rng.randint(-3, 3) * (j > i) for j in range(dim)] for i in range(dim)]
+    k = rng.randint(-2, 2)
+    m[-1] = [x + k * y for x, y in zip(m[-1], m[0])]
+    t = [rng.randint(-5, 5) for _ in range(dim)]
+    pts = [tuple(Fraction(sum(a * c for a, c in zip(row, p)) + s, den) for row, s in zip(m, t)) for p in d.points]
+    if all(c.denominator == 1 for p in pts for c in p):
+        pts = [(p[0] + Fraction(1, den), *p[1:]) for p in pts]
+    return verify_crossing_free(Drawing(d.graph, tuple(pts)))
+
+
+@given(st.sampled_from([2, 3]).flatmap(grid_drawings), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
-def test_measurements_match_fraction_reference(d):
+def test_measurements_match_fraction_reference(d, rng):
     d = crossing_free(d)
-    assert repr(edge_line_count(d)) == repr(reference_edge_line_count(d))
-    for budget in (40, 0) if d.graph.n > 1 else ():
-        assert repr(min_vertex_line_cover(d, budget)) == repr(reference_min_vertex_line_cover(d, budget))
-    if d.dim == 3:
-        for budget in (60, 0):
-            assert repr(min_edge_plane_cover(d, budget)) == repr(reference_min_edge_plane_cover(d, budget))
+    image = rational_image(d, rng)
+    assert image.scale > 1
+    for d in (d, image):
+        assert repr(edge_line_count(d)) == repr(reference_edge_line_count(d))
+        for budget in (40, 0) if d.graph.n > 1 else ():
+            assert repr(min_vertex_line_cover(d, budget)) == repr(reference_min_vertex_line_cover(d, budget))
+        if d.dim == 3:
+            for budget in (60, 0):
+                assert repr(min_edge_plane_cover(d, budget)) == repr(reference_min_edge_plane_cover(d, budget))
 
 
 def _shifted(obj, delta):

@@ -5,8 +5,9 @@ independent cofactor expansion (different row order) inside the tests;
 the segment examples are small enough to verify by hand, and both they
 and random small-grid segments check ``forbidden_contact`` against a
 parametric solution of the intersection (``reference.classify_oracle``).
-Integer line and plane keys are checked against the Fraction canonical
-forms they replaced (``reference_canon_line``, ``reference_canon_plane``).
+Integer line and plane keys, and the order they sort in, are checked
+against the Fraction canonical forms they replaced
+(``reference_canon_line``, ``reference_canon_plane``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from affinecover.geometry import (
     line_contains_point,
     line_from_key,
     line_key,
+    line_order,
     orient,
     plane_contains_point,
     plane_from_key,
@@ -456,6 +458,29 @@ def test_plane_keys_match_reference(pts):
             assert (keys[a] == keys[b]) == (recs[a] == recs[b])
         for p, ip in zip(pts, ipts):
             assert key_contains(keys[a], ip) == plane_contains_point(recs[a], p)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_key_order_matches_record_order(dim):
+    # line keys sorted by line_order, and plane keys as they are, come in
+    # the order of their sorted Fraction records, whatever the scale
+    rng = random.Random(dim)
+    for _ in range(150):
+        scale = rng.choice((1, 2, 6, 35, 2**61 + 1))
+        pts = list({tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(8)})
+        at_scale = [tuple(Fraction(c, scale) for c in p) for p in pts]
+        lines = {
+            line_key(pts[i], pts[j]): reference_canon_line(at_scale[i], at_scale[j])
+            for i, j in itertools.combinations(range(len(pts)), 2)
+        }
+        assert [lines[k] for k in sorted(lines, key=line_order)] == sorted(lines.values())
+        if dim == 3:
+            planes = {
+                plane_key(*(pts[i] for i in t)): reference_canon_plane(*(at_scale[i] for i in t))
+                for t in itertools.combinations(range(len(pts)), 3)
+                if not collinear(*(pts[i] for i in t))
+            }
+            assert [planes[k] for k in sorted(planes)] == sorted(planes.values())
 
 
 def test_line_keys_on_every_pivot_axis():

@@ -493,6 +493,20 @@ def test_graph6_codec_matches_networkx(n):
         assert from_networkx(nx.from_graph6_bytes(data)) == g
 
 
+def test_graph6_encoder_matches_networkx_on_large_graphs():
+    # networkx's encoder loops over all n(n-1)/2 vertex pairs in Python,
+    # far too slow at 10,000 vertices, so the edgeless graph takes its
+    # size prefix from networkx's n_to_data and its all-zero body from
+    # the format
+    n = 10_000
+    head = bytes(x + 63 for x in nx.readwrite.graph6.n_to_data(n))
+    assert to_graph6(Graph(n, [])) == head + b"?" * -(-n * (n - 1) // 12)
+    rng = random.Random(6)
+    for n, p in ((400, 0.01), (509, 0.3), (640, 0.002)):
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        assert to_graph6(g) == nx.to_graph6_bytes(to_networkx(g), header=False).strip()
+
+
 def test_graph6_long_size_prefixes():
     # n = 5 written with the 4- and 8-byte size prefixes decodes as networkx does
     body = to_graph6(complete_graph(5))[1:]
