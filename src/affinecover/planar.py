@@ -3,14 +3,13 @@ bound, and the enumeration of small triangulations.
 
 ``is_planar`` decides planarity without an embedding: edge counts, a
 reduction that keeps planarity, and Kuratowski's theorem on six
-vertices settle most graphs, and the boolean phase of the left-right
-planarity test decides the rest.  This is the only module that imports
-networkx, and ``_nx_embedding`` is its only planarity call: it supplies
-the embeddings behind ``planarity_test`` and the shift-method
-coordinates of ``grid_drawing``.  Every embedding is checked by
-``validate_embedding`` and every drawing produced here is re-certified
-from scratch by the exact rational verifier before being returned, so
-the external library is never trusted for correctness claims.
+vertices settle most graphs, and the left-right planarity test decides
+the rest.  The same left-right code embeds the graphs of
+``planarity_test`` and ``grid_drawing``, which places vertices by the
+shift method; both give exactly the faces and points networkx gives.
+No code here calls networkx.  Every embedding is checked by
+``validate_embedding`` and every drawing is re-certified from scratch
+by the exact rational verifier before being returned.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-# imported eagerly: perfbench/startup.py times it as part of ``import affinecover.cli``
-import networkx as nx
+# unused: kept because perfbench/startup.py times it within ``import affinecover.cli``
+import networkx  # noqa: F401
 
 from .drawing import Drawing, verify_crossing_free
 from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph
@@ -107,40 +106,33 @@ def _six_vertex_planar(adj: dict) -> bool:
     return True
 
 
-def _lowest(pair: list, lowpt: list) -> int:
-    """The least lowpoint of the return edges in a conflict pair."""
-    left, right = pair[0], pair[2]
-    if left is None:
-        return lowpt[right]
-    if right is None:
-        return lowpt[left]
-    return min(lowpt[left], lowpt[right])
+def _left_right_planar(nbrs: list) -> tuple | None:
+    """The left-right planarity test (de Fraysseix & Rosenstiehl; Brandes,
+    "The Left-Right Planarity Test", 2009) on the simple graph with
+    neighbour lists ``nbrs`` (vertices 0..n-1): ``None`` if it is not
+    planar, else ``(dst, out, parent, side, ref, nesting, roots)``.
 
-
-def _left_right_planar(nbrs: list) -> bool:
-    """Whether the simple graph with neighbour lists ``nbrs`` (on vertices
-    0..n-1) is planar, by the left-right planarity test (de Fraysseix &
-    Rosenstiehl; Brandes, "The Left-Right Planarity Test", 2009).
-
-    Only the DFS orientation and the conflict-pair testing run: no sides
-    are recorded and no embedding is built.  Both depth-first searches
-    keep explicit stacks, so deep graphs cannot exhaust the recursion
-    limit.  Edges are numbered as the orientation meets them; a conflict
-    pair is a list ``[left low, left high, right low, right high]`` of
-    return edges, ``None`` where an interval is empty, and ``ref`` links
-    each return edge to the next lower one of its interval.
+    Edges are numbered as the DFS orientation meets them: edge ``e`` ends
+    at ``dst[e]``, ``out[v]`` lists v's edges in nesting order and
+    ``parent[v]`` is the tree edge into ``v`` (-1 at a root).  Testing
+    leaves each edge a side relative to edge ``ref[e]``, as networkx's
+    ``LRPlanarity`` does; a conflict pair is a list ``[left low, left
+    high, right low, right high]`` of return edges, ``None`` where an
+    interval is empty.  Both searches keep explicit stacks.
     """
     n = len(nbrs)
+    m = sum(map(len, nbrs)) // 2
     height = [-1] * n
     up = [-1] * n  # parent vertex in the DFS tree
-    parent = [-1] * n  # tree edge into the vertex, -1 at a root
-    out: list = [[] for _ in range(n)]  # edges oriented away from the vertex
-    dst: list = []
-    lowpt: list = []
-    lowpt2: list = []
-    nesting: list = []
+    parent = [-1] * n
+    out: list = [[] for _ in range(n)]
+    dst = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
     roots = []
     nxt = [0] * n
+    k = 0  # edges oriented so far
     for r in range(n):
         if height[r] >= 0:
             continue
@@ -150,36 +142,37 @@ def _left_right_planar(nbrs: list) -> bool:
         while stack:
             v = stack[-1]
             i = nxt[v]
+            hv = height[v]
             if i < len(nbrs[v]):
                 nxt[v] = i + 1
                 w = nbrs[v][i]
                 if height[w] < 0:  # tree edge, finished once w is
-                    parent[w] = len(dst)
+                    parent[w] = k
                     up[w] = v
-                    height[w] = height[v] + 1
-                    out[v].append(len(dst))
-                    dst.append(w)
-                    lowpt.append(height[v])
-                    lowpt2.append(height[v])
-                    nesting.append(0)
+                    height[w] = hv + 1
+                    out[v].append(k)
+                    dst[k] = w
+                    lowpt[k] = lowpt2[k] = hv
+                    k += 1
                     stack.append(w)
                     continue
-                if height[w] >= height[v] or w == up[v]:
+                if height[w] >= hv or w == up[v]:
                     continue  # oriented already, from w or as v's tree edge
-                ei = len(dst)  # back edge
+                ei = k  # back edge
                 out[v].append(ei)
-                dst.append(w)
-                lowpt.append(height[w])
-                lowpt2.append(height[v])
-                nesting.append(0)
+                dst[ei] = w
+                lowpt[ei] = height[w]
+                lowpt2[ei] = hv
+                k += 1
             else:
                 stack.pop()
                 ei = parent[v]
                 if ei < 0:
                     continue
                 v = up[v]
+                hv = height[v]
             lo, lo2 = lowpt[ei], lowpt2[ei]
-            nesting[ei] = 2 * lo + (lo2 < height[v])  # +1 when chordal
+            nesting[ei] = 2 * lo + (lo2 < hv)  # +1 when chordal
             e = parent[v]
             if e >= 0:
                 if lo < lowpt[e]:
@@ -192,13 +185,15 @@ def _left_right_planar(nbrs: list) -> bool:
 
     for edges in out:
         edges.sort(key=nesting.__getitem__)
-    m = len(dst)
     ref: list = [None] * m
+    lowpt_edge = list(range(m))  # the return edge that sets an edge's lowpoint
+    side = [1] * m
     bottom: list = [None] * m  # top of the conflict stack when an edge starts
     pairs: list = []
 
     def add_constraints(ei: int, e: int) -> bool:
-        # merge the return edges of ei into the right interval of a new pair
+        # merge the return edges of ei into the right interval of a new
+        # pair, aligning those that return as low as e does
         left_lo = left_hi = right_lo = right_hi = None
         while True:
             ql, qh, rl, rh = pairs.pop()
@@ -212,6 +207,8 @@ def _left_right_planar(nbrs: list) -> bool:
                 else:
                     ref[right_lo] = rh
                 right_lo = rl
+            else:
+                ref[rl] = lowpt_edge[e]
             if (pairs[-1] if pairs else None) is bottom[ei]:
                 break
         # merge the conflicting return edges of earlier siblings into the
@@ -238,32 +235,19 @@ def _left_right_planar(nbrs: list) -> bool:
             pairs.append([left_lo, left_hi, right_lo, right_hi])
         return True
 
-    def remove_back_edges(u: int) -> None:
-        # drop the pairs whose return edges all end at u, then trim the
-        # edges ending at u from the top of the next pair
-        while pairs and _lowest(pairs[-1], lowpt) == height[u]:
-            pairs.pop()
-        if pairs:
-            pair = pairs[-1]
-            for lo, hi in ((0, 1), (2, 3)):
-                top = pair[hi]
-                while top is not None and dst[top] == u:
-                    top = ref[top]
-                pair[hi] = top
-                if top is None:
-                    pair[lo] = None
-
     nxt = [0] * n
     for r in roots:
         stack = [r]
         while stack:
             v = stack[-1]
             i = nxt[v]
-            if i < len(out[v]):
-                ei = out[v][i]
+            edges = out[v]
+            if i < len(edges):
+                ei = edges[i]
                 bottom[ei] = pairs[-1] if pairs else None
-                if parent[dst[ei]] == ei:
-                    stack.append(dst[ei])
+                w = dst[ei]
+                if parent[w] == ei:
+                    stack.append(w)
                     continue
                 pairs.append([None, None, ei, ei])
             else:
@@ -272,13 +256,43 @@ def _left_right_planar(nbrs: list) -> bool:
                 if ei < 0:
                     continue
                 v = up[v]
-                remove_back_edges(v)
+                # drop the pairs whose return edges all end at v, then trim
+                # the edges ending at v off the next pair; an interval that
+                # empties is put on the other side of its partner
+                h = height[v]
+                while pairs:
+                    ql, _, rl, _ = pairs[-1]
+                    if ql is None:
+                        if lowpt[rl] != h:
+                            break
+                    elif (lowpt[ql] if rl is None else min(lowpt[ql], lowpt[rl])) != h:
+                        break
+                    else:
+                        side[ql] = -1
+                    pairs.pop()
+                if pairs:
+                    pair = pairs[-1]
+                    for lo, hi, other in ((0, 1, 2), (2, 3, 0)):
+                        top = pair[hi]
+                        while top is not None and dst[top] == v:
+                            top = ref[top]
+                        pair[hi] = top
+                        if top is None and pair[lo] is not None:
+                            ref[pair[lo]] = pair[other]
+                            side[pair[lo]] = -1
+                            pair[lo] = None
+                if lowpt[ei] < h:  # ei takes the side of its highest return edge
+                    hl, hr = pairs[-1][1], pairs[-1][3]
+                    ref[ei] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
                 i = nxt[v]
             nxt[v] = i + 1
-            # the first edge of v leaves its return edges where they are
-            if i and lowpt[ei] < height[v] and not add_constraints(ei, parent[v]):
-                return False
-    return True
+            if lowpt[ei] < height[v]:
+                # the first edge of v leaves its return edges where they are
+                if not i:
+                    lowpt_edge[parent[v]] = lowpt_edge[ei]
+                elif not add_constraints(ei, parent[v]):
+                    return None
+    return dst, out, parent, side, ref, nesting, roots
 
 
 def is_planar(adj: dict) -> bool:
@@ -299,17 +313,129 @@ def is_planar(adj: dict) -> bool:
     if len(adj) <= 6:
         return len(adj) < 6 or _six_vertex_planar(adj)
     index = {u: i for i, u in enumerate(adj)}
-    return _left_right_planar([[index[w] for w in nb] for nb in adj.values()])
+    return _left_right_planar([[index[w] for w in nb] for nb in adj.values()]) is not None
 
 
-def _nx_embedding(g: Graph) -> nx.PlanarEmbedding | None:
-    """A networkx plane embedding of ``g``, or ``None`` if ``g`` is not
-    planar: the package's one call into networkx's planarity test."""
-    ng = nx.Graph()
-    ng.add_nodes_from(range(g.n))
-    ng.add_edges_from(g.edges)
-    ok, emb = nx.check_planarity(ng, counterexample=False)
-    return emb if ok else None
+def _embedding(g: Graph) -> tuple | None:
+    """A plane embedding of ``g`` as rotation maps ``(cw, ccw)``, or
+    ``None`` if ``g`` is not planar: ``cw[v][w]`` and ``ccw[v][w]`` are
+    the neighbours after ``w`` around ``v`` clockwise and counterclockwise.
+
+    It is the embedding networkx's ``check_planarity`` returns, down to
+    the key order of ``cw[v]``, whose last key is v's leftmost neighbour:
+    the search meets neighbours in the order ``LRPlanarity`` does when
+    handed ``g.edges``, and sides and edges are placed as its ``sign`` and
+    ``dfs_embedding`` place them.
+    """
+    n = g.n
+    if n > 2 and g.m > 3 * n - 6:
+        return None
+
+    def lists(edges) -> list:  # neighbours in edge order, as a networkx Graph keeps them
+        nbrs: list = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return nbrs
+
+    # LRPlanarity copies the graph of g.edges edge by edge, in its edge order
+    first = lists(g.edges)
+    state = _left_right_planar(lists([(u, w) for u in range(n) for w in first[u] if w > u]))
+    if state is None:
+        return None
+    dst, out, parent, side, ref, nesting, roots = state
+    for e in range(len(dst)):
+        chain = []
+        while ref[e] is not None:
+            chain.append(e)
+            ref[e], e = None, ref[e]
+        s = side[e]
+        for f in reversed(chain):
+            s = side[f] = side[f] * s
+    cw: list = []
+    ccw: list = []
+    for edges in out:
+        # stable, so equal keys keep the order the orientation met them in
+        edges.sort(key=lambda e: side[e] * nesting[e])
+        # networkx puts each neighbour just after the one before it, which
+        # leaves the first, the leftmost, as the last key
+        ws = [dst[e] for e in edges]
+        cw.append(dict(zip(ws[1:] + ws[:1], ws[2:] + ws[:2])))
+        ccw.append(dict(zip(ws, ws[-1:] + ws[:-1])))
+    left, right, nxt = [0] * n, [0] * n, [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for e in out[v][nxt[v]:]:
+                nxt[v] += 1
+                w = dst[e]
+                if parent[w] == e:
+                    _add_half_edge(cw, ccw, w, v, _leftmost(cw[w]), True)
+                    left[v] = right[v] = w
+                    stack += (v, w)
+                    break
+                if side[e] > 0:
+                    _add_half_edge(cw, ccw, w, v, right[w], False)
+                else:
+                    _add_half_edge(cw, ccw, w, v, left[w], True)
+                    left[w] = v
+    return cw, ccw
+
+
+def _leftmost(cv: dict):
+    """The leftmost neighbour of a rotation map: its last key."""
+    return next(reversed(cv), None)
+
+
+def _clockwise(cv: dict):
+    """The neighbours of a rotation map clockwise from the leftmost one,
+    each successor read only after the caller's step, as networkx's
+    ``neighbors_cw_order`` does."""
+    start = w = _leftmost(cv)
+    while w is not None:
+        yield w
+        w = cv[w]
+        if w == start:
+            return
+
+
+def _add_half_edge(cw: list, ccw: list, v: int, w: int, ref, before: bool) -> None:
+    """Put ``w`` into the rotation at ``v`` just counterclockwise of
+    ``ref`` if ``before``, else just clockwise of it (networkx's
+    ``add_half_edge`` with ``cw=ref`` or ``ccw=ref``).  Only a neighbour
+    put just before the leftmost one becomes the leftmost (last key)."""
+    cv, av = cw[v], ccw[v]
+    if not cv:
+        cv[w] = av[w] = w
+        return
+    leftmost = _leftmost(cv)
+    if before:
+        a = av[ref]
+        cv[w], av[w] = ref, a
+        cv[a] = av[ref] = w
+        if ref == leftmost:
+            return
+    else:
+        c = cv[ref]
+        cv[w], av[w] = c, ref
+        av[c] = cv[ref] = w
+    cv[leftmost] = cv.pop(leftmost)
+
+
+def _face(cw: list, ccw: list, v: int, w: int, marked: set) -> tuple:
+    """The face right of the half-edge ``(v, w)``, marking its half-edges
+    (networkx's ``traverse_face``)."""
+    face = [v]
+    marked.add((v, w))
+    prev, cur, incoming = v, w, cw[v][w]
+    while cur != v or prev != incoming:
+        face.append(cur)
+        prev, cur = cur, ccw[cur][prev]
+        if (prev, cur) in marked:
+            raise ValueError("bad plane embedding: a face repeats a half-edge")
+        marked.add((prev, cur))
+    return tuple(face)
 
 
 def planarity_test(g: Graph) -> tuple | None:
@@ -319,12 +445,12 @@ def planarity_test(g: Graph) -> tuple | None:
     Each face is a vertex cycle ``(v0, v1, ..., vk-1)`` standing for the
     directed boundary edges ``(v0,v1), ..., (vk-1,v0)``.
     """
-    emb = _nx_embedding(g)
+    emb = _embedding(g)
     if emb is None:
         return None
     marked: set[tuple[int, int]] = set()
     faces = tuple(
-        tuple(emb.traverse_face(v, w, mark_half_edges=marked))
+        _face(*emb, v, w, marked)
         for v in range(g.n)
         for w in sorted(g.adj[v])
         if (v, w) not in marked
@@ -375,6 +501,182 @@ def validate_embedding(g: Graph, faces: tuple) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _triangulate(cw: list, ccw: list) -> list:
+    """Triangulate the embedding in place as networkx's
+    ``triangulate_embedding(fully_triangulate=True)`` does and return its
+    outer triangle: join the components, make every face a simple cycle
+    (``make_bi_connected``), then fan each face (``triangulate_face``)."""
+    n = len(cw)
+    firsts = []
+    seen: set = set()
+    for s in range(n):
+        if s in seen:
+            continue
+        comp = {s}  # filled in networkx's BFS order, so it iterates as its set does
+        queue = [s]
+        for u in queue:
+            for w in cw[u]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        firsts.append(next(iter(comp)))
+    for a, b in zip(firsts, firsts[1:]):
+        _add_half_edge(cw, ccw, a, b, _leftmost(cw[a]), True)
+        _add_half_edge(cw, ccw, b, a, _leftmost(cw[b]), True)
+    outer: list = []
+    faces = []
+    counted: set = set()
+    for s in range(n):
+        for t in _clockwise(cw[s]):
+            if (s, t) in counted:
+                continue
+            counted.add((s, t))
+            face, on_face = [s], {s}
+            v1, v2, v3 = s, t, ccw[t][s]
+            while v2 != s or v3 != t:
+                if v2 in on_face:  # a cut vertex: bridge it with a chord
+                    _add_half_edge(cw, ccw, v1, v3, v2, False)
+                    _add_half_edge(cw, ccw, v3, v1, v2, True)
+                    counted |= {(v2, v3), (v3, v1)}
+                    v2 = v1
+                else:
+                    face.append(v2)
+                    on_face.add(v2)
+                v1 = v2
+                v2, v3 = v3, ccw[v3][v2]
+                counted.add((v1, v2))
+            faces.append(face)
+            if len(face) > len(outer):
+                outer = face
+    for v1, v2, *_ in faces:
+        v3 = ccw[v2][v1]
+        v4 = ccw[v3][v2]
+        if v1 == v3:
+            continue  # a single edge
+        while v1 != v4:
+            if v3 in cw[v1]:
+                v1, v2, v3 = v2, v3, v4
+            else:
+                _add_half_edge(cw, ccw, v1, v3, v2, False)
+                _add_half_edge(cw, ccw, v3, v1, v2, True)
+                v2, v3 = v3, v4
+            v4 = ccw[v3][v2]
+    return [outer[0], outer[1], ccw[outer[1]][outer[0]]]
+
+
+def _canonical_order(cw: list, ccw: list, outer: list) -> list:
+    """The canonical order of a triangulation with outer triangle
+    ``outer``, as pairs (vertex, contour neighbours from wp to wq), by
+    networkx's ``get_canonical_ordering``: peel vertices without chords
+    off the outer face, last first."""
+    v1, v2, v3 = outer
+    n = len(cw)
+    chords = [0] * n
+    removed = [False] * n
+    ready = set(outer)  # picked from with set.pop, so kept as networkx keeps it
+    ccw_nbr = {v2: v3, v3: v1}
+    cw_nbr = {v1: v3, v3: v2}
+
+    def is_chord(x: int, y: int) -> bool:
+        # y on the outer face but not next to x there
+        if removed[y] or not (y in ccw_nbr or y == v1):
+            return False
+        if x not in ccw_nbr:
+            return cw_nbr[x] != y
+        if x not in cw_nbr:
+            return ccw_nbr[x] != y
+        return ccw_nbr[x] != y and cw_nbr[x] != y
+
+    for v in outer:
+        for w in _clockwise(cw[v]):
+            if is_chord(v, w):
+                chords[v] += 1
+                ready.discard(v)
+    order: list = [(v1, []), (v2, [])] + [None] * (n - 2)
+    ready.discard(v1)
+    ready.discard(v2)
+    for k in range(n - 1, 1, -1):
+        v = ready.pop()
+        removed[v] = True
+        wp = wq = None
+        for w in _clockwise(cw[v]):
+            if removed[w] or not (w in ccw_nbr or w == v1):
+                continue
+            if w == v1:
+                wp = v1
+            elif w == v2:
+                wq = v2
+            elif cw_nbr[w] == v:
+                wp = w
+            else:
+                wq = w
+            if wp is not None and wq is not None:
+                break
+        contour = [wp]
+        while (w := contour[-1]) != wq:
+            x = ccw[v][w]
+            contour.append(x)
+            cw_nbr[w], ccw_nbr[x] = x, w
+        if len(contour) == 2:  # the chord wp-wq is now an outer edge
+            for w in contour:
+                chords[w] -= 1
+                if not chords[w]:
+                    ready.add(w)
+        else:
+            inner = set(contour[1:-1])
+            for w in inner:
+                ready.add(w)
+                for x in _clockwise(cw[w]):
+                    if is_chord(w, x):
+                        chords[w] += 1
+                        ready.discard(w)
+                        if x not in inner:
+                            chords[x] += 1
+                            ready.discard(x)
+        order[k] = (v, contour)
+    return order
+
+
+def _shift_positions(cw: list, ccw: list) -> list:
+    """Integer grid points of the vertices by the shift method (Chrobak &
+    Payne, IPL 1995), as networkx's ``combinatorial_embedding_to_pos``
+    with ``fully_triangulate=True`` places them; the embedding is
+    triangulated in place.  Fewer than four vertices take its default
+    triangle."""
+    n = len(cw)
+    if n < 4:
+        return [(0, 0), (2, 0), (1, 1)][:n]
+    order = _canonical_order(cw, ccw, _triangulate(cw, ccw))
+    (v1, _), (v2, _), (v3, _) = order[:3]
+    x, y, dx = [0] * n, [0] * n, [0] * n
+    left: list = [None] * n
+    right = left.copy()
+    dx[v2] = dx[v3] = y[v3] = 1
+    right[v1], right[v3] = v3, v2
+    for vk, contour in order[3:]:
+        wp, wp1, wq1, wq = contour[0], contour[1], contour[-2], contour[-1]
+        dx[wp1] += 1
+        dx[wq] += 1
+        span = sum(dx[x] for x in contour[1:])
+        dx[vk] = (span - y[wp] + y[wq]) // 2
+        y[vk] = (span + y[wp] + y[wq]) // 2
+        dx[wq] = span - dx[vk]
+        right[wp], right[vk] = vk, wq
+        if len(contour) > 2:
+            dx[wp1] -= dx[vk]
+            left[vk] = wp1
+            right[wq1] = None
+    stack = [v1]
+    while stack:
+        p = stack.pop()
+        for c in (left[p], right[p]):
+            if c is not None:
+                x[c] = x[p] + dx[c]
+                stack.append(c)
+    return list(zip(x, y))
+
+
 def grid_drawing(g: Graph) -> Drawing:
     """Crossing-free straight-line drawing on the integer grid.
 
@@ -383,14 +685,11 @@ def grid_drawing(g: Graph) -> Drawing:
     the extra edges are discarded afterwards.  The returned drawing has
     been certified crossing-free by the exact verifier.
     """
-    emb = _nx_embedding(g)
+    emb = _embedding(g)
     if emb is None:
         raise ValueError("graph is not planar")
-    pos = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
-    points = [
-        (Fraction(int(pos[v][0])), Fraction(int(pos[v][1]))) for v in range(g.n)
-    ]
-    d = Drawing(graph=g, points=tuple(points), meta={"construction": "grid_drawing"})
+    points = tuple((Fraction(x), Fraction(y)) for x, y in _shift_positions(*emb))
+    d = Drawing(graph=g, points=points, meta={"construction": "grid_drawing"})
     return verify_crossing_free(d)
 
 

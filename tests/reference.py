@@ -30,6 +30,32 @@ def from_networkx(ng):
     return Graph(ng.number_of_nodes(), ng.edges())
 
 
+def nx_embedding(g):
+    """networkx's plane embedding of ``g``, or ``None`` if ``g`` is not
+    planar: the oracle that ``planar._embedding`` reproduces."""
+    ok, emb = nx.check_planarity(to_networkx(g), counterexample=False)
+    return emb if ok else None
+
+
+def nx_faces(g, emb):
+    """The faces of the networkx embedding ``emb`` of ``g``, traced in the
+    order ``planarity_test`` traces them."""
+    marked = set()
+    return tuple(
+        tuple(emb.traverse_face(v, w, mark_half_edges=marked))
+        for v in range(g.n)
+        for w in sorted(g.adj[v])
+        if (v, w) not in marked
+    )
+
+
+def nx_grid_points(g, emb):
+    """networkx's shift-method points of the embedding ``emb`` of ``g``,
+    as ``grid_drawing`` returns points."""
+    pos = nx.combinatorial_embedding_to_pos(emb, fully_triangulate=True)
+    return tuple((Fraction(int(pos[v][0])), Fraction(int(pos[v][1]))) for v in range(g.n))
+
+
 def pinned_triangulations():
     """The 91 planar triangulations whose bound reports a test pins:
     every one with 4..9 vertices (``planar.triangulations``), the

@@ -8,6 +8,8 @@ drawings are certified by the exact verifier.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -24,6 +26,8 @@ from affinecover.graphs import (
     path_graph,
 )
 from affinecover.planar import (
+    _clockwise,
+    _embedding,
     _stacked_triangulation,
     dual_circumference_bound,
     grid_drawing,
@@ -32,7 +36,14 @@ from affinecover.planar import (
     triangulations,
     validate_embedding,
 )
-from reference import dual_circumference_oracle
+from affinecover.solvers import vertex_thickness_exact
+from reference import (
+    dual_circumference_oracle,
+    from_networkx,
+    nx_embedding,
+    nx_faces,
+    nx_grid_points,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +160,98 @@ def test_grid_drawing_planar_corpus():
         d = grid_drawing(g)
         assert d.verified
         if g.n >= 4:
-            assert all(0 <= x <= 2 * g.n - 4 for p in d.points for x in p)
+            assert all(0 <= x <= 2 * g.n - 4 and 0 <= y <= g.n - 2 for x, y in d.points)
+
+
+# ---------------------------------------------------------------------------
+# the embedding and the shift method against networkx
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_networkx(g: Graph) -> bool:
+    """The planarity verdict, the clockwise rotation at every vertex (from
+    the same first neighbour), the faces of ``planarity_test`` and the
+    points of ``grid_drawing`` all equal networkx's; returns the verdict."""
+    emb = nx_embedding(g)
+    ours = _embedding(g)
+    assert (ours is None) == (emb is None)
+    if emb is None:
+        assert planarity_test(g) is None
+        return False
+    cw, _ = ours
+    assert [list(_clockwise(cw[v])) for v in range(g.n)] == [
+        list(emb.neighbors_cw_order(v)) for v in range(g.n)
+    ]
+    assert planarity_test(g) == nx_faces(g, emb)
+    if g.n:
+        points = grid_drawing(g).points
+        assert points == nx_grid_points(g, emb)
+        if g.n >= 4:
+            assert all(0 <= x <= 2 * g.n - 4 and 0 <= y <= g.n - 2 for x, y in points)
+    return True
+
+
+def test_embedding_matches_networkx_on_the_atlas():
+    graphs = nx.graph_atlas_g()
+    assert len(graphs) == 1253
+    planar = sum(assert_matches_networkx(from_networkx(ng)) for ng in graphs)
+    assert planar == 1253 - 237
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("nested_triangles", (60,)),
+        FamilySpec("c4_prism_stack", (40,)),
+        FamilySpec("nested_squares", (16,)),
+        FamilySpec("complete_binary_tree", (7,)),
+        FamilySpec("caterpillar", (6, 2, 1, 0, 3, 1, 2)),
+        FamilySpec("caterpillar", (1, 5)),
+        FamilySpec("caterpillar", (12, *range(12))),
+    ],
+)
+def test_embedding_matches_networkx_on_families(spec):
+    assert assert_matches_networkx(build_family(spec))
+
+
+def test_embedding_matches_networkx_on_disconnected_graphs():
+    graphs = [
+        Graph(5, []),
+        Graph(9, [(2, 7)]),
+        Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        Graph(12, [(0, 4), (4, 8), (8, 0), (1, 5), (5, 9), (9, 1), (2, 6)]),
+    ]
+    rng = random.Random("disconnected")
+    while len(graphs) < 300:
+        # about 0.6 edges per vertex: several components, often isolated vertices
+        n = rng.randrange(4, 24)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 1.2 / n])
+        if len(g.components()) > 1:
+            graphs.append(g)
+    assert sum(min(map(len, g.adj)) == 0 for g in graphs) > 100
+    for g in graphs:
+        assert assert_matches_networkx(g)
+
+
+def test_embedding_matches_networkx_on_vertex_thickness_classes():
+    # the induced classes pi23_drawing draws, one plane each
+    checked = 0
+    for n, p, seed in itertools.product(range(8, 17), (0.3, 0.5, 0.7), range(3)):
+        rng = random.Random(f"classes:{n}:{p}:{seed}")
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for cls in vertex_thickness_exact(g).partition.classes:
+            assert assert_matches_networkx(g.induced(sorted(cls)))
+            checked += 1
+    assert checked == 152
+
+
+def test_deep_inputs_need_no_recursion():
+    # the networkx code these replace is iterative; 3,000 vertices is
+    # three times the default recursion limit
+    d = grid_drawing(path_graph(3000))
+    assert d.verified and len(set(d.points)) == 3000
+    faces = planarity_test(cycle_graph(3000))
+    assert sorted(map(len, faces)) == [3000, 3000]
 
 
 # ---------------------------------------------------------------------------

@@ -638,7 +638,7 @@ def neighbour_lists(g: Graph) -> list:
 
 def check_planarity_prechecks(g: Graph, planar: bool) -> None:
     assert is_planar(adjacency(g)) == planar
-    assert _left_right_planar(neighbour_lists(g)) == planar
+    assert (_left_right_planar(neighbour_lists(g)) is not None) == planar
     assert _count_verdict(adjacency(g)) in (None, planar)
     reduced = _reduce(adjacency(g))
     assert all(len(nb) >= 3 and u not in nb for u, nb in reduced.items())
@@ -758,7 +758,7 @@ def test_is_planar_matches_networkx_small(g):
     # seven or more vertices for the left-right test
     expected = nx_planar(g)
     assert is_planar(adjacency(g)) == expected
-    assert _left_right_planar(neighbour_lists(g)) == expected
+    assert (_left_right_planar(neighbour_lists(g)) is not None) == expected
 
 
 def test_left_right_matches_networkx_on_the_atlas():
@@ -767,7 +767,7 @@ def test_left_right_matches_networkx_on_the_atlas():
     for ng in graphs:
         g = from_networkx(ng)
         expected = nx.check_planarity(ng)[0]
-        assert _left_right_planar(neighbour_lists(g)) == expected
+        assert (_left_right_planar(neighbour_lists(g)) is not None) == expected
         assert is_planar(adjacency(g)) == expected
 
 
@@ -775,11 +775,11 @@ def test_left_right_rejects_triangulations_plus_an_edge():
     checked = 0
     for n in range(5, 10):
         for t in triangulations(n):
-            assert _left_right_planar(neighbour_lists(t))
+            assert _left_right_planar(neighbour_lists(t)) is not None
             for e in itertools.combinations(range(n), 2):
                 if not t.has_edge(*e):
                     h = Graph(n, [*t.edges, e])
-                    assert not _left_right_planar(neighbour_lists(h))
+                    assert _left_right_planar(neighbour_lists(h)) is None
                     assert not nx_planar(h)
                     checked += 1
     assert checked == 927
