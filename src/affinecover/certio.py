@@ -12,15 +12,20 @@ decoder restates no rule of the encoding.
 
 Numbers are always exact: every coordinate and offset is a
 ``[numerator, denominator]`` pair, and floats, ``NaN`` and ``Infinity``
-are rejected outright.  Loading never trusts the file's claims;
-:func:`verify_certificate` re-runs the crossing-freeness and witness
-checks from scratch.
+are rejected outright.  Coordinates decode straight onto the drawing's
+integer grid, at the lcm of the denominators as written (at most
+:data:`MAX_SCALE_BITS` bits), and emit as the reduced pair of each grid
+coordinate over the scale, so an unreduced pair, a negative denominator
+or a ``"+5"`` re-emits differently and is refused.  Loading never
+trusts the file's claims; :func:`verify_certificate` re-runs the
+crossing-freeness and witness checks from scratch.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import metadata
@@ -32,6 +37,7 @@ from .graphs import Graph, parse_graph, to_graph6
 
 __all__ = [
     "CERT_VERSION",
+    "MAX_SCALE_BITS",
     "CertificateFile",
     "certificate_from_result",
     "emit_certificate",
@@ -47,6 +53,10 @@ CERT_VERSION = 1
 #: JSON numbers above this magnitude are not exactly representable by
 #: every consumer; such integers are serialized as decimal strings.
 _INT_LIMIT = 2**53
+
+#: Bits the common denominator of a certificate's coordinates may have: the
+#: grid holds every coordinate times it, so its size is quadratic in the lcm's.
+MAX_SCALE_BITS = 4096
 
 
 @functools.cache
@@ -96,14 +106,16 @@ def _encode_int(x: int):
     return x if -_INT_LIMIT < x < _INT_LIMIT else str(x)
 
 
-def _encode_frac(x) -> list:
-    return [_encode_int(x.numerator), _encode_int(x.denominator)]
+def _encode_pair(num: int, den: int) -> list:
+    """The reduced pair of num / den, for den > 0."""
+    g = math.gcd(num, den)
+    return [_encode_int(num // g), _encode_int(den // g)]
 
 
 def _encode_object(obj) -> dict:
     if isinstance(obj, CanonLine):
         return {
-            "base": [_encode_frac(c) for c in obj.base],
+            "base": [_encode_pair(c.numerator, c.denominator) for c in obj.base],
             "dim": obj.dim,
             "direction": [_encode_int(c) for c in obj.direction],
             "type": "line",
@@ -111,7 +123,7 @@ def _encode_object(obj) -> dict:
     if isinstance(obj, CanonPlane):
         return {
             "normal": [_encode_int(c) for c in obj.normal],
-            "offset": _encode_frac(obj.offset),
+            "offset": _encode_pair(obj.offset.numerator, obj.offset.denominator),
             "type": "plane",
         }
     raise TypeError(f"unsupported witness object {type(obj).__name__}")
@@ -135,12 +147,11 @@ def _canonical_json(payload) -> bytes:
 
 def emit_certificate(cert: CertificateFile) -> bytes:
     """Serialize to canonical bytes (stable across emits)."""
+    scale = cert.drawing.scale
     payload = {
         "version": CERT_VERSION,
         "graph": to_graph6(cert.graph).decode("ascii"),
-        "drawing": [
-            [_encode_frac(c) for c in point] for point in cert.drawing.points
-        ],
+        "drawing": [[_encode_pair(x, scale) for x in p] for p in cert.drawing.grid],
         "witness": {
             "assignment": _encode_assignment(cert.witness),
             "exact": bool(cert.witness.exact),
@@ -165,13 +176,32 @@ def _decode_int(v) -> int:
     raise ValueError(f"expected integer, got {type(v).__name__}")
 
 
-def _decode_frac(v) -> Fraction:
+def _decode_pair(v) -> tuple:
     if not (isinstance(v, list) and len(v) == 2):
         raise ValueError(f"expected [numerator, denominator], got {v!r}")
     num, den = _decode_int(v[0]), _decode_int(v[1])
     if den == 0:
         raise ValueError("denominator must not be zero")
-    return Fraction(num, den)
+    return num, den
+
+
+def _decode_grid(coords, n: int) -> tuple:
+    """``(grid, scale)`` of an n-vertex drawing's rows, ``scale`` the lcm
+    of the denominators, refused past ``MAX_SCALE_BITS`` before the grid."""
+    if not (isinstance(coords, list) and len(coords) == n):
+        raise ValueError(f"drawing must list {n} points")
+    rows, scale = [], 1
+    for row in coords:
+        if not (isinstance(row, list) and len(row) in (2, 3)):
+            raise ValueError(f"point must have 2 or 3 coordinates, got {row!r}")
+        pairs = [_decode_pair(c) for c in row]
+        for _, den in pairs:
+            if scale % den:
+                scale = math.lcm(scale, den)
+                if scale.bit_length() > MAX_SCALE_BITS:
+                    raise ValueError(f"coordinates' common denominator has more than {MAX_SCALE_BITS} bits")
+        rows.append(pairs)
+    return tuple(tuple(num * (scale // den) for num, den in row) for row in rows), scale
 
 
 def _expect_keys(obj, keys: set, what: str) -> None:
@@ -192,12 +222,12 @@ def _decode_object(v) -> object:
         if dim not in (2, 3):
             raise ValueError(f"line dimension must be 2 or 3, got {dim!r}")
         direction = tuple(_decode_int(c) for c in _expect_list(v["direction"], dim))
-        base = tuple(_decode_frac(c) for c in _expect_list(v["base"], dim))
+        base = tuple(Fraction(*_decode_pair(c)) for c in _expect_list(v["base"], dim))
         obj = CanonLine(dim, direction, base)
     elif v["type"] == "plane":
         _expect_keys(v, {"normal", "offset", "type"}, "plane object")
         normal = tuple(_decode_int(c) for c in _expect_list(v["normal"], 3))
-        obj = CanonPlane(normal, _decode_frac(v["offset"]))
+        obj = CanonPlane(normal, Fraction(*_decode_pair(v["offset"])))
     else:
         raise ValueError(f"unknown witness object type {v['type']!r}")
     if not is_canonical(obj):
@@ -247,15 +277,7 @@ def _decode(payload) -> CertificateFile:
     if not isinstance(payload["graph"], str):
         raise ValueError("graph must be a graph6 string")
     g = parse_graph(payload["graph"].encode("ascii"), "graph6")
-    coords = payload["drawing"]
-    if not (isinstance(coords, list) and len(coords) == g.n):
-        raise ValueError(f"drawing must list {g.n} points")
-    points = []
-    for row in coords:
-        if not (isinstance(row, list) and len(row) in (2, 3)):
-            raise ValueError(f"point must have 2 or 3 coordinates, got {row!r}")
-        points.append(tuple(_decode_frac(c) for c in row))
-    drawing = Drawing(graph=g, points=tuple(points))
+    drawing = Drawing(g, *_decode_grid(payload["drawing"], g.n))
 
     w = payload["witness"]
     _expect_keys(w, {"assignment", "exact", "kind", "objects"}, "witness")

@@ -27,6 +27,7 @@ from .geometry import (
     canon_line,
     canon_plane,
     canonical_plane_through_segment,
+    integerize,
     key_contains,
     qpoint,
     scaled_key,
@@ -110,7 +111,8 @@ class ConstructionResult:
 
 
 def _verified(graph: Graph, points: list, meta: dict) -> Drawing:
-    return verify_crossing_free(Drawing(graph=graph, points=tuple(points), meta=dict(meta)))
+    grid, scale = integerize(points)
+    return verify_crossing_free(Drawing(graph, grid, scale, dict(meta)))
 
 
 def _int_box(d: Drawing) -> tuple:
@@ -163,7 +165,7 @@ def _skew_line_layout(n: int, orders: list, p: int, exact: bool = True) -> tuple
         lines.append(canon_line(qpoint(i, 0, 0), qpoint(i, 1, i)))
         base = (i * i) % p
         for j, v in enumerate(order):
-            points[v] = qpoint(i, base + j * p, i * (base + j * p))
+            points[v] = (i, base + j * p, i * (base + j * p))
             assignment[v] = i
     return points, CoverWitness("lines_for_vertices", tuple(lines), assignment, exact=exact)
 
@@ -240,7 +242,7 @@ def pi23_drawing(g: Graph, seed: int = 0) -> ConstructionResult:
     part = vertex_thickness_exact(g)
     classes = [sorted(cls) for cls in part.partition.classes]
     k = part.value
-    layers = [grid_drawing(g.induced(cls)).points for cls in classes]
+    layers = [grid_drawing(g.induced(cls)).grid for cls in classes]
     planes = tuple(
         canon_plane(qpoint(0, 0, i), qpoint(1, 0, i), qpoint(0, 1, i)) for i in range(k)
     )
@@ -249,7 +251,7 @@ def pi23_drawing(g: Graph, seed: int = 0) -> ConstructionResult:
     meta = {"construction": "pi23_drawing", "classes": k, "exact": part.exact, "seed": seed}
 
     if k == 1:
-        points = [qpoint(x, y, 0) for x, y in layers[0]]
+        points = [(x, y, 0) for x, y in layers[0]]
         d = _verified(g, points, dict(meta, attempts=0))
         return _package(d, witness, k)
 
@@ -267,7 +269,7 @@ def pi23_drawing(g: Graph, seed: int = 0) -> ConstructionResult:
             dx = rng.randrange(s)
             dy = rng.randrange(s)
             for v, (x, y) in zip(cls, layers[i]):
-                points[v] = qpoint(a * x - b * y + dx, b * x + a * y + dy, i)
+                points[v] = (a * x - b * y + dx, b * x + a * y + dy, i)
         try:
             d = _verified(g, points, dict(meta, attempts=attempt))
         except DrawingViolation as exc:
@@ -296,7 +298,7 @@ def moment_curve_kn(n: int) -> ConstructionResult:
     if n < 1:
         raise ValueError("need n >= 1")
     g = complete_graph(n)
-    points = [qpoint(t, t * t, t * t * t) for t in range(n)]
+    points = [(t, t * t, t * t * t) for t in range(n)]
     lines = []
     assignment = {}
     for i in range(0, n - 1, 2):
@@ -397,9 +399,9 @@ def kpq_plane_book(p: int, q: int) -> ConstructionResult:
     points = [None] * (p + q)
     for j in range(p):
         s = j // 2 + 1
-        points[j] = qpoint(1, s, 0) if j % 2 == 0 else qpoint(-1, -s, 0)
+        points[j] = (1, s, 0) if j % 2 == 0 else (-1, -s, 0)
     for i in range(q):
-        points[p + i] = qpoint(0, 0, i + 1)
+        points[p + i] = (0, 0, i + 1)
     nplanes = _ceil_div(p, 2)
     planes = tuple(
         canon_plane(qpoint(0, 0, 0), qpoint(0, 0, 1), qpoint(1, j + 1, 0))
@@ -427,9 +429,9 @@ def parallel_kpq_lines(p: int, q: int) -> ConstructionResult:
     g = complete_bipartite(p, q)
     points = [None] * (p + q)
     for j in range(p):
-        points[j] = qpoint(1, j + 1, 0)
+        points[j] = (1, j + 1, 0)
     for i in range(q):
-        points[p + i] = qpoint(0, 0, i)
+        points[p + i] = (0, 0, i)
     lines = [canon_line(qpoint(0, 0, 0), qpoint(0, 0, 1))]
     lines += [canon_line(points[j], qpoint(1, j + 1, 1)) for j in range(p)]
     assignment = {p + i: 0 for i in range(q)}
@@ -611,7 +613,7 @@ def binary_tree_grid(h: int) -> ConstructionResult:
     g = complete_binary_tree(h)
     pos = {}
     _place_tree(0, h, 0, 0, pos)
-    points = [qpoint(*pos[v]) for v in range(g.n)]
+    points = [pos[v] for v in range(g.n)]
     meta = {"construction": "binary_tree_grid", "height": h}
     if h >= 2:
         meta["grid_side"] = tree_grid_size(h)
@@ -668,7 +670,7 @@ def prism_stack_3d(k: int, base: str = "C4") -> ConstructionResult:
         bx, by = bases[col]
         z = lvl if col % 2 == 0 else h - lvl
         for cx, cy in corners:
-            points.append(qpoint(bx + cx, by + cy, z))
+            points.append((bx + cx, by + cy, z))
     n = len(corners) * k
     meta = {
         "construction": "prism_stack_3d",
@@ -700,7 +702,7 @@ def nested_squares_two_lines(k: int) -> ConstructionResult:
         r = i + 1
         ring = ((r, r), (-r, r), (-r, -r), (r, -r))
         for c, (x, y) in enumerate(ring):
-            points.append(qpoint(x, y))
+            points.append((x, y))
             assignment[4 * i + c] = c % 2
     witness = CoverWitness("lines_for_vertices", _DIAGONALS, assignment)
     d = _verified(g, points, {"construction": "nested_squares_two_lines", "rings": k})

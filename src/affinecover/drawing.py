@@ -1,8 +1,8 @@
 """Drawings, the exact crossing-free verifier, and drawing measurements.
 
 A :class:`Drawing` pairs a graph with exact rational vertex points in
-2D or 3D, and holds their integer grid: the points times their least
-common denominator, computed once when the drawing is built.
+2D or 3D, stored only as an integer grid and a scale: the points times
+their least common denominator, and that denominator.
 ``verify_crossing_free`` certifies that the straight-line drawing has no
 forbidden contact between edges or between a vertex and a non-incident
 edge; every measurement (line/plane covers, segments, slopes) requires a
@@ -42,18 +42,16 @@ import math
 from bisect import bisect_left, bisect_right
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from typing import Sequence
 
 from .geometry import (
     CanonLine,
     CanonPlane,
-    canon_line,
-    canonical_plane_through_segment,
     collinear,
     coplanar_segments_meet,
     forbidden_contact,
-    integerize,
     is_canonical,
     key_contains,
     line_from_key,
@@ -62,7 +60,6 @@ from .geometry import (
     orient,
     plane_from_key,
     plane_key,
-    qpoint,
     scaled_key,
 )
 from .graphs import Graph, is_complete
@@ -96,43 +93,51 @@ class WitnessViolation(ValueError):
 class Drawing:
     """A straight-line drawing: graph plus one exact point per vertex.
 
-    ``grid`` and ``scale`` are derived from the points: ``grid[v]`` is
-    ``points[v]`` times ``scale``, the least common denominator of all
-    coordinates, so every grid coordinate is an int.  Only
-    :func:`verify_crossing_free` sets ``verified``.
+    Vertex v sits at ``grid[v] / scale``, ints divided by their common
+    gcd when the drawing is built, so ``scale`` is the least common
+    denominator.  ``points`` is the exact ``Fraction`` view, built on
+    first read.  Only :func:`verify_crossing_free` sets ``verified``.
     """
 
     graph: Graph
-    points: tuple
+    grid: tuple
+    scale: int
     meta: dict = field(default_factory=dict)
     verified: bool = field(default=False, init=False)
-    grid: tuple = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g, pts = self.graph, self.points
+        g, grid, scale = self.graph, tuple(map(tuple, self.grid)), self.scale
         if g.n < 1:
             raise ValueError("drawings need at least one vertex")
-        if len(pts) != g.n:
-            raise ValueError(f"{g.n} vertices but {len(pts)} points")
-        pts = tuple(qpoint(*p) for p in pts)
-        dim = len(pts[0])
-        if any(len(p) != dim for p in pts):
+        if len(grid) != g.n:
+            raise ValueError(f"{g.n} vertices but {len(grid)} points")
+        dim = len(grid[0])
+        if any(len(p) != dim for p in grid):
             raise ValueError("all points must share one dimension")
-        grid, scale = integerize(pts)
+        if dim not in (2, 3):
+            raise ValueError(f"points must have 2 or 3 coordinates, got {dim}")
+        if type(scale) is not int or scale < 1 or any(type(c) is not int for p in grid for c in p):
+            raise ValueError("grid coordinates must be ints and the scale an int >= 1")
+        k = math.gcd(scale, *(c for p in grid for c in p))
+        if k > 1:
+            grid, scale = tuple(tuple(c // k for c in p) for p in grid), scale // k
         if len(set(grid)) != len(grid):
             seen = {}
             for v, p in enumerate(grid):
                 if p in seen:
-                    raise ValueError(f"vertices {seen[p]} and {v} share point {pts[v]}")
+                    raise ValueError(f"vertices {seen[p]} and {v} share point {tuple(Fraction(c, scale) for c in p)}")
                 seen[p] = v
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "grid", tuple(grid))
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scale", scale)
+
+    @cached_property
+    def points(self) -> tuple:
+        """The exact points ``grid[v] / scale``, as ``Fraction`` tuples."""
+        return tuple(tuple(Fraction(c, self.scale) for c in p) for p in self.grid)
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return len(self.grid[0])
 
 
 @dataclass(frozen=True)
@@ -344,7 +349,7 @@ def verify_crossing_free(d: Drawing) -> Drawing:
                     first = (v, i)
     if first is not None:
         raise DrawingViolation(("vertex_edge", first[0], edges[first[1]]))
-    # a shallow copy keeps the grid without normalizing the points again
+    # a shallow copy keeps the grid without checking it again
     out = copy(d)
     object.__setattr__(out, "verified", True)
     return out
@@ -511,9 +516,8 @@ def min_vertex_line_cover(d: Drawing, budget_n: int = 40) -> tuple:
     _require_verified(d)
     g = d.graph
     if g.n == 1:
-        p = d.points[0]
-        e1 = tuple(1 if i == 0 else 0 for i in range(d.dim))
-        line = canon_line(p, qpoint(*(a + b for a, b in zip(p, e1))))
+        p = d.grid[0]
+        line = line_from_key(line_key(p, (p[0] + 1, *p[1:])), d.scale)
         return 1, CoverWitness("lines_for_vertices", (line,), {0: 0})
     grid = d.grid
     members: dict = {}
@@ -554,8 +558,10 @@ def min_edge_plane_cover(d: Drawing, budget_m: int = 60) -> tuple:
             if key is not None:
                 keyed.setdefault(key, set()).add(e)
     if not keyed:
-        u, v = edges[0]
-        keyed[scaled_key(canonical_plane_through_segment(d.points[u], d.points[v]), d.scale)] = set(edges)
+        # the plane through edge [a, b] and a + e_i, e_i the first axis not along it
+        a, b = grid[edges[0][0]], grid[edges[0][1]]
+        axes = (tuple(c + (i == j) for j, c in enumerate(a)) for i in range(3))
+        keyed[next(k for e in axes if (k := plane_key(a, b, e)) is not None)] = set(edges)
     return _min_cover("planes_for_edges", keyed, edges, g.m <= budget_m, d.scale)
 
 

@@ -1,9 +1,10 @@
 """One-way renderings of a certificate: SVG (2D, or 3D seen isometrically)
 and Wavefront OBJ.
 
-Floats are fine here; the certificate itself stays exact.  Witness
-lines are drawn dashed, clipped to the drawing's bounding box, and
-edges or vertices take the colour of the witness object covering them.
+Floats are fine here; the certificate itself stays exact.  A vertex's
+floats are grid coordinate / scale, correctly rounded.  Witness lines
+are drawn dashed, clipped to the drawing's bounding box, and edges or
+vertices take the colour of the witness object covering them.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def _iso_project(point) -> tuple:
 def _render_svg(cert: CertificateFile, project) -> str:
     """SVG of a drawing whose points ``project`` maps (linearly) to 2D."""
     d = cert.drawing
-    pts = [project(p) for p in d.points]
+    pts = [project([x / d.scale for x in p]) for p in d.grid]
     to_svg, lo, hi, width, height = _svg_canvas(pts)
     body = []
     for i, obj in enumerate(cert.witness.objects):
@@ -120,9 +121,9 @@ def _render_svg(cert: CertificateFile, project) -> str:
 
 def _render_obj(cert: CertificateFile) -> str:
     lines = [f"# certificate export: {cert.meta.get('construction', 'drawing')}"]
-    dim = cert.drawing.dim
-    for p in cert.drawing.points:
-        coords = [float(c) for c in p] + [0.0] * (3 - dim)
+    d = cert.drawing
+    for p in d.grid:
+        coords = [x / d.scale for x in p] + [0.0] * (3 - d.dim)
         lines.append("v " + " ".join(f"{c:.6f}" for c in coords))
     for u, v in sorted(cert.graph.edges):
         lines.append(f"l {u + 1} {v + 1}")

@@ -14,7 +14,6 @@ by the exact rational verifier before being returned.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 # unused: kept because perfbench/startup.py times it within ``import affinecover.cli``
@@ -688,8 +687,7 @@ def grid_drawing(g: Graph) -> Drawing:
     emb = _embedding(g)
     if emb is None:
         raise ValueError("graph is not planar")
-    points = tuple((Fraction(x), Fraction(y)) for x, y in _shift_positions(*emb))
-    d = Drawing(graph=g, points=points, meta={"construction": "grid_drawing"})
+    d = Drawing(g, _shift_positions(*emb), 1, {"construction": "grid_drawing"})
     return verify_crossing_free(d)
 
 

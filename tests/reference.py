@@ -8,12 +8,15 @@ compares the two does not check the kernel against itself.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import networkx as nx
 
-from affinecover.drawing import CoverWitness, exact_set_cover, greedy_set_cover
-from affinecover.graphs import Graph
+from affinecover import certio
+from affinecover.drawing import WITNESS_KINDS, CoverWitness, Drawing, exact_set_cover, greedy_set_cover
+from affinecover.geometry import integerize
+from affinecover.graphs import Graph, parse_graph, to_graph6
 from affinecover.planar import _stacked_triangulation, planarity_test, triangulations
 
 
@@ -392,3 +395,93 @@ def clique_cover_oracle(n, s, node_cap=5_000_000):
             return lower, len(greedy), False, tuple(blocks[i] for i in greedy)
         lower = k + 1
     return lower, len(greedy), lower == len(greedy), tuple(blocks[i] for i in greedy)
+
+
+def _fraction_int(v) -> int:
+    if isinstance(v, int):
+        return v
+    if isinstance(v, str):
+        return int(v)
+    raise ValueError(f"expected integer, got {type(v).__name__}")
+
+
+def _fraction(v) -> Fraction:
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValueError(f"expected [numerator, denominator], got {v!r}")
+    num, den = _fraction_int(v[0]), _fraction_int(v[1])
+    if den == 0:
+        raise ValueError("denominator must not be zero")
+    return Fraction(num, den)
+
+
+def _fraction_decode(payload) -> tuple:
+    certio._expect_keys(payload, {"version", "graph", "drawing", "witness", "meta"}, "certificate")
+    if type(payload["version"]) is not int or payload["version"] != certio.CERT_VERSION:
+        raise ValueError(f"unsupported certificate version {payload['version']!r}")
+    if not isinstance(payload["graph"], str):
+        raise ValueError("graph must be a graph6 string")
+    g = parse_graph(payload["graph"].encode("ascii"), "graph6")
+    coords = payload["drawing"]
+    if not (isinstance(coords, list) and len(coords) == g.n):
+        raise ValueError(f"drawing must list {g.n} points")
+    points = []
+    for row in coords:
+        if not (isinstance(row, list) and len(row) in (2, 3)):
+            raise ValueError(f"point must have 2 or 3 coordinates, got {row!r}")
+        points.append(tuple(_fraction(c) for c in row))
+    drawing = Drawing(g, *integerize(points))
+
+    w = payload["witness"]
+    certio._expect_keys(w, {"assignment", "exact", "kind", "objects"}, "witness")
+    if w["kind"] not in WITNESS_KINDS:
+        raise ValueError(f"unknown witness kind {w['kind']!r}")
+    if not isinstance(w["exact"], bool):
+        raise ValueError("witness exact flag must be a boolean")
+    if not isinstance(w["objects"], list):
+        raise ValueError("witness objects must be a list")
+    objects = tuple(certio._decode_object(o) for o in w["objects"])
+    assignment = certio._decode_assignment(w["assignment"], w["kind"], g, len(objects))
+    witness = CoverWitness(w["kind"], objects, assignment, exact=w["exact"])
+
+    if not isinstance(payload["meta"], dict):
+        raise ValueError("meta must be an object")
+    return certio.CertificateFile(drawing, witness, payload["meta"]), tuple(points)
+
+
+def _fraction_emit(cert, points) -> bytes:
+    payload = {
+        "version": certio.CERT_VERSION,
+        "graph": to_graph6(cert.graph).decode("ascii"),
+        "drawing": [[[certio._encode_int(c.numerator), certio._encode_int(c.denominator)] for c in p] for p in points],
+        "witness": {
+            "assignment": certio._encode_assignment(cert.witness),
+            "exact": bool(cert.witness.exact),
+            "kind": cert.witness.kind,
+            "objects": [certio._encode_object(o) for o in cert.witness.objects],
+        },
+        "meta": cert.meta,
+    }
+    return certio._canonical_json(payload)
+
+
+def fraction_parse_certificate(data: bytes) -> tuple:
+    """``certio.parse_certificate`` with a ``Fraction`` per coordinate:
+    the decoder that the grid decoder replaced, kept as its oracle.
+
+    Each ``[numerator, denominator]`` pair becomes a ``Fraction``, the
+    drawing is built from those points through ``integerize``, and the
+    file is accepted only if writing each point's reduced ``Fraction``
+    pairs back reproduces it byte for byte.  Returns ``(certificate,
+    points)``.
+    """
+    try:
+        payload = json.loads(data, parse_float=certio._no_floats, parse_constant=certio._no_floats)
+        cert, points = _fraction_decode(payload)
+        canonical = _fraction_emit(cert, points) == data
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
+    if not canonical:
+        raise ValueError("certificate is not in canonical form")
+    return cert, points

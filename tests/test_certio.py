@@ -1,11 +1,13 @@
 """Tests for certificate serialization and re-verification."""
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecover.certio import (
+    MAX_SCALE_BITS,
     certificate_from_result,
     emit_certificate,
     load_certificate,
@@ -30,7 +32,9 @@ from affinecover.drawing import (
     edge_line_count,
     verify_crossing_free,
 )
+from affinecover.geometry import integerize
 from affinecover.graphs import complete_graph, path_graph
+from reference import fraction_parse_certificate
 
 
 def _samples():
@@ -108,7 +112,7 @@ def test_no_float_literals_in_emitted_json():
 
 def test_big_integers_serialized_as_decimal_strings():
     big = 2**60
-    d = verify_crossing_free(Drawing(path_graph(2), ((0, 0), (big, 1))))
+    d = verify_crossing_free(Drawing(path_graph(2), *integerize(((0, 0), (big, 1)))))
     count, witness = edge_line_count(d)
     res = ConstructionResult(d, witness, count, (big, 1))
     cert = certificate_from_result(res, "manual")
@@ -273,3 +277,110 @@ def test_mutated_certificate_bytes(base, data):
         verify_certificate(cert)
     except (ValueError, DrawingViolation, WitnessViolation):
         pass
+
+
+def _path_certificate(points) -> bytes:
+    d = verify_crossing_free(Drawing(path_graph(len(points)), *integerize(points)))
+    count, witness = edge_line_count(d)
+    return emit_certificate(certificate_from_result(ConstructionResult(d, witness, count, (1, 1)), "manual"))
+
+
+#: Canonical certificates whose coordinate leaves the decoder test
+#: mutates: integer and rational drawings, in 2D and in 3D.
+_DECODER_BASES = {
+    "binary_tree_grid(2)": _FUZZ_BASES["binary_tree_grid(2)"],
+    "kn_small_plane_cover(4)": _FUZZ_BASES["kn_small_plane_cover(4)"],
+    "rational 2D": _path_certificate([(0, 0), (Fraction(1, 2), Fraction(1, 3)), (2, Fraction(5, 6)), (3, Fraction(-1, 4))]),
+    "rational 3D": _path_certificate([(0, 0, Fraction(1, 7)), (Fraction(2, 3), 1, 0), (2, Fraction(-3, 5), 1)]),
+}
+
+_LEAF_MUTATIONS = (
+    "unreduced", "negative denominator", "zero denominator", "string", "plus", "space",
+    "underscore", "leading zeros", "true", "float", "other value", "not a pair",
+)
+_ROW_MUTATIONS = ("mixed dimension", "wrong dimension", "same point")
+
+
+def _mutate_coordinate(data, payload: dict) -> None:
+    rows = payload["drawing"]
+    i = data.draw(st.integers(0, len(rows) - 1), label="vertex")
+    j = data.draw(st.integers(0, len(rows[i]) - 1), label="axis")
+    how = data.draw(st.sampled_from(_LEAF_MUTATIONS + _ROW_MUTATIONS), label="mutation")
+    leaf = rows[i][j]
+    side = data.draw(st.integers(0, 1), label="numerator or denominator")
+    x = leaf[side]
+    if how == "unreduced":
+        k = data.draw(st.integers(2, 5))
+        rows[i][j] = [leaf[0] * k, leaf[1] * k]
+    elif how == "negative denominator":
+        rows[i][j] = [-leaf[0], -leaf[1]]
+    elif how == "zero denominator":
+        leaf[1] = 0
+    elif how == "string":
+        leaf[side] = str(x)
+    elif how == "plus":
+        leaf[side] = f"+{x}"
+    elif how == "space":
+        leaf[side] = data.draw(st.sampled_from((" {}", "{} ", "\t{}"))).format(x)
+    elif how == "underscore":
+        leaf[side] = f"{x}_{data.draw(st.integers(0, 9))}"
+    elif how == "leading zeros":
+        leaf[side] = f"{'-' * (x < 0)}00{abs(x)}"
+    elif how == "true":
+        leaf[side] = True
+    elif how == "float":
+        leaf[side] = x + 0.5
+    elif how == "other value":
+        f = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=12))
+        rows[i][j] = [f.numerator, f.denominator]
+    elif how == "not a pair":
+        rows[i][j] = data.draw(st.sampled_from(([x], [*leaf, 1], x, None, {})))
+    elif how == "mixed dimension":
+        rows[i] = rows[i][:2] if len(rows[i]) == 3 else [*rows[i], [0, 1]]
+    elif how == "wrong dimension":
+        rows[i] = data.draw(st.sampled_from(([], rows[i][:1], [*rows[i], *[[0, 1]] * (4 - len(rows[i]))])))
+    else:
+        rows[i] = list(rows[data.draw(st.sampled_from([k for k in range(len(rows)) if k != i]))])
+
+
+@pytest.mark.parametrize("base", list(_DECODER_BASES))
+@given(data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_grid_decoder_matches_fraction_decoder(base, data):
+    # decoding straight onto the grid refuses what the Fraction decoder
+    # refused, with the same error, and accepts the same drawings
+    payload = json.loads(_DECODER_BASES[base])
+    _mutate_coordinate(data, payload)
+    mutant = _canonical_bytes(payload)
+    try:
+        old, points = fraction_parse_certificate(mutant)
+    except Exception as exc:  # the class and message are compared
+        with pytest.raises(Exception) as info:
+            parse_certificate(mutant)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        cert = parse_certificate(mutant)
+        assert (cert.drawing.grid, cert.drawing.scale) == (old.drawing.grid, old.drawing.scale)
+        assert cert.drawing.points == points
+        assert emit_certificate(cert) == mutant
+
+
+def test_common_denominator_bounded():
+    # a denominator of exactly MAX_SCALE_BITS bits is accepted; one bit
+    # more is refused before any grid is built
+    at_limit = _path_certificate([(0, 0), (Fraction(1, 2 ** (MAX_SCALE_BITS - 1)), 0)])
+    verify_certificate(parse_certificate(at_limit))
+    over = _path_certificate([(0, 0), (Fraction(1, 2**MAX_SCALE_BITS), 0)])
+    with pytest.raises(ValueError, match=f"more than {MAX_SCALE_BITS} bits"):
+        parse_certificate(over)
+
+
+def test_common_denominator_bounded_across_coordinates():
+    # the bound is on the lcm, not on any one denominator: 2^2047 and
+    # 3^1300 each have fewer bits than the bound, their lcm more
+    big = 2**2047
+    ok = _path_certificate([(Fraction(1, big), 0), (0, Fraction(1, 3 ** 1200))])
+    parse_certificate(ok)
+    over = _path_certificate([(Fraction(1, big), 0), (0, Fraction(1, 3 ** 1300))])
+    with pytest.raises(ValueError, match="more than"):
+        parse_certificate(over)

@@ -22,19 +22,23 @@ from affinecover.certio import (
     verify_certificate,
     write_certificate,
 )
+from affinecover.bounds import bound_report
 from affinecover.cli import main
 from affinecover.constructions import DRAW_TARGETS, ConstructionResult
 from affinecover.drawing import Drawing, DrawingViolation, edge_line_count, verify_crossing_free
 from affinecover.export import render
+from affinecover.geometry import integerize
 from affinecover.graphs import (
     GRAPH_MAX_M,
     GRAPH_MAX_N,
     Graph,
+    complete_binary_tree,
     complete_graph,
     path_graph,
     to_graph6,
 )
 from affinecover.solvers import lva_exact, lva_sweep
+from reference import fraction_parse_certificate
 
 
 def _draw(tmp_path, *args):
@@ -173,6 +177,52 @@ def test_draw_pins_cover_every_target():
     assert {argv[0] for argv, _ in DRAW_PINS} == set(DRAW_TARGETS)
 
 
+#: The first pinned input of every draw target.
+TARGET_INPUTS = {argv[0]: argv[1:] for argv, _ in reversed(DRAW_PINS)}
+
+
+def _drawn(tmp_path, target: str) -> bytes:
+    rc, out = _draw(tmp_path, "--target", target, *TARGET_INPUTS[target])
+    assert rc == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("target", list(DRAW_TARGETS))
+def test_drawn_certificate_decodes_as_fractions_did(tmp_path, target):
+    data = _drawn(tmp_path, target)
+    cert = load_certificate(tmp_path / "cert.json")
+    assert emit_certificate(cert) == data
+    old, points = fraction_parse_certificate(data)
+    assert (cert.drawing.grid, cert.drawing.scale) == (old.drawing.grid, old.drawing.scale)
+    assert cert.drawing.points == points
+
+
+def test_no_hot_path_reads_points(tmp_path, monkeypatch):
+    # the grid is the drawing: drawing, emitting, parsing, verifying,
+    # measuring, bounding and exporting never build the Fraction points
+    def refuse(self):
+        raise AssertionError("Drawing.points read")
+
+    monkeypatch.setattr(Drawing, "points", property(refuse))
+    certs = {}
+    for target in DRAW_TARGETS:
+        data = _drawn(tmp_path, target)
+        cert = certs[target] = certio.parse_certificate(data)
+        assert emit_certificate(cert) == data
+        d = verify_certificate(cert)
+        drawing.edge_line_count(d)
+        drawing.min_vertex_line_cover(d)
+        if d.dim == 2:
+            drawing.segment_slope_count(d)
+        else:
+            drawing.min_edge_plane_cover(d)
+    drawing.kn_structural_checks(verify_certificate(certs["rho23_kn"]), certs["rho23_kn"].witness)
+    assert bound_report(complete_binary_tree(4))["pi12"].upper == 2
+    render(certs["binary_tree"], "svg2d")
+    render(certs["pi13"], "svg-iso3d")
+    render(certs["prism3d"], "obj")
+
+
 def test_draw_conflicting_inputs(tmp_path):
     rc, _ = _draw(
         tmp_path, "--family", "path:3", "--graph6", "Bw", "--target", "pi13"
@@ -220,7 +270,7 @@ def _moved_vertex_spiral(tmp_path):
     v = next(w for w in reversed(range(d.graph.n)) if w not in (a, b))
     pts = list(d.points)
     pts[v] = tuple((x + y) / 2 for x, y in zip(d.points[a], d.points[b]))
-    moved = Drawing(d.graph, tuple(pts))
+    moved = Drawing(d.graph, *integerize(pts))
     bad = tmp_path / "moved.json"
     bad.write_bytes(emit_certificate(replace(cert, drawing=moved)))
     return out, bad, moved
@@ -314,6 +364,28 @@ def _k448_graph6() -> str:
     """The graph6 of K448: 16,692 bytes naming 100,128 edges, over the
     edge limit though its 448 vertices are within the vertex limit."""
     return to_graph6(complete_graph(448)).decode()
+
+
+def _prime_denominators(tmp_path, n: int = 9000):
+    """A 7 MB certificate of n isolated vertices whose y-coordinates have
+    the first n primes as denominators: their lcm has about 130,000
+    bits, so a grid at that scale would hold 18,000 such ints."""
+    sieve = bytearray([1]) * 100_000
+    sieve[:2] = b"\0\0"
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
+    primes = [i for i, prime in enumerate(sieve) if prime][:n]
+    payload = {
+        "drawing": [[[x, 1], [1, p]] for x, p in enumerate(primes)],
+        "graph": to_graph6(Graph(n, [])).decode(),
+        "meta": {},
+        "version": certio.CERT_VERSION,
+        "witness": {"assignment": {}, "exact": True, "kind": "lines_for_vertices", "objects": []},
+    }
+    path = tmp_path / "primes.json"
+    path.write_bytes(certio._canonical_json(payload))
+    return path
 
 
 def test_bounds_graph6_over_edge_limit_builds_nothing(monkeypatch, capsys):
@@ -448,7 +520,7 @@ def test_table_unknown_kind():
 
 def _collinear_path_cert(tmp_path):
     g = path_graph(5)
-    d = verify_crossing_free(Drawing(g, tuple((i, i) for i in range(5))))
+    d = verify_crossing_free(Drawing(g, *integerize((i, i) for i in range(5))))
     count, witness = edge_line_count(d)
     cert = certificate_from_result(
         ConstructionResult(d, witness, count, (4, 4)), "manual"
@@ -774,6 +846,9 @@ HOSTILE_INPUTS = [
     ),
     pytest.param(
         lambda tmp: ["bounds", "--graph6", _k448_graph6()], 2, id="bounds-graph6-over-edge-limit"
+    ),
+    pytest.param(
+        lambda tmp: ["verify", str(_prime_denominators(tmp))], 2, id="verify-prime-denominators"
     ),
 ]
 

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinecover import drawing
+from affinecover import drawing, geometry
 from affinecover.constructions import kpq_plane_book, pach_multipartite, parallel_kpq_lines
 from affinecover.drawing import (
     EDGE_KINDS,
@@ -66,7 +66,7 @@ from reference import classify_oracle, record_min_cover, segment_count_oracle, s
 
 
 def make(graph, pts, meta=None):
-    return Drawing(graph, tuple(qpoint(*p) for p in pts), dict(meta or {}))
+    return Drawing(graph, *integerize(qpoint(*p) for p in pts), dict(meta or {}))
 
 
 def k4_triangle_center_2d():
@@ -126,7 +126,7 @@ def test_only_the_verifier_sets_the_flag():
     # set by the caller would let bound_report trust it unchecked
     d = make(complete_graph(5), [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
     with pytest.raises(TypeError):
-        Drawing(d.graph, d.points, verified=True)
+        Drawing(d.graph, d.grid, d.scale, verified=True)
     with pytest.raises(ValueError):
         replace(d, verified=True)
     assert not replace(verify_crossing_free(k4_triangle_center_2d())).verified
@@ -141,8 +141,10 @@ def test_drawing_integerizes_once(monkeypatch):
         calls.append(points)
         return integerize(points)
 
-    monkeypatch.setattr("affinecover.drawing.integerize", counted)
-    d = make(complete_graph(4), [(0, 0), (4, 0), (0, Fraction(7, 2)), (1, Fraction(1, 3))])
+    monkeypatch.setattr(geometry, "integerize", counted)
+    monkeypatch.setattr(drawing, "integerize", counted, raising=False)
+    pts = [(0, 0), (4, 0), (0, Fraction(7, 2)), (1, Fraction(1, 3))]
+    d = Drawing(complete_graph(4), *geometry.integerize(pts))
     v = verify_crossing_free(d)
     edge_line_count(v)
     _, w = min_vertex_line_cover(v)
@@ -160,12 +162,33 @@ _coords = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 )
 @settings(max_examples=150, deadline=None)
 def test_drawing_grid_is_integerized_points(pts):
-    d = Drawing(Graph(len(pts), []), tuple(pts))
     grid, scale = integerize(pts)
+    d = Drawing(Graph(len(pts), []), grid, scale)
     assert d.grid == tuple(grid) and d.scale == scale
-    assert "grid" not in repr(d) and "scale" not in repr(d)
+    assert d.points == tuple(pts) and "points" not in repr(d)
     v = verify_crossing_free(d)
-    assert v.grid is d.grid and v.scale == d.scale and v.points is d.points
+    assert v.grid is d.grid and v.scale == d.scale and v.points == d.points
+
+
+def test_drawing_grid_is_reduced_and_checked():
+    # one constructor: ints over a scale, divided by their common gcd
+    d = Drawing(path_graph(2), ((6, 0, 4), (2, -8, 0)), 10)
+    assert (d.grid, d.scale) == (((3, 0, 2), (1, -4, 0)), 5)
+    assert d.points == ((Fraction(3, 5), 0, Fraction(2, 5)), (Fraction(1, 5), Fraction(-4, 5), 0))
+    assert Drawing(path_graph(2), [[0, 0], [0, 7]], 7).grid == ((0, 0), (0, 1))
+    for n, grid, scale, message in [
+        (0, (), 1, "at least one vertex"),
+        (2, ((0, 0),), 1, "2 vertices but 1 points"),
+        (2, ((0, 0), (1, 0, 0)), 1, "share one dimension"),
+        (2, ((0,), (1,)), 1, "2 or 3 coordinates"),
+        (2, ((0, 0), (Fraction(1, 2), 0)), 1, "must be ints"),
+        (2, ((0, 0), (True, 0)), 1, "must be ints"),
+        (2, ((0, 0), (1, 0)), 0, "must be ints"),
+        (2, ((0, 0), (1, 0)), Fraction(2), "must be ints"),
+        (3, ((0, 0), (2, 0), (0, 0)), 4, r"vertices 0 and 2 share point \(Fraction\(0, 1\), Fraction\(0, 1\)\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Drawing(Graph(n, []), grid, scale)
 
 
 def test_measurements_require_verified():
@@ -249,10 +272,12 @@ def test_vertex_cover_general_position_four_points():
 
 
 def test_vertex_cover_single_point():
-    d = verify_crossing_free(make(Graph(1, []), [(7, 8)]))
-    count, w = min_vertex_line_cover(d)
-    assert count == 1
-    verify_cover_witness(d, w)
+    for p in [(7, 8), (Fraction(1, 3), Fraction(2, 5), Fraction(-7, 2))]:
+        d = verify_crossing_free(make(Graph(1, []), [p]))
+        count, w = min_vertex_line_cover(d)
+        assert count == 1
+        assert w.objects == (canon_line(qpoint(*p), qpoint(p[0] + 1, *p[1:])),)
+        verify_cover_witness(d, w)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +619,7 @@ def test_sweep_matches_reference_on_tampered_constructions():
                 continue
             pts = list(d.points)
             pts[v] = mid
-            moved = Drawing(d.graph, tuple(pts))
+            moved = Drawing(d.graph, *integerize(pts))
             found = outcome(verify_crossing_free, moved)
             assert found is not None and found == outcome(reference_verify, moved)
             assert d.dim == 3 or _sweep_clear(moved.grid, edges) == (found[0] != "edge_edge")
@@ -658,14 +683,14 @@ def test_3d_stage_matches_reference_on_tampered_book():
         for a, b in edges:
             mid = tuple((x + y) / 2 for x, y in zip(pts[a], pts[b]))
             if v not in (a, b) and (v >= 5 or v // 2 == a // 2) and mid not in pts:
-                moved.append(Drawing(d.graph, tuple(pts[:v] + [mid] + pts[v + 1 :])))
+                moved.append(Drawing(d.graph, *integerize(pts[:v] + [mid] + pts[v + 1 :])))
     rays = []
     for s, t in edges:
         for x, y in ((s, t), (t, s)):
             for k in (Fraction(1, 2), 2):
                 far = tuple(c + k * (e - c) for c, e in zip(pts[x], pts[y]))
                 if far not in pts:
-                    rays.append(Drawing(Graph(d.graph.n + 1, edges + [(x, d.graph.n)]), tuple(pts + [far])))
+                    rays.append(Drawing(Graph(d.graph.n + 1, edges + [(x, d.graph.n)]), *integerize(pts + [far])))
     rng = random.Random(6)
     for case in rng.sample(moved, 40) + rng.sample(rays, 40):
         found = outcome(verify_crossing_free, case)
@@ -796,7 +821,7 @@ def crossing_free(d):
             return verify_crossing_free(d)
         except DrawingViolation as exc:
             drop = exc.violation[-1]
-            d = Drawing(Graph(d.graph.n, [e for e in d.graph.edges if e != drop]), d.points)
+            d = Drawing(Graph(d.graph.n, [e for e in d.graph.edges if e != drop]), d.grid, d.scale)
 
 
 def measured_witnesses(d):
@@ -831,7 +856,7 @@ def rational_image(d, rng):
     pts = [tuple(Fraction(sum(a * c for a, c in zip(row, p)) + s, den) for row, s in zip(m, t)) for p in d.points]
     if all(c.denominator == 1 for p in pts for c in p):
         pts = [(p[0] + Fraction(1, den), *p[1:]) for p in pts]
-    return verify_crossing_free(Drawing(d.graph, tuple(pts)))
+    return verify_crossing_free(Drawing(d.graph, *integerize(pts)))
 
 
 @given(st.sampled_from([2, 3]).flatmap(grid_drawings), st.randoms(use_true_random=False))

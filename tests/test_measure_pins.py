@@ -32,6 +32,7 @@ from affinecover.drawing import (
     segment_slope_count,
     verify_crossing_free,
 )
+from affinecover.geometry import integerize
 from affinecover.graphs import Graph
 
 
@@ -47,7 +48,7 @@ def _affine(d: Drawing, rows: tuple, shift: tuple) -> Drawing:
         tuple(sum(Fraction(a) * c for a, c in zip(row, p)) + Fraction(s) for row, s in zip(rows, shift))
         for p in d.points
     ]
-    return verify_crossing_free(Drawing(d.graph, tuple(pts)))
+    return verify_crossing_free(Drawing(d.graph, *integerize(pts)))
 
 
 def _rational_2d() -> Drawing:
