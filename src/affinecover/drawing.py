@@ -209,13 +209,22 @@ def _sweep_clear(grid: Sequence, edges: Sequence) -> bool:
     status: list = []
     for p in sorted({v for e in edges for v in e}, key=sx.__getitem__):
         px, py = sx[p], grid[p][1]
-
-        def side(e) -> int:  # -orient(a, b, p): < 0 below p, 0 through p
-            return e[3] * (px - e[0]) - e[2] * (py - e[1])
-
-        lo = hi = bisect_left(status, 0, key=side)
-        while hi < len(status) and not side(status[hi]):
-            if status[hi][4] != p:
+        # bisect for the first status edge e with -orient(a, b, p) =
+        # dy (px - ax) - dx (py - ay) >= 0: the first not below p
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            e = status[mid]
+            if e[3] * (px - e[0]) - e[2] * (py - e[1]) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        n = len(status)
+        while hi < n:
+            e = status[hi]
+            if e[3] * (px - e[0]) - e[2] * (py - e[1]):
+                break
+            if e[4] != p:
                 return False  # p inside a status edge
             hi += 1
         new = []
@@ -249,25 +258,36 @@ def _least_contact_3d(grid: Sequence, edges: Sequence) -> tuple | None:
     :func:`~affinecover.geometry.coplanar_segments_meet`.  With u = b - a
     and m = a x b for each edge [a, b] (Plucker coordinates), the lines
     are coplanar iff u1 . m2 + u2 . m1 = 0.
+
+    The sweep keeps each edge's x-interval [lx, hx] in two parallel
+    lists, ``starts`` and ``highs``, in sweep order, beside a 14-field
+    record per edge: (ly, hy, lz, hz, u0, u1, u2, m0, m1, m2, s, t, i,
+    a), the y and z box, direction u, moment m, the ends s and t, the
+    edge's index i and its start point a = grid[s].
     """
     first = None
     rays: dict = {}  # (vertex, primitive direction away from it) -> first edge
-    recs = []
+    boxes = []
     for i, (s, t) in enumerate(edges):
         a = grid[s]
-        (ax, ay, az), (bx, by, bz) = a, grid[t]
-        u = (bx - ax, by - ay, bz - az)
-        g = math.gcd(*u)
-        for key in ((s, *(x // g for x in u)), (t, *(-x // g for x in u))):
+        ax, ay, az = a
+        bx, by, bz = grid[t]
+        u0, u1, u2 = bx - ax, by - ay, bz - az
+        g = math.gcd(u0, u1, u2)
+        p0, p1, p2 = u0 // g, u1 // g, u2 // g
+        for key in ((s, p0, p1, p2), (t, -p0, -p1, -p2)):
             j = rays.setdefault(key, i)
             if j != i and (first is None or (j, i) < first):
                 first = (j, i)
-        recs.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), min(az, bz), max(az, bz), *u,
-                     ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx, s, t, i, a))
-    recs.sort()
-    starts = [r[0] for r in recs]
-    for k, (_, hx, ly, hy, lz, hz, u0, u1, u2, m0, m1, m2, s, t, i, a) in enumerate(recs):
-        for _, _, ly2, hy2, lz2, hz2, v0, v1, v2, n0, n1, n2, s2, t2, j, c in recs[k + 1 : bisect_right(starts, hx, k + 1)]:
+        boxes.append((ax if ax < bx else bx, bx if ax < bx else ax,
+                      (ay if ay < by else by, by if ay < by else ay, az if az < bz else bz, bz if az < bz else az,
+                       u0, u1, u2, ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx, s, t, i, a)))
+    boxes.sort()
+    starts = [b[0] for b in boxes]
+    highs = [b[1] for b in boxes]
+    recs = [b[2] for b in boxes]
+    for k, (ly, hy, lz, hz, u0, u1, u2, m0, m1, m2, s, t, i, a) in enumerate(recs):
+        for ly2, hy2, lz2, hz2, v0, v1, v2, n0, n1, n2, s2, t2, j, c in recs[k + 1 : bisect_right(starts, highs[k], k + 1)]:
             if hy2 < ly or hy < ly2 or hz2 < lz or hz < lz2 or s2 == s or s2 == t or t2 == s or t2 == t:
                 continue  # disjoint boxes, or decided at the shared endpoint
             if u0 * n0 + u1 * n1 + u2 * n2 + v0 * m0 + v1 * m1 + v2 * m2:

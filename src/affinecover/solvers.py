@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .drawing import exact_set_cover
@@ -527,6 +528,26 @@ def treewidth_exact(g: Graph) -> TreewidthResult:
 # ---------------------------------------------------------------------------
 
 
+def _neighbours_by_depth(rows: list) -> list:
+    """Per depth v = 0..n, with vertices 0..v-1 placed: for each later
+    vertex with a neighbour, (its placed neighbours as a bitmask, how
+    many, one more than its unplaced neighbours).  Those with a placed
+    neighbour come first, then the others, each part by unplaced
+    neighbours from most to fewest (a stable sort)."""
+    by_up = itemgetter(2)
+    nbrs_at = []
+    for v in range(len(rows) + 1):
+        placed, untouched = [], []
+        for ru in rows[v:]:
+            if ru:
+                nb = ru & (1 << v) - 1
+                (placed if nb else untouched).append((nb, nb.bit_count(), (ru >> v).bit_count() + 1))
+        placed.sort(key=by_up, reverse=True)
+        untouched.sort(key=by_up, reverse=True)
+        nbrs_at.append(placed + untouched)
+    return nbrs_at
+
+
 def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionResult:
     """Minimum edge cut over all ⌈n/2⌉ / ⌊n/2⌋ vertex bipartitions.
 
@@ -566,15 +587,7 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
 
     rows = _bit_rows(g)
     low = [ru & (1 << v) - 1 for v, ru in enumerate(rows)]  # neighbours of v before it
-    # at depth v, vertices 0..v-1 are placed: for each later vertex with
-    # a neighbour, its placed neighbours, how many, and one more than
-    # its unplaced neighbours; those with no placed neighbour come last,
-    # by unplaced neighbours from most to fewest
-    nbrs_at = []
-    for v in range(n + 1):
-        later = [(ru & (1 << v) - 1, (ru >> v).bit_count() + 1) for ru in rows[v:] if ru]
-        later.sort(key=lambda e: (not e[0], -e[1]))
-        nbrs_at.append([(nb, nb.bit_count(), up) for nb, up in later])
+    nbrs_at = _neighbours_by_depth(rows)
     best = prefix_cut
     best_a = (1 << size_a) - 1
     nodes = 0

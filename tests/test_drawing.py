@@ -723,6 +723,32 @@ def test_coplanar_kernel_calls(monkeypatch):
         assert len(calls) == want
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    ((parallel_kpq_lines, (12, 24)), (pach_multipartite, (5, 30)), (kpq_plane_book, (16, 16))),
+    ids=("parallel_kpq_lines", "pach_multipartite", "kpq_plane_book"),
+)
+def test_3d_stage_matches_references_on_dense_layouts(build, args):
+    # The dense layouts at the sizes `certify` verifies, where nearly
+    # every pair of boxes overlaps, valid and with one vertex moved onto
+    # the midpoint of an edge it is not an end of.
+    d = build(*args).drawing
+    edges = sorted(d.graph.edges)
+    rng = random.Random(30)
+    cases = [d]
+    while len(cases) < 4:
+        a, b = rng.choice(edges)
+        v = rng.choice([w for w in range(d.graph.n) if w not in (a, b)])
+        mid = tuple((x + y) / 2 for x, y in zip(d.points[a], d.points[b]))
+        if mid not in d.points:
+            cases.append(Drawing(d.graph, *integerize(d.points[:v] + (mid,) + d.points[v + 1 :])))
+    for case in cases:
+        found = outcome(reference_verify, case)
+        assert (found is None) == (case is d)
+        assert least_contact(case) == (found if found is None or found[0] == "edge_edge" else None)
+        assert outcome(verify_crossing_free, case) == found
+
+
 # ---------------------------------------------------------------------------
 # integer-keyed measurements and witness check against the Fraction loops
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from affinecover.solvers import (
     _fit_classes,
     _minor_min_width,
     _greedy_elimination_width,
+    _neighbours_by_depth,
     _stays_planar,
     bisection_width_exact,
     chromatic_number,
@@ -952,6 +953,24 @@ def test_bisection_matches_reference_at_bounds_sizes(n, p):
     stops at 12 vertices."""
     g = gnp("bisection", n, p)
     assert bisection_width_exact(g) == reference_bisection(g)
+
+
+def reference_neighbours_by_depth(rows: list) -> list:
+    """The per-depth neighbour lists as one stable sort on the key (no
+    placed neighbour, -unplaced neighbours)."""
+    nbrs_at = []
+    for v in range(len(rows) + 1):
+        later = [(ru & (1 << v) - 1, (ru >> v).bit_count() + 1) for ru in rows[v:] if ru]
+        later.sort(key=lambda e: (not e[0], -e[1]))
+        nbrs_at.append([(nb, nb.bit_count(), up) for nb, up in later])
+    return nbrs_at
+
+
+@settings(max_examples=100, deadline=None)
+@given(density_graph_strategy(16, min_n=0))
+def test_neighbours_by_depth_matches_one_sort(g):
+    rows = _bit_rows(g)
+    assert _neighbours_by_depth(rows) == reference_neighbours_by_depth(rows)
 
 
 def test_bisection_budget_flag():
