@@ -45,6 +45,13 @@ class Graph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def search(self) -> SearchContext:
+        """The bit rows, clique number and twins that the exact searches
+        of ``solvers`` read, built on first use."""
+        rows = _bit_rows(self)
+        return SearchContext(rows, _clique_number(rows), _twins(rows))
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -81,6 +88,76 @@ class Graph:
             (idx[u], idx[v]) for u, v in self.edges if u in idx and v in idx
         ]
         return Graph(len(verts), edges)
+
+
+@dataclass(frozen=True)
+class SearchContext:
+    """What the exact searches read about one graph, kept as
+    ``Graph.search``.
+
+    ``rows[v]`` is the neighbourhood of v as a bitmask and ``omega`` the
+    clique number.  ``twin[w]`` is the bit of the latest u < w with
+    N(u) ∖ {w} = N(w) ∖ {u}, or 0: false twins share their rows, true
+    twins their rows with their own bits.  Swapping two twins is an
+    automorphism, which lets a search keep only the assignments where
+    the earlier twin comes first.
+    """
+
+    rows: tuple
+    omega: int
+    twin: tuple
+
+
+def _bit_rows(g: Graph) -> tuple:
+    """The neighbourhood of each vertex of ``g`` as a bitmask."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def _clique_number(rows: tuple) -> int:
+    """Size of a largest clique of the graph with bitmask rows ``rows``.
+
+    A clique grows by the lowest of its candidates, which then shrink to
+    that vertex's later neighbours; a branch stops once its clique plus
+    all its candidates cannot beat the largest clique found (Carraghan &
+    Pardalos 1990).
+    """
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            b = cand & -cand
+            cand ^= b
+            grow(size + 1, cand & rows[b.bit_length() - 1])
+        best = max(best, size)
+
+    grow(0, (1 << len(rows)) - 1)
+    return best
+
+
+def _twins(rows: tuple) -> tuple:
+    """For each vertex, the bit of its latest earlier twin, or 0.
+
+    Being false twins (equal rows) and being true twins (equal rows
+    with the own bit) are equivalence relations, and no vertex has both
+    kinds: a false twin u and a true twin t of w would be adjacent (t
+    is a neighbour of w, so of u) while t's closed neighbourhood, that
+    of w, misses u.  So at most one of the two keys names an earlier
+    vertex, and it is the latest earlier twin.
+    """
+    by_open, by_closed = {}, {}  # the latest vertex bit seen with each key
+    twin = []
+    for w, row in enumerate(rows):
+        closed = row | 1 << w
+        twin.append(by_open.get(row, 0) | by_closed.get(closed, 0))
+        by_open[row] = by_closed[closed] = 1 << w
+    return tuple(twin)
 
 
 @dataclass(frozen=True)

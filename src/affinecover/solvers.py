@@ -6,6 +6,16 @@ preferred), so witnesses are stable across runs.  Exceeding a search
 budget never silently yields a wrong exact value: every result carries
 an ``exact`` flag and fallbacks are valid one-sided bounds.  Clique
 covers are set covers, searched by ``drawing.exact_set_cover``.
+
+The partition and bisection searches read one ``Graph.search`` context
+per graph (bit rows, clique number, twins) and break twin symmetry.
+Swapping two twins u < w is an automorphism, and every class test here
+is invariant under automorphisms.  So a leaf that puts w in a lower
+class or side than u maps to a valid leaf, which agrees with it before
+u and puts u lower: once classes are renumbered by first use it comes
+earlier in the search order.  The first leaf (or the first optimal one)
+therefore keeps u no higher than w, and a search that cuts every other
+leaf returns the same value and witness.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .drawing import exact_set_cover
-from .graphs import Graph, is_linear_forest, to_graph6
+from .graphs import Graph, SearchContext, is_linear_forest, to_graph6
 from .planar import is_planar, planarity_test, triangulations
 
 __all__ = [
@@ -67,6 +77,7 @@ class PartitionResult:
     value: int
     partition: Partition
     exact: bool
+    nodes: int = field(default=0, compare=False)  # search nodes over every class count tried
 
 
 @dataclass(frozen=True)
@@ -147,67 +158,50 @@ def validate_partition(g: Graph, p: Partition) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bit_rows(g: Graph) -> list:
-    """The neighbourhood of each vertex of ``g`` as a bitmask."""
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
-
-
-def _clique_number(rows: list) -> int:
-    """Size of a largest clique of the graph with bitmask rows ``rows``
-    (from ``_bit_rows``).
-
-    A clique grows by the lowest of its candidates, which then shrink to
-    that vertex's later neighbours; a branch stops once its clique plus
-    all its candidates cannot beat the largest clique found (Carraghan &
-    Pardalos 1990).
-    """
-    best = 0
-
-    def grow(size: int, cand: int) -> None:
-        nonlocal best
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            b = cand & -cand
-            cand ^= b
-            grow(size + 1, cand & rows[b.bit_length() - 1])
-        best = max(best, size)
-
-    grow(0, (1 << len(rows)) - 1)
-    return best
-
-
 def _fit_classes(
-    n: int, fits: Callable[[int, int], bool], k: int, rows: list | None
-) -> list | None:
-    """The lexicographically least way to put vertices 0..n-1, in index
-    order, into k classes kept feasible by ``fits``, as vertex bitmasks;
-    None if there is none.
+    ctx: SearchContext, fits: Callable[[int, int], bool], k: int, forward: bool
+) -> tuple:
+    """The lexicographically least way to put the vertices of the graph
+    of ``ctx``, in index order, into k classes kept feasible by
+    ``fits``, as vertex bitmasks (None if there is none), and the search
+    nodes visited.
 
-    Given ``rows`` (from ``_bit_rows``), the classes are colour classes
-    and the search checks forward: each class keeps the union of its
-    members' neighbourhoods, and a branch ends once some later vertex
-    has a neighbour in every class.  Classes only grow, so that vertex
-    can never join one, and the branch holds no leaf; the first leaf
-    and its classes are those of the search without the check.  A class
-    not yet opened has no neighbours, so the check can cut only once
-    all k classes are open.
+    A vertex with an earlier twin (``ctx.twin``) tries the classes from
+    its twin's on.  A leaf that puts it lower maps, by the swap of the
+    two, to a leaf that puts the twin lower and agrees with it before
+    the twin; renumbered by first use, that leaf comes first in the
+    search order, so the cut never loses the first leaf.
+
+    With ``forward``, the classes are colour classes and the search
+    checks forward: each class keeps the union of its members'
+    neighbourhoods, and a branch ends once some later vertex has a
+    neighbour in every class.  Classes only grow, so that vertex can
+    never join one, and the branch holds no leaf; the first leaf and its
+    classes are those of the search without the check.  A class not yet
+    opened has no neighbours, so the check can cut only once all k
+    classes are open.
     """
+    rows, twin = ctx.rows, ctx.twin
+    n = len(rows)
     classes = [0] * k
-    near = [0] * k  # neighbours of each class, kept only given rows
+    near = [0] * k  # neighbours of each class, kept only when forward
+    nodes = 0
 
     def dfs(v: int, used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
         if v == n:
             return True
-        for c in range(min(used + 1, k)):
+        first = 0
+        tw = twin[v]
+        if tw:
+            while not classes[first] & tw:
+                first += 1
+        for c in range(first, min(used + 1, k)):
             cls = classes[c]
             if fits(cls, v):
                 classes[c] = cls | 1 << v
-                if rows is None:
+                if not forward:
                     if dfs(v + 1, max(used, c + 1)):
                         return True
                 else:
@@ -224,36 +218,38 @@ def _fit_classes(
                 classes[c] = cls
         return False
 
-    return classes if dfs(0, 0) else None
+    return (classes if dfs(0, 0) else None), nodes
 
 
 def _min_partition(
-    n: int, fits: Callable[[int, int], bool], start: int, rows: list | None
-) -> list:
-    """The fewest classes, each kept feasible as vertices 0..n-1 join it
-    in index order; returns the lexicographically least witness as
-    vertex bitmasks.
+    ctx: SearchContext, fits: Callable[[int, int], bool], start: int, forward: bool
+) -> tuple:
+    """The fewest classes, each kept feasible as the vertices join it in
+    index order, as the lexicographically least witness in vertex
+    bitmasks, and the search nodes over every class count tried.
 
     ``fits(cls, v)`` decides whether vertex ``v`` may join the class
     with bitmask ``cls``.  Class counts are tried upward from ``start``
     (one at least), which must be at most the optimum: the counts below
     it are infeasible, so skipping them leaves the first feasible count
-    and its witness unchanged.  ``rows`` switches on ``_fit_classes``'
-    forward check for colour classes.
+    and its witness unchanged.  ``forward`` switches on
+    ``_fit_classes``' forward check for colour classes.
     """
-    for k in range(max(start, 1), n + 1):
-        classes = _fit_classes(n, fits, k, rows)
+    nodes = 0
+    for k in range(max(start, 1), len(ctx.rows) + 1):
+        classes, visited = _fit_classes(ctx, fits, k, forward)
+        nodes += visited
         if classes is not None:
-            return classes
-    return []
+            return classes, nodes
+    return [], nodes
 
 
 def _partition(g: Graph, kind: str, budget_n, fits, fallback, colour=False) -> PartitionResult:
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
 
-    Within the budget the rows of ``_bit_rows(g)`` are built once:
-    ``fits(rows)`` gives the kind's class test, and ``colour``, set for
+    Within the budget the search reads ``g.search``: ``fits(rows)``
+    gives the kind's class test on its bit rows, and ``colour``, set for
     colour classes only, turns on the forward check of ``_fit_classes``.
     The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
     number of ``g`` and h the most vertices of a clique that one class
@@ -262,15 +258,16 @@ def _partition(g: Graph, kind: str, budget_n, fits, fallback, colour=False) -> P
     """
     budget = DEFAULT_BUDGETS[kind] if budget_n is None else budget_n
     exact = g.n <= budget
+    nodes = 0
     if exact:
-        rows = _bit_rows(g)
-        start = -(-_clique_number(rows) // _CLASS_TESTS[kind][2])
-        masks = _min_partition(g.n, fits(rows), start, rows if colour else None)
+        ctx = g.search
+        start = -(-ctx.omega // _CLASS_TESTS[kind][2])
+        masks, nodes = _min_partition(ctx, fits(ctx.rows), start, colour)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
         classes = fallback()
     part = Partition(tuple(frozenset(c) for c in classes), kind)
-    return PartitionResult(len(part.classes), part, exact)
+    return PartitionResult(len(part.classes), part, exact, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +375,9 @@ def lva_sweep(max_n: int = 8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _stays_planar(g: Graph, rows: list, member: int, v: int, tested: dict) -> bool:
+def _stays_planar(g: Graph, rows: tuple, member: int, v: int, tested: dict) -> bool:
     """Whether the planar class with bitmask ``member`` plus ``v``
-    induces a planar subgraph of ``g`` (``rows`` from ``_bit_rows``);
+    induces a planar subgraph of ``g`` (``rows`` from ``g.search``);
     ``tested`` keeps ``is_planar`` answers by bitmask."""
     if (rows[v] & member).bit_count() <= 1:
         return True
@@ -402,7 +399,12 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     once per vertex set and call, without an embedding.  Its answers are
     checked against ``planarity_test`` in the tests, so value and
     classes are those of a search that tests every class with
-    ``planarity_test``.
+    ``planarity_test``.  A vertex with an earlier twin starts at its
+    twin's class: swapping two twins is an automorphism, which keeps
+    every class planar, so the first leaf never puts the later twin in
+    a lower class (see ``_fit_classes``).  The parts of a complete
+    multipartite graph are classes of twins, so there the cut saves
+    the most.
 
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
@@ -528,7 +530,7 @@ def treewidth_exact(g: Graph) -> TreewidthResult:
 # ---------------------------------------------------------------------------
 
 
-def _neighbours_by_depth(rows: list) -> list:
+def _neighbours_by_depth(rows: tuple) -> list:
     """Per depth v = 0..n, with vertices 0..v-1 placed: for each later
     vertex with a neighbour, (its placed neighbours as a bitmask, how
     many, one more than its unplaced neighbours).  Those with a placed
@@ -572,6 +574,14 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     depth-first order, as in a search without the bound; ``nodes``
     counts the nodes visited.
 
+    A vertex with an earlier twin (``g.search``) skips side A while its
+    twin is on side B, and a forced completion that would send such a
+    vertex to A is refused.  A leaf with the later twin on A and the
+    earlier on B maps, by the swap of the two, to a leaf with the same
+    cut that agrees with it before the earlier twin and puts that twin
+    on A, so it comes first in depth-first order: the first optimal
+    leaf is never cut.
+
     Over budget, reports the cut of the index-prefix split (valid upper
     bound, flagged).
     """
@@ -585,8 +595,11 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     if n <= 1:
         return BisectionResult(0, True, tuple(range(n)))
 
-    rows = _bit_rows(g)
+    rows, twin = g.search.rows, g.search.twin
     low = [ru & (1 << v) - 1 for v, ru in enumerate(rows)]  # neighbours of v before it
+    twins_from = [0] * (n + 1)  # earlier twins of the vertices from v on
+    for v in range(n - 1, -1, -1):
+        twins_from[v] = twins_from[v + 1] | twin[v]
     nbrs_at = _neighbours_by_depth(rows)
     best = prefix_cut
     best_a = (1 << size_a) - 1
@@ -599,6 +612,8 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
         room_b = n - v - room_a
         if not room_a or not room_b:
             rest_to_a = room_a > 0
+            if rest_to_a and twins_from[v] & b:
+                return
             for nb, placed, _ in nbrs_at[v]:
                 if not nb:
                     break
@@ -636,7 +651,8 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
         if bound + 1 >> 1 >= best:
             return
         bit = 1 << v
-        dfs(v + 1, a | bit, b, cnt_a + 1, cut + (low[v] & b).bit_count())
+        if not twin[v] & b:
+            dfs(v + 1, a | bit, b, cnt_a + 1, cut + (low[v] & b).bit_count())
         # sides are exchangeable when equally sized, so vertex 0 stays in A
         if v or n % 2:
             dfs(v + 1, a, b | bit, cnt_a, cut + (low[v] & a).bit_count())

@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinecover import drawing, planar, solvers
+from affinecover import drawing, graphs, planar, solvers
 from affinecover.bounds import bound_report
 from affinecover.graphs import (
     Graph,
     balanced_multipartite,
     cartesian_product,
+    caterpillar,
+    complete_binary_tree,
     complete_bipartite,
     complete_graph,
     c4_prism_stack,
@@ -51,8 +53,6 @@ from affinecover.solvers import (
     CLIQUE_COVER_MAX_N,
     BisectionResult,
     Partition,
-    _bit_rows,
-    _clique_number,
     _fit_classes,
     _minor_min_width,
     _greedy_elimination_width,
@@ -320,14 +320,14 @@ def test_clique_number_matches_brute_force_on_the_atlas():
     assert len(graphs) == 1253
     for ng in graphs:
         g = from_networkx(ng)
-        assert _clique_number(_bit_rows(g)) == brute_clique_number(g)
+        assert g.search.omega == brute_clique_number(g)
 
 
 @settings(max_examples=300, deadline=None)
 @given(density_graph_strategy(16, min_n=0))
 def test_clique_number_matches_networkx(g):
     largest = max(map(len, nx.find_cliques(to_networkx(g))), default=0)
-    assert _clique_number(_bit_rows(g)) == largest
+    assert g.search.omega == largest
 
 
 @pytest.mark.parametrize(
@@ -341,9 +341,9 @@ def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
     tried = []
     fit_classes = solvers._fit_classes
 
-    def spy(n, fits, k, rows):
+    def spy(ctx, fits, k, forward):
         tried.append(k)
-        return fit_classes(n, fits, k, rows)
+        return fit_classes(ctx, fits, k, forward)
 
     monkeypatch.setattr(solvers, "_fit_classes", spy)
     for search, per_class in ((chromatic_number, 1), (lva_exact, 2), (vertex_thickness_exact, 4)):
@@ -390,10 +390,10 @@ def test_colouring_forward_check_cuts(name, calls):
     without and with the forward check: a check that cuts less than
     this (or more) shows here, though it leaves every result alone."""
     g = parse_graph(BOUNDS_GOLDEN[name][1].encode("ascii"), "graph6")
-    rows = _bit_rows(g)
+    rows = g.search.rows
     k = chromatic_number(g).value
     counts = []
-    for check in (None, rows):
+    for check in (False, True):
         tests = 0
 
         def fits(cls, v):
@@ -401,7 +401,7 @@ def test_colouring_forward_check_cuts(name, calls):
             tests += 1
             return not rows[v] & cls
 
-        classes = _fit_classes(g.n, fits, k, check)
+        classes, _ = _fit_classes(g.search, fits, k, check)
         assert [frozenset(v for v in range(g.n) if c >> v & 1) for c in classes] == [
             *chromatic_number(g).partition.classes
         ]
@@ -587,24 +587,28 @@ def test_solvers_make_no_networkx_planarity_call(monkeypatch, capsys):
 
 
 def test_partition_solvers_build_bit_rows_once_within_budget(monkeypatch):
-    """Each partition solver builds the rows of ``_bit_rows`` once
-    within its budget, shared by the clique floor and the class test,
-    and not at all over it."""
+    """The bit rows of a graph are built once, with its ``Graph.search``
+    context, and shared by every exact search on it: the clique floor,
+    the class tests, the twins and the bisection.  A search over its
+    budget builds none."""
     built = []
-    bit_rows = solvers._bit_rows
+    bit_rows = graphs._bit_rows
 
     def counting(g):
         built.append(g.n)
         return bit_rows(g)
 
-    monkeypatch.setattr(solvers, "_bit_rows", counting)
+    monkeypatch.setattr(graphs, "_bit_rows", counting)
+    solves = (chromatic_number, lva_exact, vertex_thickness_exact, bisection_width_exact)
     g = gnp("rows", 12, 0.4)
-    for solve in (chromatic_number, lva_exact, vertex_thickness_exact):
+    for solve in solves:
+        assert not solve(g, budget_n=11).exact
+    assert built == []
+    for solve in solves:
         assert solve(g).exact
         assert built == [12], solve.__name__
-        built.clear()
-        assert not solve(g, budget_n=11).exact
-        assert built == [], solve.__name__
+    assert solve(gnp("rows", 12, 0.4)).exact
+    assert built == [12, 12]
 
 
 @pytest.mark.parametrize(
@@ -647,7 +651,7 @@ def check_planarity_prechecks(g: Graph, planar: bool) -> None:
     assert (planarity_test(graph_of(reduced)) is not None) == planar
     assert _count_verdict(reduced) in (None, planar)
     tested: dict = {}
-    rows = _bit_rows(g)
+    rows = g.search.rows
     for v in range(g.n):
         rest = set(range(g.n)) - {v}
         if planarity_test(g.induced(rest)) is not None:
@@ -806,7 +810,7 @@ def test_stays_planar_decides_by_reduction(monkeypatch):
         g, planar_ = HARD_CASES[name]
         # the last vertex subdivides an edge; the rest of the graph is planar
         rest = (1 << g.n - 1) - 1
-        assert _stays_planar(g, _bit_rows(g), rest, g.n - 1, {}) == planar_
+        assert _stays_planar(g, g.search.rows, rest, g.n - 1, {}) == planar_
 
 
 def test_vertex_thickness_budget_fallback():
@@ -938,7 +942,7 @@ def test_bisection_small_and_fixed_cases():
         (petersen, 36),
         (complete_graph(9), 1),
         (cycle_graph(11), 41),
-        (complete_bipartite(5, 6), 63),
+        (complete_bipartite(5, 6), 29),
     ):
         res = bisection_width_exact(g)
         assert res == reference_bisection(g)
@@ -969,13 +973,128 @@ def reference_neighbours_by_depth(rows: list) -> list:
 @settings(max_examples=100, deadline=None)
 @given(density_graph_strategy(16, min_n=0))
 def test_neighbours_by_depth_matches_one_sort(g):
-    rows = _bit_rows(g)
+    rows = g.search.rows
     assert _neighbours_by_depth(rows) == reference_neighbours_by_depth(rows)
 
 
 def test_bisection_budget_flag():
     res = bisection_width_exact(complete_bipartite(3, 3), budget_n=4)
     assert not res.exact and res.value >= 5
+
+
+# ---------------------------------------------------------------------------
+# twin symmetry: the cuts keep every value and witness
+# ---------------------------------------------------------------------------
+
+
+def brute_twins(g: Graph) -> tuple:
+    """For each vertex w, the bit of the latest u < w with the same
+    neighbours apart from each other, by comparing every pair."""
+    return tuple(
+        max((1 << u for u in range(w) if g.adj[u] - {w} == g.adj[w] - {u}), default=0)
+        for w in range(g.n)
+    )
+
+
+def twin_graph_strategy(max_base=8, max_plants=4):
+    """Random graphs with planted twins: each plant copies a random
+    vertex's neighbours onto a new vertex, joined to it (true twins) or
+    not (false twins), and the result is randomly relabelled."""
+
+    def build(n, density, seed, plants):
+        rng = random.Random(seed)
+        adj = {v: set() for v in range(n)}
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < density / 10:
+                adj[u].add(v)
+                adj[v].add(u)
+        for true_twin in plants:
+            u, w = rng.randrange(len(adj)), len(adj)
+            adj[w] = set(adj[u]) | ({u} if true_twin else set())
+            for x in adj[w]:
+                adj[x].add(w)
+        perm = rng.sample(range(len(adj)), len(adj))
+        return Graph(len(adj), [(perm[u], perm[w]) for u in adj for w in adj[u] if u < w])
+
+    return st.builds(
+        build,
+        st.integers(1, max_base),
+        st.integers(0, 10),
+        st.integers(0, 2**32),
+        st.lists(st.booleans(), max_size=max_plants),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(twin_graph_strategy(), density_graph_strategy(16, min_n=0)))
+def test_twin_scan_finds_every_twin_and_only_automorphisms(g):
+    twin = g.search.twin
+    assert twin == brute_twins(g)
+    for w, bit in enumerate(twin):
+        if bit:
+            u = bit.bit_length() - 1
+            swap = {u: w, w: u}
+            image = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges}
+            assert image == g.edges
+
+
+def assert_searches_match_references(g: Graph) -> None:
+    """All four twin-cut searches return the value and witness of the
+    plain searches, which use no symmetry."""
+    for res, want in (
+        (chromatic_number(g), reference_partition(g, lambda cls, v: not g.adj[v] & set(cls))),
+        (lva_exact(g), reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))),
+        (vertex_thickness_exact(g), reference_vertex_thickness(g)),
+    ):
+        assert res.exact and (res.value, res.partition.classes) == want
+    assert bisection_width_exact(g) == reference_bisection(g)
+
+
+def twin_rich_families() -> dict:
+    """Complete multipartite graphs, K_{p,q}, complete graphs, complete
+    binary trees and caterpillars on at most 16 vertices, the size up
+    to which every search is exact.  Past 14 vertices only graphs with
+    at most four parts come in: on more, the plain planar search takes
+    seconds."""
+    out = {f"multipartite:{r},{n}": balanced_multipartite(r, n)
+           for r in range(2, 9) for n in range(r, 17) if n <= 14 or r <= 4}
+    out |= {f"complete_bipartite:{p},{q}": complete_bipartite(p, q)
+            for p in range(1, 9) for q in range(p, 17 - p)}
+    out |= {f"complete:{n}": complete_graph(n) for n in range(1, 13)}
+    out |= {f"complete_binary_tree:{h}": complete_binary_tree(h) for h in range(4)}
+    for spine in range(1, 6):
+        for counts in itertools.product(range(4), repeat=spine):
+            if spine + sum(counts) <= 16 and (spine < 4 or len(set(counts)) <= 2):
+                out[f"caterpillar:{spine},{','.join(map(str, counts))}"] = caterpillar(spine, counts)
+    return out
+
+
+def test_twin_cuts_keep_values_and_witnesses_on_families():
+    families = twin_rich_families()
+    assert len(families) >= 300
+    for name, g in families.items():
+        try:
+            assert_searches_match_references(g)
+        except AssertionError as exc:
+            raise AssertionError(name) from exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_graph_strategy())
+def test_twin_cuts_keep_values_and_witnesses_with_planted_twins(g):
+    assert any(g.search.twin) or g.n <= 8
+    assert_searches_match_references(g)
+
+
+def test_twin_cuts_on_k4444():
+    """The search nodes of the four searches on K4,4,4,4, over every
+    class count tried: a twin cut that weakens moves a pinned count,
+    though it leaves every result alone."""
+    g = balanced_multipartite(4, 16)
+    results = (chromatic_number(g), lva_exact(g), vertex_thickness_exact(g), bisection_width_exact(g))
+    assert [res.value for res in results] == [4, 4, 3, 48]
+    assert [res.nodes for res in results] == [17, 175, 139, 183]
+    assert vertex_thickness_exact(g, budget_n=15).nodes == 0
 
 
 # ---------------------------------------------------------------------------
