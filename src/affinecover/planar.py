@@ -1,15 +1,17 @@
 """Planarity testing, straight-line grid drawings, the dual-circumference
 bound, and the enumeration of small triangulations.
 
-``is_planar`` decides planarity without an embedding: edge counts, a
-reduction that keeps planarity, and Kuratowski's theorem on six
-vertices settle most graphs, and the left-right planarity test decides
-the rest.  The same left-right code embeds the graphs of
-``planarity_test`` and ``grid_drawing``, which places vertices by the
-shift method; both give exactly the faces and points networkx gives.
+``induces_planar`` decides whether a vertex set, given as a bitmask over
+the graph's bit rows, induces a planar subgraph, without an embedding:
+edge counts, a reduction that keeps planarity, and Kuratowski's theorem
+on six vertices settle most graphs, and the left-right planarity test
+decides the rest; ``is_planar`` runs it on a whole graph.  The same
+left-right code embeds the graphs of ``planarity_test`` and
+``grid_drawing``, which places vertices by the shift method; both give
+exactly the faces and points networkx gives.
 No code here calls networkx.  Every embedding is checked by
 ``validate_embedding`` and every drawing is re-certified from scratch
-by the exact rational verifier before being returned.
+by the exact integer verifier before being returned.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .graphs import Graph, bfs_layers, brute_force_isomorphic, complete_graph
 __all__ = [
     "DualBoundResult",
     "is_planar",
+    "induces_planar",
     "planarity_test",
     "validate_embedding",
     "grid_drawing",
@@ -47,48 +50,60 @@ class DualBoundResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _count_verdict(adj: dict) -> bool | None:
-    """Planarity of the simple graph ``adj`` (vertex -> set of neighbours)
-    when its edge count decides it, else ``None``: at most 8 edges is
-    planar (K3,3 has 9, K5 has 10), more than 3k - 6 edges on k vertices
-    is not (Euler; k >= 5 once there are 9 edges)."""
-    m = sum(map(len, adj.values())) // 2
+def _count_verdict(k: int, m: int) -> bool | None:
+    """Planarity of a simple graph on k vertices with m edges when the
+    counts decide it, else ``None``: at most 8 edges is planar (K3,3 has
+    9, K5 has 10), more than 3k - 6 edges is not (Euler; k >= 5 once
+    there are 9 edges)."""
     if m <= 8:
         return True
-    if m > 3 * len(adj) - 6:
+    if m > 3 * k - 6:
         return False
     return None
 
 
-def _reduce(adj: dict) -> dict:
+def _reduce(nb: dict, m: int) -> int:
     """Delete vertices of degree <= 1 and suppress vertices of degree 2
     (join their two neighbours, dropping a parallel edge) until none is
-    left, in place.  Both steps preserve planarity in either direction."""
+    left, in place on ``nb`` (vertex -> neighbours as a bitmask) with m
+    edges; returns the edges left.  Both steps preserve planarity in
+    either direction."""
     # no step raises a degree, so a stacked vertex still has degree <= 2
-    stack = [u for u, nb in adj.items() if len(nb) <= 2]
+    stack = [u for u, r in nb.items() if r.bit_count() <= 2]
     while stack:
         u = stack.pop()
-        nb = adj.pop(u, None)
-        if nb is None:
+        r = nb.pop(u, None)
+        if r is None:
             continue
-        for w in nb:
-            adj[w].discard(u)
-        if len(nb) == 2:
-            x, y = nb
-            adj[x].add(y)
-            adj[y].add(x)
-        stack.extend(w for w in nb if len(adj[w]) <= 2)
-    return adj
+        keep = ~(1 << u)
+        ends = []
+        rest = r
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            nb[w] &= keep
+            ends.append(w)
+        m -= len(ends)
+        if len(ends) == 2:
+            x, y = ends
+            if not nb[x] >> y & 1:
+                nb[x] |= 1 << y
+                nb[y] |= 1 << x
+                m += 1
+        stack.extend(w for w in ends if nb[w].bit_count() <= 2)
+    return m
 
 
 #: The ten vertex triples of {0..5} that hold vertex 0: one side of each
 #: split of six vertices into two triples.
-_TRIPLES = tuple(t for t in range(64) if t & 1 and t.bit_count() == 3)
+_TRIPLES = tuple((0, i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
 
-def _six_vertex_planar(adj: dict) -> bool:
-    """Planarity of a graph on six vertices with minimum degree 3 and at
-    most 12 edges: it is planar iff it has no K3,3 subgraph.
+def _six_vertex_planar(nb: dict) -> bool:
+    """Planarity of a graph on six vertices (vertex -> neighbours as a
+    bitmask) with minimum degree 3 and at most 12 edges: it is planar
+    iff it has no K3,3 subgraph.
 
     By Kuratowski's theorem a non-planar graph contains a subdivision of
     K5 or K3,3; on six vertices that is K3,3, K5, or K5 with an edge ab
@@ -96,13 +111,56 @@ def _six_vertex_planar(adj: dict) -> bool:
     edges.  The vertex s has a third neighbour c, and {a, b, c} with the
     other three vertices spans K3,3.
     """
-    index = {u: i for i, u in enumerate(adj)}
-    rows = [sum(1 << index[w] for w in adj[u]) for u in adj]
-    for a in _TRIPLES:
-        b = 63 ^ a
-        if all(rows[i] & b == b for i in range(6) if a >> i & 1):
+    verts = list(nb)
+    every = sum(1 << u for u in verts)
+    for triple in _TRIPLES:
+        side = [verts[i] for i in triple]
+        other = every ^ sum(1 << u for u in side)
+        if all(nb[u] & other == other for u in side):
             return False
     return True
+
+
+def induces_planar(rows, verts: int) -> bool:
+    """Whether the vertices in the bitmask ``verts`` induce a planar
+    subgraph of the simple graph with bit rows ``rows`` (``rows[u]`` the
+    neighbours of u as a bitmask).
+
+    Edge counts decide first, then again after ``_reduce``.  A reduced
+    graph has minimum degree 3, so one the counts leave open has five
+    vertices and nine edges (K5 minus an edge, planar), or six vertices
+    and 9 to 12 edges (``_six_vertex_planar``), or more and goes to
+    ``_left_right_planar``.
+    """
+    members = []
+    ends = 0
+    rest = verts
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        members.append(u)
+        ends += (rows[u] & verts).bit_count()
+    verdict = _count_verdict(len(members), ends >> 1)
+    if verdict is not None:
+        return verdict
+    nb = {u: rows[u] & verts for u in members}
+    m = _reduce(nb, ends >> 1)
+    verdict = _count_verdict(len(nb), m)
+    if verdict is not None:
+        return verdict
+    if len(nb) <= 6:
+        return len(nb) < 6 or _six_vertex_planar(nb)
+    index = {u: i for i, u in enumerate(nb)}
+    nbrs = []
+    for r in nb.values():
+        out = []
+        while r:
+            low = r & -r
+            r ^= low
+            out.append(index[low.bit_length() - 1])
+        nbrs.append(out)
+    return _left_right_planar(nbrs) is not None
 
 
 def _left_right_planar(nbrs: list) -> tuple | None:
@@ -294,25 +352,12 @@ def _left_right_planar(nbrs: list) -> tuple | None:
     return dst, out, parent, side, ref, nesting, roots
 
 
-def is_planar(adj: dict) -> bool:
-    """Whether the simple graph ``adj`` (vertex -> set of neighbours) is
-    planar; ``adj`` is consumed (reduced in place).
-
-    Edge counts decide first, then again after ``_reduce``.  A reduced
-    graph has minimum degree 3, so one the counts leave open has five
-    vertices and nine edges (K5 minus an edge, planar), or six vertices
-    and 9 to 12 edges (``_six_vertex_planar``), or more and goes to
-    ``_left_right_planar``.
-    """
-    verdict = _count_verdict(adj)
-    if verdict is None:
-        verdict = _count_verdict(_reduce(adj))
-    if verdict is not None:
-        return verdict
-    if len(adj) <= 6:
-        return len(adj) < 6 or _six_vertex_planar(adj)
+def is_planar(adj) -> bool:
+    """Whether the simple graph ``adj`` (vertex -> neighbours) is planar:
+    ``induces_planar`` on its bit rows, over all its vertices."""
     index = {u: i for i, u in enumerate(adj)}
-    return _left_right_planar([[index[w] for w in nb] for nb in adj.values()]) is not None
+    rows = [sum(1 << index[w] for w in nb) for nb in adj.values()]
+    return induces_planar(rows, (1 << len(rows)) - 1)
 
 
 def _embedding(g: Graph) -> tuple | None:
@@ -768,7 +813,7 @@ def dual_circumference_bound(g: Graph) -> DualBoundResult:
     the circumference is ``2n-4`` and the bound is exactly 1.  Past that,
     ``c(dual) <= 2n-4`` gives the same bound 1, flagged inexact.
     """
-    if g.n < 4 or g.m != 3 * g.n - 6 or not is_planar({u: set(g.adj[u]) for u in range(g.n)}):
+    if g.n < 4 or g.m != 3 * g.n - 6 or not is_planar(dict(enumerate(g.adj))):
         raise ValueError("graph is not a planar triangulation")
     return DualBoundResult(lower_bound=1, c_dual=2 * g.n - 4, exact=g.n <= 20)
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 from .drawing import exact_set_cover
 from .graphs import Graph, SearchContext, is_linear_forest, to_graph6
-from .planar import is_planar, planarity_test, triangulations
+from .planar import induces_planar, planarity_test, triangulations
 
 __all__ = [
     "Partition",
@@ -159,7 +158,7 @@ def validate_partition(g: Graph, p: Partition) -> None:
 
 
 def _fit_classes(
-    ctx: SearchContext, fits: Callable[[int, int], bool], k: int, forward: bool
+    ctx: SearchContext, fits: Callable[[int, int], bool], k: int, forward: str | None
 ) -> tuple:
     """The lexicographically least way to put the vertices of the graph
     of ``ctx``, in index order, into k classes kept feasible by
@@ -172,19 +171,29 @@ def _fit_classes(
     the twin; renumbered by first use, that leaf comes first in the
     search order, so the cut never loses the first leaf.
 
-    With ``forward``, the classes are colour classes and the search
-    checks forward: each class keeps the union of its members'
-    neighbourhoods, and a branch ends once some later vertex has a
-    neighbour in every class.  Classes only grow, so that vertex can
-    never join one, and the branch holds no leaf; the first leaf and its
-    classes are those of the search without the check.  A class not yet
-    opened has no neighbours, so the check can cut only once all k
-    classes are open.
+    ``forward`` names a forward check for the kind of class: each class
+    keeps the vertices it blocks, and a branch ends once some later
+    vertex is blocked by every class.  Classes only grow, and so do the
+    sets they block, so that vertex can never join one and the branch
+    holds no leaf; the first leaf and its classes are those of the
+    search without the check.  A class not yet opened blocks nothing,
+    so the check can cut only once all k classes are open.
+
+    * ``"colour"``: a colour class blocks its members' neighbours.
+    * ``"forest"``: a linear-forest class blocks a vertex with three
+      neighbours in it, and every neighbour of a member with two
+      neighbours in it (an inner vertex of a path, which one more
+      neighbour would give degree 3).  The class keeps the vertices
+      with at least one and with at least two neighbours in it, a
+      count cut off at two in two bitmasks.
     """
     rows, twin = ctx.rows, ctx.twin
     n = len(rows)
     classes = [0] * k
-    near = [0] * k  # neighbours of each class, kept only when forward
+    blocked = [0] * k  # later vertices each class blocks, kept only with a check
+    one = [0] * k  # "forest": vertices with a neighbour in the class
+    two = [0] * k  # "forest": vertices with two or more
+    colour = forward == "colour"
     nodes = 0
 
     def dfs(v: int, used: int) -> bool:
@@ -201,20 +210,40 @@ def _fit_classes(
             cls = classes[c]
             if fits(cls, v):
                 classes[c] = cls | 1 << v
-                if not forward:
+                if forward is None:
                     if dfs(v + 1, max(used, c + 1)):
                         return True
                 else:
-                    around = near[c]
-                    near[c] = around | rows[v]
-                    stuck = -2 << v  # later vertices with a neighbour in every class
-                    for mask in near:
+                    before = blocked[c]
+                    rv = rows[v]
+                    if colour:
+                        blocked[c] = before | rv
+                    else:
+                        ones, twos = one[c], two[c]
+                        one[c] = ones | rv
+                        two[c] = twos | ones & rv
+                        # vertices v gives a third neighbour, then the
+                        # neighbours of the members v gives a second and
+                        # of v itself if it has two
+                        block = before | twos & rv
+                        inner = ones & rv & cls
+                        if (rv & cls).bit_count() == 2:
+                            inner |= 1 << v
+                        while inner:
+                            low = inner & -inner
+                            inner ^= low
+                            block |= rows[low.bit_length() - 1]
+                        blocked[c] = block
+                    stuck = -2 << v  # later vertices every class blocks
+                    for mask in blocked:
                         stuck &= mask
                         if not stuck:
                             break
                     if not stuck and dfs(v + 1, max(used, c + 1)):
                         return True
-                    near[c] = around
+                    blocked[c] = before
+                    if not colour:
+                        one[c], two[c] = ones, twos
                 classes[c] = cls
         return False
 
@@ -222,7 +251,7 @@ def _fit_classes(
 
 
 def _min_partition(
-    ctx: SearchContext, fits: Callable[[int, int], bool], start: int, forward: bool
+    ctx: SearchContext, fits: Callable[[int, int], bool], start: int, forward: str | None
 ) -> tuple:
     """The fewest classes, each kept feasible as the vertices join it in
     index order, as the lexicographically least witness in vertex
@@ -232,8 +261,8 @@ def _min_partition(
     with bitmask ``cls``.  Class counts are tried upward from ``start``
     (one at least), which must be at most the optimum: the counts below
     it are infeasible, so skipping them leaves the first feasible count
-    and its witness unchanged.  ``forward`` switches on
-    ``_fit_classes``' forward check for colour classes.
+    and its witness unchanged.  ``forward`` names the forward check of
+    ``_fit_classes`` to run, if any.
     """
     nodes = 0
     for k in range(max(start, 1), len(ctx.rows) + 1):
@@ -244,13 +273,13 @@ def _min_partition(
     return [], nodes
 
 
-def _partition(g: Graph, kind: str, budget_n, fits, fallback, colour=False) -> PartitionResult:
+def _partition(g: Graph, kind: str, budget_n, fits, fallback, forward=None) -> PartitionResult:
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
 
     Within the budget the search reads ``g.search``: ``fits(rows)``
-    gives the kind's class test on its bit rows, and ``colour``, set for
-    colour classes only, turns on the forward check of ``_fit_classes``.
+    gives the kind's class test on its bit rows, and ``forward`` names
+    the forward check of ``_fit_classes`` for the kind, if it has one.
     The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
     number of ``g`` and h the most vertices of a clique that one class
     of ``kind`` holds (``_CLASS_TESTS``): every class meets a largest
@@ -262,7 +291,7 @@ def _partition(g: Graph, kind: str, budget_n, fits, fallback, colour=False) -> P
     if exact:
         ctx = g.search
         start = -(-ctx.omega // _CLASS_TESTS[kind][2])
-        masks, nodes = _min_partition(ctx, fits(ctx.rows), start, colour)
+        masks, nodes = _min_partition(ctx, fits(ctx.rows), start, forward)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
         classes = fallback()
@@ -297,7 +326,7 @@ def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """
     return _partition(
         g, "chromatic", budget_n, lambda rows: lambda cls, v: not (rows[v] & cls),
-        lambda: _greedy_coloring(g), colour=True,
+        lambda: _greedy_coloring(g), forward="colour",
     )
 
 
@@ -351,6 +380,7 @@ def lva_exact(
     return _partition(
         g, "lva", budget_n, _lva_feasible,
         lambda: (_colouring or chromatic_number(g, budget_n)).partition.classes,
+        forward="forest",
     )
 
 
@@ -375,17 +405,16 @@ def lva_sweep(max_n: int = 8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _stays_planar(g: Graph, rows: tuple, member: int, v: int, tested: dict) -> bool:
+def _stays_planar(rows: tuple, member: int, v: int, tested: dict) -> bool:
     """Whether the planar class with bitmask ``member`` plus ``v``
-    induces a planar subgraph of ``g`` (``rows`` from ``g.search``);
-    ``tested`` keeps ``is_planar`` answers by bitmask."""
+    induces a planar subgraph of the graph with bit rows ``rows``;
+    ``tested`` keeps ``induces_planar`` answers by bitmask."""
     if (rows[v] & member).bit_count() <= 1:
         return True
     verts = member | 1 << v
     verdict = tested.get(verts)
     if verdict is None:
-        members = {u for u in range(g.n) if verts >> u & 1}
-        verdict = tested[verts] = is_planar({u: members & g.adj[u] for u in members})
+        verdict = tested[verts] = induces_planar(rows, verts)
     return verdict
 
 
@@ -395,11 +424,11 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     The search starts at ⌈ω/4⌉ classes, ω the clique number: five
     vertices of a clique in one class would induce K5, which is not
     planar.  A vertex with at most one neighbour in a class keeps it
-    planar; otherwise ``planar.is_planar`` decides the class plus the vertex,
-    once per vertex set and call, without an embedding.  Its answers are
-    checked against ``planarity_test`` in the tests, so value and
-    classes are those of a search that tests every class with
-    ``planarity_test``.  A vertex with an earlier twin starts at its
+    planar; otherwise ``planar.induces_planar`` decides the class plus
+    the vertex on the bit rows, once per vertex set and call, without an
+    embedding.  Its answers are checked against ``planarity_test`` in
+    the tests, so value and classes are those of a search that tests
+    every class with ``planarity_test``.  A vertex with an earlier twin starts at its
     twin's class: swapping two twins is an automorphism, which keeps
     every class planar, so the first leaf never puts the later twin in
     a lower class (see ``_fit_classes``).  The parts of a complete
@@ -412,7 +441,7 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     tested: dict = {}
     return _partition(
         g, "vertex_thickness", budget_n,
-        lambda rows: lambda cls, v: _stays_planar(g, rows, cls, v, tested),
+        lambda rows: lambda cls, v: _stays_planar(rows, cls, v, tested),
         lambda: [range(i, min(i + 4, g.n)) for i in range(0, g.n, 4)],
     )
 
@@ -531,23 +560,71 @@ def treewidth_exact(g: Graph) -> TreewidthResult:
 
 
 def _neighbours_by_depth(rows: tuple) -> list:
-    """Per depth v = 0..n, with vertices 0..v-1 placed: for each later
-    vertex with a neighbour, (its placed neighbours as a bitmask, how
-    many, one more than its unplaced neighbours).  Those with a placed
-    neighbour come first, then the others, each part by unplaced
-    neighbours from most to fewest (a stable sort)."""
-    by_up = itemgetter(2)
+    """Per depth v = 0..n, with vertices 0..v-1 placed: ``(placed, ups)``.
+    ``placed`` lists each later vertex with a placed neighbour as (its
+    placed neighbours as a bitmask, twice how many, one more than its
+    unplaced neighbours), in index order; ``ups`` holds one more than
+    the degree of each later vertex with neighbours, none of them
+    placed, from most to fewest.
+
+    The search reads ``placed`` to its end and leaves ``ups`` once a
+    count is small enough, so only ``ups`` needs an order.  A vertex is
+    in it while the depth is at most its index and its lowest
+    neighbour, so one order by degree serves every depth."""
+    n = len(rows)
+    degree = [ru.bit_count() for ru in rows]
+    by_degree = sorted(range(n), key=lambda u: -degree[u])
+    first = [min(u, (ru & -ru).bit_length() - 1) for u, ru in enumerate(rows)]  # -1 if isolated
     nbrs_at = []
-    for v in range(len(rows) + 1):
-        placed, untouched = [], []
+    for v in range(n + 1):
+        below = (1 << v) - 1
+        placed = []
         for ru in rows[v:]:
-            if ru:
-                nb = ru & (1 << v) - 1
-                (placed if nb else untouched).append((nb, nb.bit_count(), (ru >> v).bit_count() + 1))
-        placed.sort(key=by_up, reverse=True)
-        untouched.sort(key=by_up, reverse=True)
-        nbrs_at.append(placed + untouched)
+            nb = ru & below
+            if nb:
+                placed.append((nb, 2 * nb.bit_count(), (ru >> v).bit_count() + 1))
+        nbrs_at.append((placed, [degree[u] + 1 for u in by_degree if first[u] >= v]))
     return nbrs_at
+
+
+def _swap_search_cut(rows: tuple, a: int, cut: int) -> int:
+    """The cut a greedy swap search reaches from the split with side A
+    ``a`` (a bitmask) and cut ``cut``: while some exchange of a vertex u
+    of A with a vertex w of B lowers the cut, make the one that lowers
+    it most.  Moving a vertex across gains D, its neighbours on the
+    other side less those on its own, and the exchange gains
+    D(u) + D(w) - 2 when u and w are adjacent, else D(u) + D(w).  With
+    both sides scanned by falling D, a scan stops as soon as no later
+    pair can beat the best gain.  Every exchange keeps the side sizes,
+    so the result is the cut of a bisection: at least the optimum."""
+    deg = [ru.bit_count() for ru in rows]
+    while True:
+        side_a, side_b = [], []
+        for u, ru in enumerate(rows):
+            if a >> u & 1:
+                side_a.append((deg[u] - 2 * (ru & a).bit_count(), u))
+            else:
+                side_b.append((2 * (ru & a).bit_count() - deg[u], u))
+        side_a.sort(reverse=True)
+        side_b.sort(reverse=True)
+        top_b = side_b[0][0]
+        gain, pick = 0, 0
+        for du, u in side_a:
+            if du + top_b <= gain:
+                break
+            ru = rows[u]
+            for dw, w in side_b:
+                swap = du + dw
+                if swap <= gain:
+                    break
+                if ru >> w & 1:
+                    swap -= 2
+                if swap > gain:
+                    gain, pick = swap, 1 << u | 1 << w
+        if not gain:
+            return cut
+        cut -= gain
+        a ^= pick
 
 
 def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionResult:
@@ -573,6 +650,15 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     witness is the prefix split or the first strictly better leaf in
     depth-first order, as in a search without the bound; ``nodes``
     counts the nodes visited.
+
+    The search starts with the best cut set to the prefix split's cut
+    or, if smaller, one more than the cut H of ``_swap_search_cut``
+    from the prefix split, which is at least the optimum.  Every
+    ancestor of the first optimal leaf has ⌈halves / 2⌉ <= optimum <
+    H + 1, so the search still reaches that leaf and keeps it as the
+    witness; when the prefix split is optimal it is kept as before.
+    Starting at H itself would lose the witness whenever H is optimal
+    and below the prefix split's cut.
 
     A vertex with an earlier twin (``g.search``) skips side A while its
     twin is on side B, and a forced completion that would send such a
@@ -601,8 +687,8 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     for v in range(n - 1, -1, -1):
         twins_from[v] = twins_from[v + 1] | twin[v]
     nbrs_at = _neighbours_by_depth(rows)
-    best = prefix_cut
     best_a = (1 << size_a) - 1
+    best = min(prefix_cut, _swap_search_cut(rows, best_a, prefix_cut) + 1)
     nodes = 0
 
     def dfs(v: int, a: int, b: int, cnt_a: int, cut: int) -> None:
@@ -610,18 +696,19 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
         nodes += 1
         room_a = size_a - cnt_a
         room_b = n - v - room_a
+        placed, ups = nbrs_at[v]
         if not room_a or not room_b:
-            rest_to_a = room_a > 0
-            if rest_to_a and twins_from[v] & b:
-                return
-            for nb, placed, _ in nbrs_at[v]:
-                if not nb:
-                    break
-                in_a = (nb & a).bit_count()
-                cut += placed - in_a if rest_to_a else in_a
+            if room_a:
+                if twins_from[v] & b:
+                    return
+                for nb, count, _ in placed:
+                    cut += (count >> 1) - (nb & a).bit_count()
+            else:
+                for nb, _, _ in placed:
+                    cut += (nb & a).bit_count()
             if cut < best:
                 best = cut
-                best_a = a | ((1 << n) - (1 << v)) if rest_to_a else a
+                best_a = a | ((1 << n) - (1 << v)) if room_a else a
             return
         # in half edges: a vertex on side A with d unplaced neighbours
         # has d - (room_a - 1) of them on side B at least, and each end
@@ -629,12 +716,11 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
         bound = 2 * cut
         prefer_a = []  # extra cost of sending a vertex that prefers A to B
         prefer_b = []
-        for nb, placed, up in nbrs_at[v]:
-            if not nb and up <= room_a and up <= room_b:
-                break  # neither side costs this vertex or any after it
-            in_b = placed - (nb & a).bit_count()
-            to_a = 2 * in_b + (up - room_a if up > room_a else 0)
-            to_b = 2 * (placed - in_b) + (up - room_b if up > room_b else 0)
+        for nb, count, up in placed:
+            to_b = 2 * (nb & a).bit_count()
+            to_a = count - to_b + (up - room_a if up > room_a else 0)
+            if up > room_b:
+                to_b += up - room_b
             if to_a < to_b:
                 bound += to_a
                 prefer_a.append(to_b - to_a)
@@ -642,6 +728,20 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
                 bound += to_b
                 if to_a > to_b:
                     prefer_b.append(to_a - to_b)
+        for up in ups:
+            if up <= room_a:
+                if up <= room_b:
+                    break  # neither side costs this vertex or any after it
+                prefer_a.append(up - room_b)
+            elif up <= room_b:
+                prefer_b.append(up - room_a)
+            elif room_a > room_b:  # both sides cost, A less
+                bound += up - room_a
+                prefer_a.append(room_a - room_b)
+            else:
+                bound += up - room_b
+                if room_b > room_a:
+                    prefer_b.append(room_b - room_a)
         if len(prefer_a) > room_a:
             prefer_a.sort()
             bound += sum(prefer_a[: len(prefer_a) - room_a])

@@ -460,6 +460,7 @@ BOUNDS_GOLDEN = {
     "complete_bipartite_5_7": ("--family", "complete_bipartite:5,7"),
     "complete_10": ("--family", "complete:10"),
     "caterpillar_5_3_3_0_3_3": ("--family", "caterpillar:5,3,3,0,3,3"),
+    "gnp_20": ("--graph6", "SyNI{bIxsnziVlwtZpz|NTliXVqYJYrzs"),
 }
 
 
@@ -478,7 +479,7 @@ def test_bounds_searches_one_colouring_per_report(monkeypatch, capsys):
     min_partition = solvers._min_partition
 
     def spy(ctx, fits, start, forward):
-        if forward:
+        if forward == "colour":
             colourings.append(len(ctx.rows))
         return min_partition(ctx, fits, start, forward)
 

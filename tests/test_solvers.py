@@ -17,7 +17,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from affinecover import drawing, graphs, planar, solvers
@@ -45,6 +45,7 @@ from affinecover.planar import (
     _left_right_planar,
     _reduce,
     _stacked_triangulation,
+    induces_planar,
     is_planar,
     planarity_test,
     triangulations,
@@ -56,8 +57,10 @@ from affinecover.solvers import (
     _fit_classes,
     _minor_min_width,
     _greedy_elimination_width,
+    _lva_feasible,
     _neighbours_by_depth,
     _stays_planar,
+    _swap_search_cut,
     bisection_width_exact,
     chromatic_number,
     clique_cover_exact,
@@ -393,7 +396,7 @@ def test_colouring_forward_check_cuts(name, calls):
     rows = g.search.rows
     k = chromatic_number(g).value
     counts = []
-    for check in (False, True):
+    for check in (None, "colour"):
         tests = 0
 
         def fits(cls, v):
@@ -507,6 +510,58 @@ def test_lva_matches_brute_force(g):
     validate_partition(g, res.partition)
 
 
+def forest_reference(g: Graph) -> tuple:
+    return reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(density_graph_strategy(12, min_n=4))
+def test_forest_forward_check_matches_reference_on_twin_free_graphs(g):
+    """Without twins only the forward check cuts the linear-forest
+    search, so this compares it alone with the plain search."""
+    assume(not any(g.search.twin))
+    res = lva_exact(g)
+    assert res.exact and (res.value, res.partition.classes) == forest_reference(g)
+
+
+def planted_hubs(n: int, density: int, seed: int, hubs: int) -> Graph:
+    """A random graph on vertices 0..n-1 and, after them, ``hubs``
+    vertices each joined to about 85% of the vertices before it: a hub
+    meets most classes in three or more vertices, so the forward check
+    blocks it from them."""
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density / 10]
+    for h in range(n, n + hubs):
+        edges += [(u, h) for u in range(h) if rng.random() < 0.85]
+    return Graph(n + hubs, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(planted_hubs, st.integers(4, 9), st.integers(2, 10), st.integers(0, 2**32), st.integers(1, 3)))
+def test_forest_forward_check_matches_reference_with_planted_hubs(g):
+    res = lva_exact(g)
+    assert res.exact and (res.value, res.partition.classes) == forest_reference(g)
+
+
+def test_forest_forward_check_fires():
+    """On graphs with planted hubs the checked search ends as the
+    unchecked one does, at the value and one below it, and below it,
+    where there is no leaf to find, the check cuts on every graph."""
+    for seed in range(20):
+        g = planted_hubs(9, 4, seed, 2)
+        ctx = g.search
+        fits = _lva_feasible(ctx.rows)
+        k = lva_exact(g).value
+        nodes = {}
+        for classes in (k - 1, k):
+            plain, plain_nodes = _fit_classes(ctx, fits, classes, None)
+            checked, checked_nodes = _fit_classes(ctx, fits, classes, "forest")
+            assert checked == plain
+            nodes[classes] = checked_nodes, plain_nodes
+        assert nodes[k][0] <= nodes[k][1]
+        assert nodes[k - 1][0] < nodes[k - 1][1], seed
+
+
 # ---------------------------------------------------------------------------
 # vertex_thickness_exact
 # ---------------------------------------------------------------------------
@@ -539,9 +594,9 @@ def test_vertex_thickness_matches_reference(g):
 def test_vertex_thickness_tests_each_set_once(monkeypatch):
     asked, full = [], []
 
-    def counting_is_planar(adj):
-        asked.append(frozenset(adj))
-        return is_planar(adj)
+    def counting_induces_planar(rows, verts):
+        asked.append(verts)
+        return induces_planar(rows, verts)
 
     def counting_left_right(nbrs):
         full.append(len(nbrs))
@@ -550,7 +605,7 @@ def test_vertex_thickness_tests_each_set_once(monkeypatch):
     # the rook's graph K4 x K3 has classes that reduce to seven or more
     # vertices, so they reach the left-right test, and its search asks
     # about some of those vertex sets twice
-    monkeypatch.setattr(solvers, "is_planar", counting_is_planar)
+    monkeypatch.setattr(solvers, "induces_planar", counting_induces_planar)
     monkeypatch.setattr(planar, "_left_right_planar", counting_left_right)
     g = cartesian_product(complete_graph(4), complete_graph(3))
     res = vertex_thickness_exact(g)
@@ -642,22 +697,40 @@ def neighbour_lists(g: Graph) -> list:
     return [sorted(nb) for nb in g.adj]
 
 
+def bit_adjacency(g: Graph) -> dict:
+    """Vertex -> neighbours as a bitmask, the form ``_reduce`` works on."""
+    return {u: sum(1 << w for w in g.adj[u]) for u in range(g.n)}
+
+
+def reduced(g: Graph) -> tuple:
+    """``_reduce`` on the whole of ``g``: what is left and its edge count."""
+    nb = bit_adjacency(g)
+    return nb, _reduce(nb, g.m)
+
+
+def as_sets(nb: dict) -> dict:
+    return {u: {w for w in range(r.bit_length()) if r >> w & 1} for u, r in nb.items()}
+
+
 def check_planarity_prechecks(g: Graph, planar: bool) -> None:
     assert is_planar(adjacency(g)) == planar
+    assert induces_planar(g.search.rows, (1 << g.n) - 1) == planar
     assert (_left_right_planar(neighbour_lists(g)) is not None) == planar
-    assert _count_verdict(adjacency(g)) in (None, planar)
-    reduced = _reduce(adjacency(g))
-    assert all(len(nb) >= 3 and u not in nb for u, nb in reduced.items())
-    assert all(u in reduced[w] for u, nb in reduced.items() for w in nb)
-    assert (planarity_test(graph_of(reduced)) is not None) == planar
-    assert _count_verdict(reduced) in (None, planar)
+    assert _count_verdict(g.n, g.m) in (None, planar)
+    nb, m = reduced(g)
+    left = as_sets(nb)
+    assert all(len(ws) >= 3 and u not in ws for u, ws in left.items())
+    assert all(u in left[w] for u, ws in left.items() for w in ws)
+    assert m == sum(map(len, left.values())) // 2  # the running count
+    assert (planarity_test(graph_of(left)) is not None) == planar
+    assert _count_verdict(len(nb), m) in (None, planar)
     tested: dict = {}
     rows = g.search.rows
     for v in range(g.n):
         rest = set(range(g.n)) - {v}
         if planarity_test(g.induced(rest)) is not None:
             mask = (1 << g.n) - 1 & ~(1 << v)
-            assert _stays_planar(g, rows, mask, v, tested) == planar
+            assert _stays_planar(rows, mask, v, tested) == planar
 
 
 @settings(max_examples=300, deadline=None)
@@ -716,19 +789,18 @@ def test_planarity_prechecks_hard_cases(name):
 def test_reduction_on_hard_cases():
     # suppressing a triangle vertex makes a parallel edge, which is
     # dropped, and then the whole graph strips away
-    assert _reduce(adjacency(HARD_CASES["triangle with a pendant path"][0])) == {}
+    assert reduced(HARD_CASES["triangle with a pendant path"][0]) == ({}, 0)
     # suppressing the midpoints gives K4 with every edge doubled: a
     # reduction that counted the parallel edges would find 12 > 3*4 - 6
     # and call this planar graph non-planar
-    reduced = _reduce(adjacency(K4_DOUBLED))
-    assert reduced == adjacency(complete_graph(4))
-    assert _count_verdict(reduced) is True
+    assert reduced(K4_DOUBLED) == (bit_adjacency(complete_graph(4)), 6)
+    assert _count_verdict(4, 6) is True
     # subdivisions reduce to their branch graphs
-    assert _reduce(adjacency(HARD_CASES["K5 subdivided twice"][0])) == adjacency(K5)
-    assert _count_verdict(adjacency(K5)) is False
-    assert _reduce(adjacency(HARD_CASES["K3,3 subdivided twice"][0])) == adjacency(K33)
-    assert _count_verdict(adjacency(K33)) is None  # left to planarity_test
-    assert _reduce(adjacency(HARD_CASES["K3,3 with pendant paths"][0])) == adjacency(K33)
+    assert reduced(HARD_CASES["K5 subdivided twice"][0]) == (bit_adjacency(K5), 10)
+    assert _count_verdict(5, 10) is False
+    assert reduced(HARD_CASES["K3,3 subdivided twice"][0]) == (bit_adjacency(K33), 9)
+    assert _count_verdict(6, 9) is None  # left to planarity_test
+    assert reduced(HARD_CASES["K3,3 with pendant paths"][0]) == (bit_adjacency(K33), 9)
 
 
 def nx_planar(g: Graph) -> bool:
@@ -765,6 +837,17 @@ def test_is_planar_matches_networkx_small(g):
     expected = nx_planar(g)
     assert is_planar(adjacency(g)) == expected
     assert (_left_right_planar(neighbour_lists(g)) is not None) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_graph_strategy(16, min_n=0), st.integers(0, 2**16 - 1))
+def test_induces_planar_matches_planarity_test_on_induced_subsets(g, mask):
+    """The bit-row core on a random vertex subset against an embedding
+    of the induced subgraph."""
+    verts = mask & (1 << g.n) - 1
+    members = [u for u in range(g.n) if verts >> u & 1]
+    want = planarity_test(g.induced(members)) is not None
+    assert induces_planar(g.search.rows, verts) == want
 
 
 def test_left_right_matches_networkx_on_the_atlas():
@@ -811,7 +894,7 @@ def test_stays_planar_decides_by_reduction(monkeypatch):
         g, planar_ = HARD_CASES[name]
         # the last vertex subdivides an edge; the rest of the graph is planar
         rest = (1 << g.n - 1) - 1
-        assert _stays_planar(g, g.search.rows, rest, g.n - 1, {}) == planar_
+        assert _stays_planar(g.search.rows, rest, g.n - 1, {}) == planar_
 
 
 def test_vertex_thickness_budget_fallback():
@@ -943,7 +1026,7 @@ def test_bisection_small_and_fixed_cases():
         (petersen, 36),
         (complete_graph(9), 1),
         (cycle_graph(11), 41),
-        (complete_bipartite(5, 6), 29),
+        (complete_bipartite(5, 6), 23),
     ):
         res = bisection_width_exact(g)
         assert res == reference_bisection(g)
@@ -960,20 +1043,58 @@ def test_bisection_matches_reference_at_bounds_sizes(n, p):
     assert bisection_width_exact(g) == reference_bisection(g)
 
 
+def swap_cut(g: Graph) -> int:
+    """The cut ``_swap_search_cut`` reaches from the index-prefix split."""
+    size_a = (g.n + 1) // 2
+    prefix_cut = sum(1 for u, v in g.edges if (u < size_a) != (v < size_a))
+    return _swap_search_cut(g.search.rows, (1 << size_a) - 1, prefix_cut)
+
+
+@pytest.mark.parametrize("n", range(15, 21))
+@pytest.mark.parametrize("p", (0.4, 0.5))
+def test_bisection_witness_matches_reference_under_relabelling(n, p):
+    """The witness is the first optimal leaf in index order, so it moves
+    with the labels: under seeded relabellings of one G(n, p) graph the
+    value and side are those of the plain search.  The swap search's
+    cut, from which the search starts, lies between the optimum and the
+    prefix split's cut."""
+    base = gnp("relabel", n, p)
+    for seed in range(4):
+        perm = random.Random(f"relabel:{n}:{p}:{seed}").sample(range(n), n)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
+        res = bisection_width_exact(g)
+        assert res == reference_bisection(g)
+        size_a = (n + 1) // 2
+        prefix_cut = sum(1 for u, v in g.edges if (u < size_a) != (v < size_a))
+        assert res.value <= swap_cut(g) <= prefix_cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_graph_strategy(12))
+def test_swap_search_cut_is_never_below_the_bisection_width(g):
+    assert swap_cut(g) >= brute_bisection(g)
+
+
 def reference_neighbours_by_depth(rows: list) -> list:
-    """The per-depth neighbour lists as one stable sort on the key (no
-    placed neighbour, -unplaced neighbours)."""
+    """The per-depth neighbour lists, built one depth at a time: the
+    later vertices with a placed neighbour in index order, then the
+    unplaced-neighbour counts of the others sorted from most to fewest."""
     nbrs_at = []
     for v in range(len(rows) + 1):
         later = [(ru & (1 << v) - 1, (ru >> v).bit_count() + 1) for ru in rows[v:] if ru]
-        later.sort(key=lambda e: (not e[0], -e[1]))
-        nbrs_at.append([(nb, nb.bit_count(), up) for nb, up in later])
+        placed = [(nb, 2 * nb.bit_count(), up) for nb, up in later if nb]
+        ups = sorted((up for nb, up in later if not nb), reverse=True)
+        nbrs_at.append((placed, ups))
     return nbrs_at
 
 
 @settings(max_examples=100, deadline=None)
 @given(density_graph_strategy(16, min_n=0))
-def test_neighbours_by_depth_matches_one_sort(g):
+def test_neighbours_by_depth_keeps_the_order_the_breaks_read(g):
+    """Every later vertex with a neighbour is listed once per depth, the
+    ones with a placed neighbour apart from the others, whose counts
+    fall: the bound leaves the second list at the first count that fits
+    both sides, and the forced completion reads only the first."""
     rows = g.search.rows
     assert _neighbours_by_depth(rows) == reference_neighbours_by_depth(rows)
 
@@ -1094,7 +1215,7 @@ def test_twin_cuts_on_k4444():
     g = balanced_multipartite(4, 16)
     results = (chromatic_number(g), lva_exact(g), vertex_thickness_exact(g), bisection_width_exact(g))
     assert [res.value for res in results] == [4, 4, 3, 48]
-    assert [res.nodes for res in results] == [17, 175, 139, 183]
+    assert [res.nodes for res in results] == [17, 154, 139, 115]
     assert vertex_thickness_exact(g, budget_n=15).nodes == 0
 
 
