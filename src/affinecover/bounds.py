@@ -41,7 +41,6 @@ from .solvers import (
     lva_exact,
     schonheim_bound,
     steiner_bounds,
-    treewidth_exact,
     vertex_thickness_exact,
 )
 
@@ -175,14 +174,6 @@ def _rule_bisection(g: Graph, budget, **_) -> list:
         # the width from above only -- useless as a cover lower bound
         return []
     return [_lower("rho13", res.value, "bisection-width")]
-
-
-def _rule_treewidth(g: Graph, **_) -> list:
-    if g.n < 1:
-        return []
-    res = treewidth_exact(g)
-    # res.lower is a valid treewidth lower bound even when inexact
-    return [_lower("rho13", Fraction(res.lower, 3), "treewidth-third", res.exact)]
 
 
 def _rule_partitions(g: Graph, budget, **_) -> list:
@@ -330,7 +321,6 @@ _RULE_TABLE = (
     (_rule_bisection, {
         "bisection-width": "a balanced cut bounds the number of cover lines from below",
     }),
-    (_rule_treewidth, {"treewidth-third": "edge covers by c lines force treewidth <= 3c"}),
     (_rule_partitions, {
         "chromatic-envelope": "vertex line covers sit between half the chromatic number "
         "and the chromatic number (quarter for planes)",

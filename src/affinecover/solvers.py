@@ -273,7 +273,9 @@ def _min_partition(
     return [], nodes
 
 
-def _partition(g: Graph, kind: str, budget_n, fits, fallback, forward=None) -> PartitionResult:
+def _partition(
+    g: Graph, kind: str, budget_n, fits, fallback, forward=None, floor=0
+) -> PartitionResult:
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
 
@@ -283,14 +285,15 @@ def _partition(g: Graph, kind: str, budget_n, fits, fallback, forward=None) -> P
     The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
     number of ``g`` and h the most vertices of a clique that one class
     of ``kind`` holds (``_CLASS_TESTS``): every class meets a largest
-    clique in at most h vertices.
+    clique in at most h vertices.  A larger ``floor``, which the caller
+    must have proved to be at most the optimum, starts it there instead.
     """
     budget = DEFAULT_BUDGETS[kind] if budget_n is None else budget_n
     exact = g.n <= budget
     nodes = 0
     if exact:
         ctx = g.search
-        start = -(-ctx.omega // _CLASS_TESTS[kind][2])
+        start = max(-(-ctx.omega // _CLASS_TESTS[kind][2]), floor)
         masks, nodes = _min_partition(ctx, fits(ctx.rows), start, forward)
         classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     else:
@@ -376,11 +379,16 @@ def lva_exact(
     21 <= n <= 24; with an explicit ``budget_n`` it is first-fit.
     ``_colouring``, for callers inside the package, is that colouring
     when the caller holds it already, so it is not searched for twice.
+    When it is exact the search starts at ⌈χ/2⌉ classes if that is
+    more: linear forests are bipartite, so two colours per class give
+    a proper colouring and χ <= 2·lva.  The counts skipped are
+    infeasible, so the value and witness are the same.
     """
+    floor = -(-_colouring.value // 2) if _colouring is not None and _colouring.exact else 0
     return _partition(
         g, "lva", budget_n, _lva_feasible,
         lambda: (_colouring or chromatic_number(g, budget_n)).partition.classes,
-        forward="forest",
+        forward="forest", floor=floor,
     )
 
 
@@ -543,11 +551,11 @@ def treewidth_exact(g: Graph) -> TreewidthResult:
     minor-min-width below (at least the degeneracy) and the width of the
     greedy elimination order above.  Exact when they meet.
 
-    Both bounds pick from a heap and run at any size.  The one rule that
-    reads the result, ``treewidth-third``, narrows no interval on the
-    atlas or the benchmark graphs, so an exact search would buy no
-    printed number.  The name stays because callers and traced spans
-    know the solver by it.
+    Both bounds pick from a heap and run at any size.  No bound rule
+    reads the result: rho13 >= tw/3 narrows no interval on the atlas or
+    the benchmark graphs, and the greedy order takes minutes on large
+    sparse graphs.  The solver stays only for the benchmark's traced
+    span of that name and its tests, and goes with ROADMAP item 19.
     """
     lower = _minor_min_width(g)
     upper = _greedy_elimination_width(g)

@@ -1,10 +1,11 @@
 """Tests for the interval bound report."""
 import hashlib
 import math
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from affinecover import solvers
 from affinecover.bounds import (
     _RULE_TABLE,
     PARAMETERS,
@@ -14,7 +15,7 @@ from affinecover.bounds import (
     bound_report,
     monotone_closure,
 )
-from affinecover.cli import _fmt
+from affinecover.cli import _fmt, main
 from affinecover.constructions import (
     ConstructionResult,
     k2q_optimal,
@@ -36,6 +37,7 @@ from affinecover.graphs import (
 )
 from affinecover.planar import _stacked_triangulation
 from reference import pinned_triangulations
+from test_cli import BOUNDS_GOLDEN
 from test_solvers import gnp
 
 INF = math.inf
@@ -180,9 +182,22 @@ def test_essential_vertex_rule():
 def test_structural_solver_rules():
     r = bound_report(complete_graph(6))
     bw = [e for e in r["rho13"].provenance if e.rule == "bisection-width"]
-    tw = [e for e in r["rho13"].provenance if e.rule == "treewidth-third"]
     assert bw[0].value == 9 and bw[0].exact
-    assert tw[0].value == Fraction(5, 3) and tw[0].exact
+
+
+def test_reports_run_no_treewidth_solver(monkeypatch, capsys):
+    """No rule reads treewidth, so every golden report prints the same
+    with the treewidth sandwich and both its bounds made to raise."""
+
+    def boom(*_):
+        raise AssertionError("bound_report ran the treewidth solver")
+
+    for name in ("treewidth_exact", "_minor_min_width", "_greedy_elimination_width"):
+        monkeypatch.setattr(solvers, name, boom)
+    goldens = Path(__file__).resolve().parent / "golden" / "bounds"
+    for name, argv in BOUNDS_GOLDEN.items():
+        assert main(["bounds", *argv]) == 0
+        assert capsys.readouterr().out.encode() == (goldens / f"{name}.txt").read_bytes()
 
 
 def test_dual_circumference_rule_applicability():
@@ -316,7 +331,7 @@ def _needed_ids(report: BoundReport) -> set:
 
 
 #: (graph, bound_report keyword arguments, ids the graph is named for):
-#: each rule id but treewidth-third narrows an interval on one of them.
+#: every rule id narrows an interval on one of them.
 NEEDED_ON = [
     (gnp("ablation", 25, 0.35), {}, {"degree-density"}),
     (cycle_graph(30), {}, {"linear-arboricity-floor"}),
@@ -340,16 +355,14 @@ NEEDED_ON = [
 
 def test_every_rule_narrows_something():
     """Each rule id earns its place: some graph has an interval that is
-    wider without the id's entries.  The exception is treewidth-third:
-    the treewidth sandwich over three never beats the other rho13 lower
-    bounds on the atlas or benchmark graphs either.  table-asserted is
-    never folded, and monotone is the closure itself."""
+    wider without the id's entries.  table-asserted is never folded,
+    and monotone is the closure itself."""
     needed = set()
     for g, kwargs, named in NEEDED_ON:
         ids = _needed_ids(bound_report(g, **kwargs))
         assert named <= ids, (g.n, g.m, named - ids)
         needed |= ids
-    assert set(RULES) - needed - {"table-asserted", "monotone"} == {"treewidth-third"}
+    assert set(RULES) - needed - {"table-asserted", "monotone"} == set()
 
 
 def test_lowers_never_exceed_verified_witnesses():
@@ -392,4 +405,4 @@ def test_triangulation_reports_pinned():
         ))
     assert len(rows) == 91
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "d940783a60d178377acee3dfc94aac538bbfac4dddc93d1ca4120e2855f2cd4a"
+    assert digest == "0b74dd5bb02813a828278f0d475356eaad4e4b6d45b524be0c12c084d0d807c6"

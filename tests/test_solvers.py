@@ -510,6 +510,58 @@ def test_lva_matches_brute_force(g):
     validate_partition(g, res.partition)
 
 
+def test_lva_with_colouring_matches_lva_without_on_the_atlas():
+    """Handed an exact colouring, the linear-forest search starts at
+    ⌈χ/2⌉ classes when that beats ⌈ω/2⌉; the counts it skips are
+    infeasible, so the value and the classes are those of the search
+    without it."""
+    graphs = nx.graph_atlas_g()[1:]
+    assert len(graphs) == 1252
+    raised = 0
+    for ng in graphs:
+        g = from_networkx(ng)
+        colouring = chromatic_number(g)
+        plain, floored = lva_exact(g), lva_exact(g, _colouring=colouring)
+        assert floored.exact and (floored.value, floored.partition) == (
+            plain.value, plain.partition
+        )
+        raised += colouring.value > g.search.omega + (g.search.omega & 1)
+    assert raised > 0  # some graph starts higher with the colouring
+
+
+@pytest.mark.parametrize(
+    "ng, start",
+    [
+        (nx.cycle_graph(5), 2),
+        (nx.mycielski_graph(4), 2),
+        (nx.full_join(nx.cycle_graph(5), nx.cycle_graph(5), rename=("a", "b")), 3),
+    ],
+    ids=["C5", "Groetzsch", "C5+C5"],
+)
+def test_lva_starts_at_half_the_chromatic_number(ng, start, monkeypatch):
+    """χ = 3, 4 and 6 against ω = 2, 2 and 4: only an exact colouring
+    raises the first class count tried above ⌈ω/2⌉ to ⌈χ/2⌉."""
+    g = from_networkx(nx.convert_node_labels_to_integers(ng))
+    tried = []
+    fit_classes = solvers._fit_classes
+
+    def spy(ctx, fits, k, forward):
+        tried.append(k)
+        return fit_classes(ctx, fits, k, forward)
+
+    monkeypatch.setattr(solvers, "_fit_classes", spy)
+    colouring = chromatic_number(g)
+    assert colouring.exact and -(-colouring.value // 2) == start > -(-g.search.omega // 2)
+    tried.clear()
+    res = lva_exact(g, _colouring=colouring)
+    assert tried == list(range(start, res.value + 1))
+    inexact = chromatic_number(g, budget_n=0)
+    assert not inexact.exact
+    tried.clear()
+    assert lva_exact(g, _colouring=inexact) == res
+    assert tried[0] == -(-g.search.omega // 2)
+
+
 def forest_reference(g: Graph) -> tuple:
     return reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))
 
