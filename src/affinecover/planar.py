@@ -831,7 +831,7 @@ def tree_tracks(g: Graph, root: int) -> tuple[int, ...]:
     """
     if not 0 <= root < g.n:
         raise ValueError("root out of range")
-    dist = bfs_layers(g, root)
-    if g.m != g.n - 1 or -1 in dist:
+    # the edge count rejects most non-trees before any search
+    if g.m != g.n - 1 or -1 in (dist := bfs_layers(g, root)):
         raise ValueError("input graph is not a tree")
     return tuple(dist)

@@ -461,6 +461,7 @@ BOUNDS_GOLDEN = {
     "complete_10": ("--family", "complete:10"),
     "caterpillar_5_3_3_0_3_3": ("--family", "caterpillar:5,3,3,0,3,3"),
     "gnp_20": ("--graph6", "SyNI{bIxsnziVlwtZpz|NTliXVqYJYrzs"),
+    "gnp_20_sparse": ("--graph6", "Si?_oOboKb?OB@?GO???_?I??gQ?oOBd?"),
 }
 
 

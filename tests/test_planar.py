@@ -14,6 +14,7 @@ import random
 import networkx as nx
 import pytest
 
+from affinecover import planar
 from affinecover.drawing import verify_crossing_free
 from affinecover.graphs import (
     FamilySpec,
@@ -388,8 +389,12 @@ def test_tree_tracks_edge_span_invariant():
         assert abs(t[u] - t[v]) == 1
 
 
-def test_tree_tracks_rejects_cycles_and_forests():
-    with pytest.raises(ValueError):
-        tree_tracks(cycle_graph(4), 0)
-    with pytest.raises(ValueError):
-        tree_tracks(Graph(4, [(0, 1), (2, 3)]), 0)
+def test_tree_tracks_rejects_cycles_and_forests(monkeypatch):
+    """A graph without n - 1 edges is refused before any search; one
+    with n - 1 edges is refused once the search misses a vertex."""
+    with pytest.raises(ValueError, match="not a tree"):
+        tree_tracks(Graph(4, [(0, 1), (1, 2), (0, 2)]), 0)
+    monkeypatch.setattr(planar, "bfs_layers", None)  # a search now raises TypeError
+    for g in (cycle_graph(4), Graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(ValueError, match="not a tree"):
+            tree_tracks(g, 0)
