@@ -390,6 +390,10 @@ RULES = {
 
 
 def _fold(entries: Sequence[BoundEntry]) -> dict:
+    """The interval of each parameter from the entries with ``fold``,
+    and every entry as provenance.  Each parameter counts lines or
+    planes, so a lower bound is rounded up and an upper bound down; the
+    entries keep their own values."""
     lower = {p: Fraction(0) for p in PARAMETERS}
     upper = {p: INF for p in PARAMETERS}
     prov = {p: [] for p in PARAMETERS}
@@ -398,11 +402,9 @@ def _fold(entries: Sequence[BoundEntry]) -> dict:
         if not e.fold:
             continue
         if e.side == "lower":
-            if e.value > lower[e.parameter]:
-                lower[e.parameter] = e.value
+            lower[e.parameter] = max(lower[e.parameter], _ceil(e.value))
         else:
-            if e.value < upper[e.parameter]:
-                upper[e.parameter] = e.value
+            upper[e.parameter] = min(upper[e.parameter], Fraction(math.floor(e.value)))
     return {
         p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS
     }

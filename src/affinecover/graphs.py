@@ -48,9 +48,10 @@ class Graph:
     @cached_property
     def search(self) -> SearchContext:
         """The bit rows, clique number and twins that the exact searches
-        of ``solvers`` read, built on first use."""
+        of ``solvers`` read, built on first use, as is their relabelling
+        by falling degree (``SearchContext.by_degree``)."""
         rows = _bit_rows(self)
-        return SearchContext(rows, _clique_number(rows), _twins(rows))
+        return SearchContext(rows, _clique_number(rows), _twins(rows), range(self.n))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -100,12 +101,40 @@ class SearchContext:
     N(u) ∖ {w} = N(w) ∖ {u}, or 0: false twins share their rows, true
     twins their rows with their own bits.  Swapping two twins is an
     automorphism, which lets a search keep only the assignments where
-    the earlier twin comes first.
+    the earlier twin comes first.  ``order[i]`` is the vertex of the
+    graph that vertex i of the context stands for: ``range(n)`` in
+    ``Graph.search`` itself, a permutation in a relabelled context.
     """
 
     rows: tuple
     omega: int
     twin: tuple
+    order: Sequence[int]
+
+    @cached_property
+    def by_degree(self) -> "SearchContext":
+        """The context relabelled by falling degree, ties by index,
+        built on first use; read on ``Graph.search``."""
+        degree = [row.bit_count() for row in self.rows]
+        return self.relabelled(sorted(range(len(degree)), key=degree.__getitem__, reverse=True))
+
+    def relabelled(self, order: Sequence[int]) -> "SearchContext":
+        """The context of the graph with vertex ``order[i]`` renamed i,
+        for a context in index order: its rows, twins and ``order``."""
+        bit = {1 << u: 1 << i for i, u in enumerate(order)}
+        rows = []
+        for u in order:
+            ru, row = self.rows[u], 0
+            while ru:
+                low = ru & -ru
+                row |= bit[low]
+                ru ^= low
+            rows.append(row)
+        rows = tuple(rows)
+        # being twins is a relation of the graph: without twins, no
+        # labelling has any
+        twin = _twins(rows) if any(self.twin) else self.twin
+        return SearchContext(rows, self.omega, twin, tuple(order))
 
 
 def _bit_rows(g: Graph) -> tuple:

@@ -1,16 +1,20 @@
 """Exact small-instance solvers for cover-related graph parameters.
 
 All searches are deterministic branch-and-bound with lexicographic
-tie-breaking (lowest-index vertex assigned first, lowest-index class
-preferred; the bisection search first relabels the vertices by
-degree), so witnesses are stable across runs.  Exceeding a search
-budget never silently yields a wrong exact value: every result carries
-an ``exact`` flag and fallbacks are valid one-sided bounds.  Clique
-covers are set covers, searched by ``drawing.exact_set_cover``.
+tie-breaking (vertices assigned in a fixed order, lowest-index class
+preferred), so witnesses are stable across runs.  The colouring, the
+linear-forest and the bisection searches place the vertices by falling
+degree, ties by index (the bisection by rising degree above density
+½), so that a wrong branch fails near the root; the vertex-thickness
+search places them in index order.  Exceeding a search budget never
+silently yields a wrong exact value: every result carries an ``exact``
+flag and fallbacks are valid one-sided bounds.  Clique covers are set
+covers, searched by ``drawing.exact_set_cover``.
 
 The partition and bisection searches read one ``Graph.search`` context
-per graph (bit rows, clique number, twins; the bisection takes the
-twins of its degree-relabelled rows) and break twin symmetry.
+per graph (bit rows, clique number, twins, and the same relabelled by
+falling degree) and break twin symmetry; a relabelled search takes the
+twins of its relabelled rows.
 Swapping two twins u < w is an automorphism, and every class test here
 is invariant under automorphisms.  So a leaf that puts w in a lower
 class or side than u maps to a valid leaf, which agrees with it before
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .drawing import exact_set_cover
-from .graphs import Graph, SearchContext, _twins, is_linear_forest, to_graph6
+from .graphs import Graph, SearchContext, is_linear_forest, to_graph6
 from .planar import induces_planar, planarity_test, triangulations
 
 __all__ = [
@@ -163,7 +167,7 @@ def _fit_classes(
     ctx: SearchContext, fits: Callable[[int, int], bool], k: int, forward: str | None
 ) -> tuple:
     """The lexicographically least way to put the vertices of the graph
-    of ``ctx``, in index order, into k classes kept feasible by
+    of ``ctx``, in its order, into k classes kept feasible by
     ``fits``, as vertex bitmasks (None if there is none), and the search
     nodes visited.
 
@@ -255,9 +259,10 @@ def _fit_classes(
 def _min_partition(
     ctx: SearchContext, fits: Callable[[int, int], bool], start: int, forward: str | None
 ) -> tuple:
-    """The fewest classes, each kept feasible as the vertices join it in
-    index order, as the lexicographically least witness in vertex
-    bitmasks, and the search nodes over every class count tried.
+    """The fewest classes, each kept feasible as the vertices of ``ctx``
+    join it in their order, as the lexicographically least witness in
+    vertex bitmasks of ``ctx``, and the search nodes over every class
+    count tried.
 
     ``fits(cls, v)`` decides whether vertex ``v`` may join the class
     with bitmask ``cls``.  Class counts are tried upward from ``start``
@@ -281,8 +286,12 @@ def _partition(
     """Exact ``_min_partition`` within the vertex budget of ``kind``;
     over it, the classes ``fallback()`` returns, flagged inexact.
 
-    Within the budget the search reads ``g.search``: ``fits(rows)``
-    gives the kind's class test on its bit rows, and ``forward`` names
+    Within the budget the search reads ``g.search.by_degree``, the
+    vertices by falling degree, ties by index, and maps the classes back
+    through its ``order``: the witness is the lexicographically least in
+    that order.  Vertex thickness reads ``g.search`` in index order
+    instead (see ``vertex_thickness_exact``).  ``fits(rows)`` gives the
+    kind's class test on the context's bit rows, and ``forward`` names
     the forward check of ``_fit_classes`` for the kind, if it has one.
     The exact search starts at ⌈ω / h⌉ classes, where ω is the clique
     number of ``g`` and h the most vertices of a clique that one class
@@ -294,10 +303,10 @@ def _partition(
     exact = g.n <= budget
     nodes = 0
     if exact:
-        ctx = g.search
+        ctx = g.search if kind == "vertex_thickness" else g.search.by_degree
         start = max(-(-ctx.omega // _CLASS_TESTS[kind][2]), floor)
         masks, nodes = _min_partition(ctx, fits(ctx.rows), start, forward)
-        classes = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
+        classes = [[ctx.order[i] for i in range(g.n) if mask >> i & 1] for mask in masks]
     else:
         classes = fallback()
     part = Partition(tuple(frozenset(c) for c in classes), kind)
@@ -324,10 +333,14 @@ def _greedy_coloring(g: Graph) -> list:
 def chromatic_number(g: Graph, budget_n: int | None = None) -> PartitionResult:
     """Exact chromatic number with an independent-set partition witness.
 
+    The vertices are coloured by falling degree, ties by index (Welsh &
+    Powell 1967), and the witness is the lexicographically least
+    colouring in that order, with the classes in the caller's labels.
     The search starts at the clique number ω: the vertices of a clique
     need pairwise different colours.  Each class count is searched with
     ``_fit_classes``' forward check.  Over budget, falls back to
-    first-fit greedy colouring (upper bound, flagged inexact).
+    first-fit greedy colouring in index order (upper bound, flagged
+    inexact).
     """
     return _partition(
         g, "chromatic", budget_n, lambda rows: lambda cls, v: not (rows[v] & cls),
@@ -372,7 +385,10 @@ def lva_exact(
 ) -> PartitionResult:
     """Minimum partition of V into classes inducing linear forests.
 
-    The search starts at ⌈ω/2⌉ classes, ω the clique number: three
+    As in ``chromatic_number``, the vertices are placed by falling
+    degree, ties by index, and the witness is the lexicographically
+    least partition in that order, in the caller's labels.  The search
+    starts at ⌈ω/2⌉ classes, ω the clique number: three
     vertices of a clique in one class would make a triangle.  Over
     budget, falls back to the colouring partition that
     ``chromatic_number`` returns under the same ``budget_n`` (independent
@@ -444,6 +460,14 @@ def vertex_thickness_exact(g: Graph, budget_n: int | None = None) -> PartitionRe
     a lower class (see ``_fit_classes``).  The parts of a complete
     multipartite graph are classes of twins, so there the cut saves
     the most.
+
+    The vertices are placed in index order, not by degree as in the
+    colouring and forest searches.  On the graphs of at most 14 vertices
+    of the ``bounds`` benchmark at seeds 1-3, falling degree visited 6%
+    fewer nodes but asked ``induces_planar`` 2,026 times instead of
+    1,828 and ran 675 left-right tests instead of 591, and here a class
+    test costs far more than a node.  Index order also keeps the
+    classes, and so the pi23 drawings built on them, as they were.
 
     Over budget, falls back to consecutive blocks of four vertices
     (always planar), flagged inexact.
@@ -638,40 +662,20 @@ def _swap_search_cut(rows: tuple, a: int, cut: int) -> tuple[int, int]:
         a ^= pick
 
 
-def _degree_order(rows: tuple) -> tuple[list, tuple]:
-    """The vertices by falling degree, or by rising degree when more
-    than half the vertex pairs are edges (falling degree in the
-    complement), ties by index; and the bit rows of the graph with
-    vertex ``order[i]`` renamed i."""
-    n = len(rows)
-    degree = [ru.bit_count() for ru in rows]
-    sign = -1 if 2 * sum(degree) <= n * (n - 1) else 1
-    order = sorted(range(n), key=lambda u: sign * degree[u])
-    bit = {1 << u: 1 << i for i, u in enumerate(order)}
-    relabelled = []
-    for u in order:
-        ru, row = rows[u], 0
-        while ru:
-            low = ru & -ru
-            row |= bit[low]
-            ru ^= low
-        relabelled.append(row)
-    return order, tuple(relabelled)
-
-
 def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionResult:
     """Minimum edge cut over all ⌈n/2⌉ / ⌊n/2⌋ vertex bipartitions, with
     a minimum bisection as witness (``side`` is its ⌈n/2⌉ side).
 
-    The search runs on the graph relabelled by ``_degree_order``:
-    falling degree when 4m <= n(n - 1), that is at density at most ½,
-    rising degree otherwise, ties by index.  On G(n, p) graphs of 14 to
-    20 vertices this order visits fewer nodes than index order at every
-    p from 0.1 to 0.9, while falling degree alone visits more in 23 of
-    the 28 cells with p >= 0.6, up to 6.5 times more
-    (BENCH_bisection_order.json).  Everything
-    below is said of the relabelled graph, and the kept split is mapped
-    back to the caller's labels at the end.
+    The search runs on the graph relabelled by falling degree when
+    4m <= n(n - 1), that is at density at most ½ (the shared
+    ``g.search.by_degree``), and by rising degree otherwise (falling
+    degree in the complement), ties by index.  On G(n, p) graphs of 14
+    to 20 vertices this order visits fewer nodes than index order at
+    every p from 0.1 to 0.9, while falling degree alone visits more in
+    23 of the 28 cells with p >= 0.6, up to 6.5 times more
+    (BENCH_bisection_order.json).  Everything below is said of the
+    relabelled graph, and the kept split is mapped back to the caller's
+    labels at the end.
 
     Vertices are placed in order, side A first, with the sides as
     bitmasks.  A node's bound is its cut plus a cheapest completion,
@@ -701,14 +705,14 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     reaches that leaf; either way the witness is a minimum bisection,
     though not in general the first one in index order.
 
-    Twins are those of the relabelled rows (``graphs._twins``): a
-    vertex with an earlier twin skips side A while its twin is on side
-    B, and a forced completion that would send such a vertex to A is
-    refused.  A leaf with the later twin on A and the earlier on B
-    maps, by the swap of the two (an automorphism), to a leaf with the
-    same cut that agrees with it before the earlier twin and puts that
-    twin on A, so it comes first in depth-first order: the first
-    optimal leaf is never cut.
+    Twins are those of the relabelled rows (its ``twin``): a vertex
+    with an earlier twin skips side A while its twin is on side B, and
+    a forced completion that would send such a vertex to A is refused.
+    A leaf with the later twin on A and the earlier on B maps, by the
+    swap of the two (an automorphism), to a leaf with the same cut that
+    agrees with it before the earlier twin and puts that twin on A, so
+    it comes first in depth-first order: the first optimal leaf is
+    never cut.
 
     Over budget, reports the cut of the index-prefix split (valid upper
     bound, flagged).
@@ -722,8 +726,12 @@ def bisection_width_exact(g: Graph, budget_n: int | None = None) -> BisectionRes
     if n <= 1:
         return BisectionResult(0, True, tuple(range(n)))
 
-    order, rows = _degree_order(g.search.rows)
-    twin = _twins(rows)
+    base = g.search
+    if 4 * g.m <= n * (n - 1):
+        ctx = base.by_degree
+    else:
+        ctx = base.relabelled(sorted(range(n), key=lambda u: base.rows[u].bit_count()))
+    order, rows, twin = ctx.order, ctx.rows, ctx.twin
     low = [ru & (1 << v) - 1 for v, ru in enumerate(rows)]  # neighbours of v before it
     twins_from = [0] * (n + 1)  # earlier twins of the vertices from v on
     for v in range(n - 1, -1, -1):

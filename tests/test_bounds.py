@@ -3,6 +3,7 @@ import hashlib
 import math
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from affinecover import solvers
@@ -26,17 +27,20 @@ from affinecover.constructions import (
 )
 from affinecover.drawing import edge_line_count
 from affinecover.graphs import (
+    FamilySpec,
     Graph,
+    build_family,
     balanced_multipartite,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     nested_triangles,
+    parse_graph,
     path_graph,
     triangulated_square_wheel,
 )
 from affinecover.planar import _stacked_triangulation
-from reference import pinned_triangulations
+from reference import from_networkx, pinned_triangulations
 from test_cli import BOUNDS_GOLDEN
 from test_solvers import gnp
 
@@ -280,6 +284,38 @@ def test_closure_idempotent():
             assert (once[p].lower, once[p].upper) == (twice[p].lower, twice[p].upper)
 
 
+def golden_graph(argv: tuple) -> tuple:
+    """The graph and family of a ``BOUNDS_GOLDEN`` command line."""
+    flag, text = argv
+    if flag == "--graph6":
+        return parse_graph(text.encode("ascii"), "graph6"), None
+    kind, _, params = text.partition(":")
+    return build_family(FamilySpec(kind, params.split(","))), kind
+
+
+def test_folded_bounds_are_integers_inside_the_entries():
+    """Every parameter counts lines or planes, so each folded bound is an
+    integer or inf: lower bounds are rounded up and upper bounds down.
+    Rounding only narrows: each interval lies inside the one the
+    unrounded folded entries give, on the atlas, the corpus and the
+    golden graphs."""
+    reports = [bound_report(from_networkx(ng)) for ng in nx.graph_atlas_g()[1:]]
+    reports += [bound_report(g) for g in CORPUS]
+    for argv in BOUNDS_GOLDEN.values():
+        g, family = golden_graph(argv)
+        reports.append(bound_report(g, family=family))
+    fractional = 0
+    for r in reports:
+        for p in PARAMETERS:
+            b = r[p]
+            assert b.lower.denominator == 1 and (b.upper == INF or b.upper.denominator == 1)
+            folded = [e for e in b.provenance if e.fold]
+            assert b.lower >= max((e.value for e in folded if e.side == "lower"), default=0)
+            assert b.upper <= min((e.value for e in folded if e.side == "upper"), default=INF)
+            fractional += any(e.value.denominator > 1 for e in folded)
+    assert fractional > 0  # some entry has a fraction to round
+
+
 def test_corpus_sanity_and_rule_registry():
     for g in CORPUS:
         _check_sane(bound_report(g))
@@ -348,7 +384,8 @@ NEEDED_ON = [
                                      "bipartite-segments", "parallel-tracks",
                                      "chromatic-envelope"}),
     (nested_triangles(5), {"family": "nested_triangles"}, {"nested-triangles-cut"}),
-    (complete_bipartite(3, 3), {}, {"bisection-width"}),
+    # on K3,3 the bisection width 5 is also bipartite-segments' 9/2 rounded up
+    (balanced_multipartite(5, 10), {}, {"bisection-width"}),
     (complete_graph(6), {}, {"shipped-certificate"}),
 ]
 

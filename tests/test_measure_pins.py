@@ -115,11 +115,11 @@ PINS = {
     "moment K12": "b228587c893bb47ae40d3f88af3f45eb40822bb7a4561132e4e0e07d1b13792f",
     "moment K13": "76722f333c8ee88e0dc30cc001deaf3489309af169e6cf2aef65d69c30a3edd5",
     "moment K14": "740e670957ce89b268cbf8231b2f0cf47205dc2dfa38e9e8941db6bd5328e121",
-    "pi13 G(8,0.3) #1": "ce08e29fed5e3fb9ced21eef1c84a2ce40ad89ae154b3f4878d3a92e44c888c0",
-    "pi13 G(9,0.5) #2": "06d92b8cc7a97d2473754f555942a4f48d0d3566ce61e057c460aba58c65c245",
+    "pi13 G(8,0.3) #1": "ca2f97921f03ef0cc3c794bfdba722c49e9d6cb8610abdd37f378796538d2112",
+    "pi13 G(9,0.5) #2": "b2015a885193b289b2a1665049d9235f597e6e1d3bfd8ec95e537ef9f001587a",
     "pi13 G(10,0.2) #3": "b080a19ecb718bf94cf7bcac6cd759b2cc15886b2092af0f15c7431e71398746",
     "pi13 G(11,0.35) #4": "2843625b13870558ddc20410fbf77d29732b9777d70e0f0cd3426afd9aa62e67",
-    "pi13 G(12,0.25) #5": "ff85cd1e8571426c44fc22eb5b8b07db9f3776b64e9026938cbea1d8cda3da72",
+    "pi13 G(12,0.25) #5": "3f7bbbf8d809fe726471fef30e966b81a5a4004b91c03939d4ec831ec9bb3245",
     "pi13 G(7,0.8) #6": "df1b645c6166ffd93bec72ba25407c832edf153959ca9b2b02684ffdcac589fb",
     "binary_tree_grid(6)": "36c87d1a17dc5c53db773d20bb3bbbde280241a93e10b7f30af6a7af991b422e",
     "nested_squares_two_lines(16)": "8c4d685f89d43da158858e93b3fb03ac485facd20748b84e370d174bab80641f",

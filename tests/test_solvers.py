@@ -218,6 +218,34 @@ def reference_partition(g: Graph, joins) -> tuple:
     raise AssertionError("a partition into singletons always exists")
 
 
+def degree_order(g: Graph) -> list:
+    """The vertices by falling degree, ties by index: the order in which
+    the colouring and linear-forest searches place them."""
+    return sorted(range(g.n), key=lambda v: -g.degree(v))
+
+
+def reference_in_order(g: Graph, order: list, joins) -> tuple:
+    """``reference_partition`` on ``g`` relabelled so that vertex
+    ``order[i]`` is i, with the classes mapped back to the labels of
+    ``g``; ``joins(h)`` gives the join test on the relabelled graph h."""
+    label = {v: i for i, v in enumerate(order)}
+    h = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    value, classes = reference_partition(h, joins(h))
+    return value, tuple(frozenset(order[i] for i in cls) for cls in classes)
+
+
+def colour_reference(g: Graph) -> tuple:
+    """The plain colouring search in ``degree_order``: the value and the
+    classes ``chromatic_number`` returns."""
+    return reference_in_order(g, degree_order(g), lambda h: lambda cls, v: not h.adj[v] & set(cls))
+
+
+def forest_reference(g: Graph) -> tuple:
+    """The plain linear-forest search in ``degree_order``: the value and
+    the classes ``lva_exact`` returns."""
+    return reference_in_order(g, degree_order(g), lambda h: lambda cls, v: is_linear_forest(h, [*cls, v]))
+
+
 def reference_vertex_thickness(g: Graph) -> tuple:
     """The plain vertex-thickness search the pre-checks speed up: every
     class of five or more vertices tested with ``planarity_test``."""
@@ -370,14 +398,13 @@ def test_partition_searches_start_at_the_clique_bound(g, monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(density_graph_strategy(10, min_n=0))
 def test_colour_and_forest_witnesses_match_reference(g):
-    """The value and the lexicographically least classes of a search
-    that tries every class count from one."""
-    want = reference_partition(g, lambda cls, v: not g.adj[v] & set(cls))
+    """The value and the lexicographically least classes, by falling
+    degree, of a search that tries every class count from one, mapped
+    back to the graph's labels."""
     res = chromatic_number(g)
-    assert (res.value, res.partition.classes) == want
-    want = reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))
+    assert (res.value, res.partition.classes) == colour_reference(g)
     res = lva_exact(g)
-    assert (res.value, res.partition.classes) == want
+    assert (res.value, res.partition.classes) == forest_reference(g)
 
 
 def gnp(tag: str, n: int, p: float) -> Graph:
@@ -393,18 +420,18 @@ def test_colouring_matches_reference_at_bounds_sizes(n, p):
     cuts most; the hypothesis test above stops at 10 vertices."""
     g = gnp("chromatic", n, p)
     res = chromatic_number(g)
-    assert (res.value, res.partition.classes) == reference_partition(
-        g, lambda cls, v: not g.adj[v] & set(cls)
-    )
+    assert (res.value, res.partition.classes) == colour_reference(g)
 
 
-@pytest.mark.parametrize("name, calls", [("gnp_15", (105, 60)), ("gnp_16", (1090, 250))])
+@pytest.mark.parametrize("name, calls", [("gnp_15", (45, 45)), ("gnp_16", (142, 97))])
 def test_colouring_forward_check_cuts(name, calls):
     """The class tests a colouring search makes at the chromatic number,
-    without and with the forward check: a check that cuts less than
+    without and with the forward check, on the degree-relabelled context
+    that ``chromatic_number`` searches: a check that cuts less than
     this (or more) shows here, though it leaves every result alone."""
     g = parse_graph(BOUNDS_GOLDEN[name][1].encode("ascii"), "graph6")
-    rows = g.search.rows
+    ctx = g.search.by_degree
+    rows = ctx.rows
     k = chromatic_number(g).value
     counts = []
     for check in (None, "colour"):
@@ -415,8 +442,8 @@ def test_colouring_forward_check_cuts(name, calls):
             tests += 1
             return not rows[v] & cls
 
-        classes, _ = _fit_classes(g.search, fits, k, check)
-        assert [frozenset(v for v in range(g.n) if c >> v & 1) for c in classes] == [
+        classes, _ = _fit_classes(ctx, fits, k, check)
+        assert [frozenset(ctx.order[i] for i in range(g.n) if c >> i & 1) for c in classes] == [
             *chromatic_number(g).partition.classes
         ]
         counts.append(tests)
@@ -573,10 +600,6 @@ def test_lva_starts_at_half_the_chromatic_number(ng, start, monkeypatch):
     assert tried[0] == -(-g.search.omega // 2)
 
 
-def forest_reference(g: Graph) -> tuple:
-    return reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(density_graph_strategy(12, min_n=4))
 def test_forest_forward_check_matches_reference_on_twin_free_graphs(g):
@@ -652,6 +675,27 @@ def test_vertex_thickness_matches_reference(g):
     res = vertex_thickness_exact(g)
     assert res.exact
     assert (res.value, res.partition.classes) == reference_vertex_thickness(g)
+
+
+def test_vertex_thickness_keeps_index_order():
+    """Unlike the colouring and forest searches, the planar one places
+    the vertices by index: its classes are the index-order reference's
+    on graphs whose degree order differs, and on some of them the
+    degree-order reference's classes differ from those."""
+    moved = 0
+    for n in range(9, 13):
+        for p in (0.5, 0.6):
+            g = gnp("thickness", n, p)
+            assert degree_order(g) != list(range(n))
+            res = vertex_thickness_exact(g)
+            want = reference_vertex_thickness(g)
+            assert (res.value, res.partition.classes) == want
+            by_degree = reference_in_order(
+                g, degree_order(g),
+                lambda h: lambda cls, v: len(cls) < 4 or planarity_test(h.induced(cls + [v])) is not None,
+            )
+            moved += by_degree != want
+    assert moved > 0
 
 
 def test_vertex_thickness_tests_each_set_once(monkeypatch):
@@ -1230,13 +1274,27 @@ def test_twin_scan_finds_every_twin_and_only_automorphisms(g):
             assert image == g.edges
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(twin_graph_strategy(), density_graph_strategy(16, min_n=0)))
+def test_degree_relabelling_is_the_relabelled_graphs_context(g):
+    """``by_degree`` orders the vertices by falling degree, ties by
+    index, and holds the bit rows and twins of the graph relabelled so."""
+    ctx = g.search.by_degree
+    assert list(ctx.order) == degree_order(g)
+    label = {v: i for i, v in enumerate(ctx.order)}
+    h = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    assert (ctx.rows, ctx.omega, ctx.twin) == (h.search.rows, h.search.omega, brute_twins(h))
+
+
 def assert_searches_match_references(g: Graph) -> None:
     """All four twin-cut searches return the value of the plain
     searches, which use no symmetry, and the three partition searches
-    also their witness; the bisection's is a minimum bisection."""
+    also their witness (by falling degree for colourings and linear
+    forests, by index for planar classes); the bisection's is a minimum
+    bisection."""
     for res, want in (
-        (chromatic_number(g), reference_partition(g, lambda cls, v: not g.adj[v] & set(cls))),
-        (lva_exact(g), reference_partition(g, lambda cls, v: is_linear_forest(g, [*cls, v]))),
+        (chromatic_number(g), colour_reference(g)),
+        (lva_exact(g), forest_reference(g)),
         (vertex_thickness_exact(g), reference_vertex_thickness(g)),
     ):
         assert res.exact and (res.value, res.partition.classes) == want
