@@ -2,8 +2,9 @@
 
 Every row gives the best lower and upper bound the rule engine can
 certify for one cover parameter, plus the rules that produced them.
-Upper bounds of inf mean the parameter is undefined for the graph
-(a non-planar graph has no crossing-free 2D drawing at all).
+An upper bound of inf means that no finite upper bound is known, not
+that the parameter is undefined: `affinecover bounds --family cycle:9`
+prints pi12 `2..inf`, although a 9-cycle is planar.
 """
 import math
 

@@ -15,6 +15,11 @@ only ever used on the side where they stay sound), a ``source`` tag
 for asserted external facts), and a ``fold`` flag.  Recorded values
 with ``fold=False`` ride along as provenance without influencing the
 interval.
+
+Every parameter counts lines or planes, so interval ends are ``int``s
+(``math.inf`` for an upper end no rule bounds), and so are entry values,
+except χ/2, χ/4 and pq/2: those stay exact ``Fraction``s when they are
+not whole numbers, and the interval rounds them.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
     KN_ORDERS,
@@ -97,25 +102,25 @@ _TABLE_LOWER = {4: 1, 5: 3, 6: 4, 7: 6, 8: 6, 9: 7}
 _TABLE_UPPER = {4: 1, 5: 3, 6: 4, 7: 6, 8: 7}
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    """One rule's contribution to one side of one parameter."""
+class BoundEntry(NamedTuple):
+    """One rule's contribution to one side of one parameter.  ``value``
+    is an ``int``, or a ``Fraction`` that is not a whole number."""
 
     parameter: str
     side: str  # "lower" | "upper"
-    value: Fraction
+    value: int | Fraction
     rule: str
     exact: bool
     source: str = "machine"  # "machine" | "paper"
     fold: bool = True
 
 
-@dataclass(frozen=True)
-class ParamBounds:
-    """Interval for one parameter plus every entry that touched it."""
+class ParamBounds(NamedTuple):
+    """Interval for one parameter, as ``int`` ends, plus every entry
+    that touched it."""
 
-    lower: Fraction
-    upper: object  # Fraction, or math.inf when no finite upper is known
+    lower: int
+    upper: int | float  # int, or math.inf when no finite upper is known
     provenance: tuple
 
 
@@ -130,16 +135,17 @@ class BoundReport:
         return self.params[parameter]
 
 
-def _ceil(x) -> Fraction:
-    return Fraction(math.ceil(Fraction(x)))
+def _ratio(a: int, b: int) -> int | Fraction:
+    """``a / b`` exactly: an ``int`` when ``b`` divides ``a``."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def _lower(param, value, rule, exact=True, source="machine", fold=True):
-    return BoundEntry(param, "lower", Fraction(value), rule, exact, source, fold)
+    return BoundEntry(param, "lower", value, rule, exact, source, fold)
 
 
 def _upper(param, value, rule, exact=True, source="machine", fold=True):
-    return BoundEntry(param, "upper", Fraction(value), rule, exact, source, fold)
+    return BoundEntry(param, "upper", value, rule, exact, source, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +197,20 @@ def _rule_partitions(g: Graph, budget, **_) -> list:
     ):
         out += [_upper(param, res.value, rule, res.exact) for param in divisors]
         if res.exact:
-            out += [_lower(param, Fraction(res.value, d), rule) for param, d in divisors.items()]
+            out += [_lower(param, _ratio(res.value, d), rule) for param, d in divisors.items()]
     return out
 
 
 def _rule_arboricity_floor(g: Graph, **_) -> list:
     if g.n < 2:
         return []
-    return [_lower("rho13", _ceil(Fraction(g.m, g.n - 1)), "linear-arboricity-floor")]
+    return [_lower("rho13", -(-g.m // (g.n - 1)), "linear-arboricity-floor")]
 
 
 def _rule_degree_edges(g: Graph, **_) -> list:
     out = []
     if g.n >= 1:
-        out.append(_lower("rho13", _ceil(Fraction(g.max_degree(), 2)), "max-degree-half"))
+        out.append(_lower("rho13", -(-g.max_degree() // 2), "max-degree-half"))
     out.append(_upper("rho13", g.m, "edge-count"))
     return out
 
@@ -243,17 +249,17 @@ def _rule_bipartite(g: Graph, **_) -> list:
     if shape is None:
         return []
     p, q = shape
-    half = _ceil(Fraction(p, 2))
+    half = -(-p // 2)
     out = [
         _lower("rho23", half, "bipartite-plane-pairs", source="paper"),
         _upper("rho23", half, "bipartite-plane-pairs", source="paper"),
-        _lower("rho13", Fraction(p * q, 2), "bipartite-segments", source="paper"),
+        _lower("rho13", _ratio(p * q, 2), "bipartite-segments", source="paper"),
     ]
     if q >= 3:
         out.append(_lower("pibar13", p + 1, "parallel-tracks", source="paper"))
         out.append(_upper("pibar13", p + 1, "parallel-tracks", source="paper"))
     if p == 2:
-        v = _ceil(Fraction(3 * g.n - 7, 2))
+        v = -(-(3 * g.n - 7) // 2)
         out.append(_lower("rho12", v, "planar-bipartite-segments", source="paper"))
         out.append(_upper("rho12", v, "planar-bipartite-segments", source="paper"))
     return out
@@ -280,7 +286,7 @@ def _rule_family(g: Graph, family, **_) -> list:
         return []
     if g.n < 3 or g.n % 3 != 0 or g != nested_triangles(g.n // 3):
         return []
-    return [_lower("rho12", _ceil(Fraction(g.n, 2)), "nested-triangles-cut", source="paper")]
+    return [_lower("rho12", -(-g.n // 2), "nested-triangles-cut", source="paper")]
 
 
 def _rule_attached(g: Graph, constructions: Iterable[ConstructionResult], **_) -> list:
@@ -392,22 +398,20 @@ RULES = {
 def _fold(entries: Sequence[BoundEntry]) -> dict:
     """The interval of each parameter from the entries with ``fold``,
     and every entry as provenance.  Each parameter counts lines or
-    planes, so a lower bound is rounded up and an upper bound down; the
-    entries keep their own values."""
-    lower = {p: Fraction(0) for p in PARAMETERS}
-    upper = {p: INF for p in PARAMETERS}
+    planes, so a lower bound is rounded up and an upper bound down, to
+    an ``int``; the entries keep their own values."""
+    lower = dict.fromkeys(PARAMETERS, 0)
+    upper = dict.fromkeys(PARAMETERS, INF)
     prov = {p: [] for p in PARAMETERS}
     for e in entries:
         prov[e.parameter].append(e)
         if not e.fold:
             continue
         if e.side == "lower":
-            lower[e.parameter] = max(lower[e.parameter], _ceil(e.value))
+            lower[e.parameter] = max(lower[e.parameter], -(-e.value // 1))
         else:
-            upper[e.parameter] = min(upper[e.parameter], Fraction(math.floor(e.value)))
-    return {
-        p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS
-    }
+            upper[e.parameter] = min(upper[e.parameter], e.value // 1)
+    return {p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS}
 
 
 def monotone_closure(report: BoundReport) -> BoundReport:
@@ -427,22 +431,14 @@ def monotone_closure(report: BoundReport) -> BoundReport:
         for small, large in relations:
             if lower[small] > lower[large]:
                 lower[large] = lower[small]
-                prov[large].append(
-                    BoundEntry(large, "lower", lower[small], "monotone", True)
-                )
+                prov[large].append(BoundEntry(large, "lower", lower[small], "monotone", True))
                 changed = True
             if upper[large] < upper[small]:
                 upper[small] = upper[large]
-                prov[small].append(
-                    BoundEntry(small, "upper", upper[large], "monotone", True)
-                )
+                prov[small].append(BoundEntry(small, "upper", upper[large], "monotone", True))
                 changed = True
-    return BoundReport(
-        graph=report.graph,
-        params={
-            p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS
-        },
-    )
+    params = {p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS}
+    return BoundReport(graph=report.graph, params=params)
 
 
 def bound_report(

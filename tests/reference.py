@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import networkx as nx
 
 from affinecover import certio
+from affinecover.bounds import (
+    _EDGE_RELATIONS,
+    _RELATIONS,
+    INF,
+    PARAMETERS,
+    BoundEntry,
+    BoundReport,
+    ParamBounds,
+)
 from affinecover.drawing import WITNESS_KINDS, CoverWitness, Drawing, exact_set_cover, greedy_set_cover
 from affinecover.geometry import integerize
 from affinecover.graphs import Graph, parse_graph, to_graph6
@@ -485,3 +496,82 @@ def fraction_parse_certificate(data: bytes) -> tuple:
     if not canonical:
         raise ValueError("certificate is not in canonical form")
     return cert, points
+
+
+# ---------------------------------------------------------------------------
+# bound assembly in Fraction arithmetic, the path bounds._fold and
+# bounds.monotone_closure replaced, kept as their oracle
+# ---------------------------------------------------------------------------
+
+
+def _ceil(x) -> Fraction:
+    return Fraction(math.ceil(Fraction(x)))
+
+
+def fraction_fold(entries: Sequence[BoundEntry]) -> dict:
+    """The interval of each parameter from the entries with ``fold``,
+    and every entry as provenance.  Each parameter counts lines or
+    planes, so a lower bound is rounded up and an upper bound down; the
+    entries keep their own values."""
+    lower = {p: Fraction(0) for p in PARAMETERS}
+    upper = {p: INF for p in PARAMETERS}
+    prov = {p: [] for p in PARAMETERS}
+    for e in entries:
+        prov[e.parameter].append(e)
+        if not e.fold:
+            continue
+        if e.side == "lower":
+            lower[e.parameter] = max(lower[e.parameter], _ceil(e.value))
+        else:
+            upper[e.parameter] = min(upper[e.parameter], Fraction(math.floor(e.value)))
+    return {
+        p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS
+    }
+
+
+def fraction_closure(report: BoundReport) -> BoundReport:
+    """Tighten a report along the monotone relations between parameters.
+
+    Lower bounds flow from the smaller parameter up, upper bounds from
+    the larger parameter down.  Pure and idempotent: applying it to an
+    already-closed report returns equal intervals and adds no entries.
+    """
+    relations = _RELATIONS + (_EDGE_RELATIONS if report.graph.m >= 1 else ())
+    lower = {p: report.params[p].lower for p in PARAMETERS}
+    upper = {p: report.params[p].upper for p in PARAMETERS}
+    prov = {p: list(report.params[p].provenance) for p in PARAMETERS}
+    changed = True
+    while changed:
+        changed = False
+        for small, large in relations:
+            if lower[small] > lower[large]:
+                lower[large] = lower[small]
+                prov[large].append(
+                    BoundEntry(large, "lower", lower[small], "monotone", True)
+                )
+                changed = True
+            if upper[large] < upper[small]:
+                upper[small] = upper[large]
+                prov[small].append(
+                    BoundEntry(small, "upper", upper[large], "monotone", True)
+                )
+                changed = True
+    return BoundReport(
+        graph=report.graph,
+        params={
+            p: ParamBounds(lower[p], upper[p], tuple(prov[p])) for p in PARAMETERS
+        },
+    )
+
+
+def fraction_bound_report(report: BoundReport) -> BoundReport:
+    """``report`` assembled again from its rules' entries, each value a
+    ``Fraction`` as the rules once built them, by ``fraction_fold`` and
+    ``fraction_closure``."""
+    entries = [
+        e._replace(value=Fraction(e.value))
+        for p in PARAMETERS
+        for e in report[p].provenance
+        if e.rule != "monotone"
+    ]
+    return fraction_closure(BoundReport(graph=report.graph, params=fraction_fold(entries)))

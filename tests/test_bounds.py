@@ -1,6 +1,7 @@
 """Tests for the interval bound report."""
 import hashlib
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
@@ -40,7 +41,7 @@ from affinecover.graphs import (
     triangulated_square_wheel,
 )
 from affinecover.planar import _stacked_triangulation
-from reference import from_networkx, pinned_triangulations
+from reference import fraction_bound_report, from_networkx, pinned_triangulations
 from test_cli import BOUNDS_GOLDEN
 from test_solvers import gnp
 
@@ -284,36 +285,55 @@ def test_closure_idempotent():
             assert (once[p].lower, once[p].upper) == (twice[p].lower, twice[p].upper)
 
 
-def golden_graph(argv: tuple) -> tuple:
-    """The graph and family of a ``BOUNDS_GOLDEN`` command line."""
-    flag, text = argv
-    if flag == "--graph6":
-        return parse_graph(text.encode("ascii"), "graph6"), None
-    kind, _, params = text.partition(":")
-    return build_family(FamilySpec(kind, params.split(","))), kind
-
-
-def test_folded_bounds_are_integers_inside_the_entries():
-    """Every parameter counts lines or planes, so each folded bound is an
-    integer or inf: lower bounds are rounded up and upper bounds down.
-    Rounding only narrows: each interval lies inside the one the
-    unrounded folded entries give, on the atlas, the corpus and the
-    golden graphs."""
+@pytest.fixture(scope="module")
+def checked_reports() -> list:
+    """``bound_report`` on the atlas graphs, the corpus and the graph of
+    every ``BOUNDS_GOLDEN`` command line, with its family and budget."""
     reports = [bound_report(from_networkx(ng)) for ng in nx.graph_atlas_g()[1:]]
     reports += [bound_report(g) for g in CORPUS]
-    for argv in BOUNDS_GOLDEN.values():
-        g, family = golden_graph(argv)
-        reports.append(bound_report(g, family=family))
+    for flag, text, *budget in BOUNDS_GOLDEN.values():
+        budget = int(budget[1]) if budget else None
+        if flag == "--graph6":
+            g, family = parse_graph(text.encode("ascii"), "graph6"), None
+        else:
+            family, _, params = text.partition(":")
+            g = build_family(FamilySpec(family, params.split(",")))
+        reports.append(bound_report(g, budget=budget, family=family))
+    return reports
+
+
+def test_folded_bounds_are_integers_inside_the_entries(checked_reports):
+    """Every parameter counts lines or planes, so each folded bound is an
+    ``int`` or inf: lower bounds are rounded up and upper bounds down.
+    Every entry value is an ``int``, or a ``Fraction`` that is not a
+    whole number.  Rounding only narrows: each interval lies inside the
+    one the unrounded folded entries give, on the atlas, the corpus and
+    the golden graphs."""
     fractional = 0
-    for r in reports:
+    for r in checked_reports:
         for p in PARAMETERS:
             b = r[p]
-            assert b.lower.denominator == 1 and (b.upper == INF or b.upper.denominator == 1)
+            assert type(b.lower) is int
+            assert b.upper is INF or type(b.upper) is int
+            for e in b.provenance:
+                assert type(e.value) is int or (type(e.value) is Fraction and e.value.denominator > 1)
             folded = [e for e in b.provenance if e.fold]
             assert b.lower >= max((e.value for e in folded if e.side == "lower"), default=0)
             assert b.upper <= min((e.value for e in folded if e.side == "upper"), default=INF)
             fractional += any(e.value.denominator > 1 for e in folded)
     assert fractional > 0  # some entry has a fraction to round
+
+
+def test_assembly_matches_fraction_reference(checked_reports):
+    """The ``int`` fold and closure give the intervals and the folded
+    rule ids that the ``Fraction`` path they replaced gives from the same
+    entries, on the atlas, the corpus and the golden graphs."""
+    for r in checked_reports:
+        ref = fraction_bound_report(r)
+        for p in PARAMETERS:
+            assert (r[p].lower, r[p].upper) == (ref[p].lower, ref[p].upper), (r.graph, p)
+            rules = {e.rule for e in r[p].provenance if e.fold}
+            assert rules == {e.rule for e in ref[p].provenance if e.fold}, (r.graph, p)
 
 
 def test_corpus_sanity_and_rule_registry():

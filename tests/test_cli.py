@@ -464,6 +464,9 @@ BOUNDS_GOLDEN = {
     "caterpillar_5_3_3_0_3_3": ("--family", "caterpillar:5,3,3,0,3,3"),
     "gnp_20": ("--graph6", "SyNI{bIxsnziVlwtZpz|NTliXVqYJYrzs"),
     "gnp_20_sparse": ("--graph6", "Si?_oOboKb?OB@?GO???_?I??gQ?oOBd?"),
+    # no exact solver runs: the greedy and blocks-of-four upper bounds
+    # are folded, and no solver-backed lower bound is
+    "gnp_16_budget0": ("--graph6", "OveHVtGfMJy}z^^tSYZcv", "--budget-n", "0"),
 }
 
 
